@@ -27,7 +27,6 @@ from .counting import (
     distribution,
     tail_counts,
     tail_counts_mitm,
-    tail_counts_norm,
     tail_counts_threshold,
 )
 from .dominance import (
@@ -69,8 +68,7 @@ __all__ = [
     "canonicalize", "cmp_abs_vs_norm", "cmp_sum_vs_scaled_norm",
     "parse_vector", "sign_sum",
     "ONE_SIDED", "TWO_SIDED", "SumDistribution", "TailCounts",
-    "distribution", "tail_counts", "tail_counts_mitm", "tail_counts_norm",
-    "tail_counts_threshold",
+    "distribution", "tail_counts", "tail_counts_mitm", "tail_counts_threshold",
     "SignSet", "case_lemma_7", "dominates", "pair_lemma_select",
     "upward_closure", "verify_order_rules", "vsd_count_lower_bound",
     "vsd_membership_quadratic",

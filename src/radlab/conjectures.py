@@ -273,29 +273,41 @@ def check_pairing(a: CoeffVec) -> CheckReport:
     k-th largest must not exceed norm_sq (the scale-corrected form of the
     unit-product pairing)."""
     _require_norm(a)
-    if a.n > DISTRIBUTION_CAP:
-        raise TooLarge(f"n={a.n} exceeds pairing cap {DISTRIBUTION_CAP}")
     dist = distribution(a)
     half = 1 << (a.n - 1)
+    # The 2^(n-1) largest sums, ascending, as (value, count) runs: half of
+    # the zeros, then every positive value.
+    runs = [(v, c) for v, c in dist.pairs if v > 0]
     zeros = dist.count_eq(0)
-    top: list[int] = [0] * (zeros // 2)
-    for v, c in dist.pairs:
-        if v > 0:
-            top.extend([v] * c)
-    assert len(top) == half
-    max_product = None
-    bad_k = None
-    for k in range(1, half + 1):
-        p = top[k - 1] * top[half - k]
-        if max_product is None or p > max_product:
-            max_product = p
-        if p > a.norm_sq and bad_k is None:
-            bad_k = k
-    holds = bad_k is None
-    values = {"max_product": max_product, "norm_sq": a.norm_sq}
+    if zeros:
+        runs.insert(0, (0, zeros // 2))
+    covered = sum(c for _, c in runs)
+    if covered != half:
+        raise RuntimeError(f"pairing runs cover {covered} sums, not {half}")
+    # Pair the k-th smallest with the k-th largest, one stretch of equal
+    # products at a time; left and right count what remains of the current
+    # bottom and top runs.
+    max_product = 0
     witness = None
-    if not holds:
-        witness = {"k": bad_k, "s_k": top[bad_k - 1], "partner": top[half - bad_k]}
+    up, down = iter(runs), reversed(runs)
+    (s_k, left), (partner, right) = next(up), next(down)
+    k = 1
+    while k <= half:
+        p = s_k * partner
+        max_product = max(max_product, p)
+        if p > a.norm_sq and witness is None:
+            witness = {"k": k, "s_k": s_k, "partner": partner}
+        step = min(left, right)
+        k += step
+        left -= step
+        right -= step
+        if k <= half:
+            if not left:
+                s_k, left = next(up)
+            if not right:
+                partner, right = next(down)
+    holds = witness is None
+    values = {"max_product": max_product, "norm_sq": a.norm_sq}
     return CheckReport(
         "pairing", a, HOLDS if holds else VIOLATED, values, witness,
         note="tests the sorted pairing; sufficient but not claimed necessary",

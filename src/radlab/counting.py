@@ -1,9 +1,11 @@
 """Exact counting of sign-sum outcomes against norm-scaled thresholds.
 
-Two engines produce identical counts: a direct Gray-code sweep over all
-2^n sign vectors, and a meet-in-the-middle path that enumerates the two
-half spaces and combines sorted half sums with binary search.  Both decide
-every comparison against ``rho * ||a||`` in integers.
+``tail_counts`` is the one counting engine: meet-in-the-middle
+(Horowitz-Sahni) enumerates the two half spaces of 2^(n/2) sums and
+combines sorted half sums with binary search.  ``tail_counts_gray``, a
+direct Gray-code sweep over all 2^n sign vectors, is kept only as the
+reference oracle that tests and the claim suite compare against.  Both
+decide every comparison against ``rho * ||a||`` in integers.
 
 The key trick: for integer sums S and rational rho >= 0, let
 ``k0 = floor(rho * ||a||)`` (computed from squares with isqrt) and let
@@ -31,8 +33,8 @@ ONE_SIDED = "one-sided"
 TWO_SIDED = "two-sided"
 Side = Literal["one-sided", "two-sided"]
 
-# Direct enumeration switches over to meet-in-the-middle above this n.
-DEFAULT_ENUMERATION_CAP = 30
+# The Gray-code reference sweep refuses dimensions above this n.
+GRAY_CAP = 30
 # Half sums of 2^24 entries each are the practical memory limit.
 MITM_CAP = 48
 # Full value/multiplicity tables are only kept up to here.
@@ -132,40 +134,22 @@ def _threshold_boundary(norm_sq: int, rho: Fraction) -> tuple[int, bool]:
     return k0, k0 * k0 * t2den == t2num
 
 
-def iter_sign_sums(entries: tuple[int, ...], order: str = "gray") -> Iterator[int]:
-    """Yield all 2^n sign sums.
-
-    order="gray" walks masks in Gray-code order, one add/subtract per step;
-    order="binary" recomputes each sum from its mask and exists so tests can
-    confirm the counts are traversal independent.
-    """
+def iter_sign_sums(entries: tuple[int, ...]) -> Iterator[int]:
+    """Yield all 2^n sign sums in Gray-code order, one add/subtract per step."""
     n = len(entries)
-    if order == "gray":
-        deltas = [2 * e for e in entries]
-        sgn = [1] * n
-        s = sum(entries)
+    deltas = [2 * e for e in entries]
+    sgn = [1] * n
+    s = sum(entries)
+    yield s
+    for i in range(1, 1 << n):
+        j = (i & -i).bit_length() - 1
+        if sgn[j] > 0:
+            s -= deltas[j]
+            sgn[j] = -1
+        else:
+            s += deltas[j]
+            sgn[j] = 1
         yield s
-        for i in range(1, 1 << n):
-            j = (i & -i).bit_length() - 1
-            if sgn[j] > 0:
-                s -= deltas[j]
-                sgn[j] = -1
-            else:
-                s += deltas[j]
-                sgn[j] = 1
-            yield s
-    elif order == "binary":
-        total = sum(entries)
-        for mask in range(1 << n):
-            neg = 0
-            m = mask
-            while m:
-                low = m & -m
-                neg += entries[low.bit_length() - 1]
-                m ^= low
-            yield total - 2 * neg
-    else:
-        raise ValueError(f"unknown traversal order {order!r}")
 
 
 def _validated_rho(rho: RationalLike) -> Fraction:
@@ -175,27 +159,21 @@ def _validated_rho(rho: RationalLike) -> Fraction:
     return rho
 
 
-def tail_counts_threshold(
-    a: CoeffVec,
-    rho: RationalLike,
-    side: Side = TWO_SIDED,
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    order: str = "gray",
-) -> TailCounts:
-    """Count a.s (one-sided) or |a.s| (two-sided) against rho * ||a||."""
+def tail_counts_gray(a: CoeffVec, rho: RationalLike, side: Side) -> TailCounts:
+    """Reference oracle: count a.s (one-sided) or |a.s| (two-sided) against
+    rho * ||a|| by sweeping all 2^n sign vectors."""
     rho = _validated_rho(rho)
     if a.norm_sq == 0:
         raise ZeroNorm("zero vector has no norm threshold")
-    if a.n > cap:
-        raise UseMitm(f"n={a.n} exceeds direct enumeration cap {cap}")
+    if a.n > GRAY_CAP:
+        raise UseMitm(f"n={a.n} exceeds the Gray sweep cap {GRAY_CAP}")
     if side not in (ONE_SIDED, TWO_SIDED):
         raise ValueError(f"unknown side {side!r}")
     k0, exact = _threshold_boundary(a.norm_sq, rho)
     lo = k0 - 1 if exact else k0
     below = at = above = 0
     two = side == TWO_SIDED
-    for s in iter_sign_sums(a.entries, order):
+    for s in iter_sign_sums(a.entries):
         v = -s if (two and s < 0) else s
         if v <= lo:
             below += 1
@@ -204,11 +182,6 @@ def tail_counts_threshold(
         else:
             above += 1
     return TailCounts(a.n, below, at, above)
-
-
-def tail_counts_norm(a: CoeffVec, *, cap: int = DEFAULT_ENUMERATION_CAP) -> TailCounts:
-    """Count |a.s| against ||a|| over all 2^n sign vectors."""
-    return tail_counts_threshold(a, Fraction(1), TWO_SIDED, cap=cap)
 
 
 def distribution(a: CoeffVec) -> SumDistribution:
@@ -232,12 +205,12 @@ def _half_sums(entries: tuple[int, ...]) -> list[int]:
     return sums
 
 
-def tail_counts_mitm(a: CoeffVec, rho: RationalLike, side: Side = TWO_SIDED) -> TailCounts:
-    """Meet-in-the-middle variant of tail_counts_threshold.
+def tail_counts(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
+    """Count a.s (one-sided) or |a.s| (two-sided) against rho * ||a||.
 
     Splits the coordinates into two halves, enumerates the 2^(n/2) half
     sums, sorts one side and counts pair sums per class with bisection.
-    Produces counts identical to the direct path, field for field.
+    Produces counts identical to tail_counts_gray, field for field.
     """
     rho = _validated_rho(rho)
     if a.norm_sq == 0:
@@ -273,14 +246,6 @@ def tail_counts_mitm(a: CoeffVec, rho: RationalLike, side: Side = TWO_SIDED) -> 
     return TailCounts(a.n, below, at, total - below - at)
 
 
-def tail_counts(
-    a: CoeffVec,
-    rho: RationalLike = 1,
-    side: Side = TWO_SIDED,
-    *,
-    direct_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> TailCounts:
-    """Threshold counts via whichever engine fits the dimension."""
-    if a.n <= direct_cap:
-        return tail_counts_threshold(a, rho, side, cap=direct_cap)
-    return tail_counts_mitm(a, rho, side)
+# Former engine names, kept for callers; all three are one function object.
+tail_counts_mitm = tail_counts
+tail_counts_threshold = tail_counts

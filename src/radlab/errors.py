@@ -30,7 +30,7 @@ class NonPositiveEntry(RadlabError):
 
 
 class UseMitm(RadlabError):
-    """Direct enumeration cap exceeded; use the meet-in-the-middle path."""
+    """The Gray-code reference sweep's cap was exceeded; use tail_counts."""
 
 
 class TooLarge(RadlabError):

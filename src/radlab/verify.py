@@ -26,14 +26,9 @@ from .conjectures import (
     combinatorial_fraction,
 )
 from .core import CoeffVec, SignAssignment, canonicalize, sign_sum
-from .counting import (
-    ONE_SIDED,
-    TWO_SIDED,
-    tail_counts,
-    tail_counts_mitm,
-    tail_counts_threshold,
-)
+from .counting import ONE_SIDED, TWO_SIDED, tail_counts, tail_counts_gray
 from .dominance import case_lemma_7, dominates, upward_closure, verify_order_rules
+from .errors import NoWitness
 from .search import SearchTarget, exhaustive_integer_search, hunt
 
 G_TABLE = {
@@ -114,18 +109,19 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
     """One pass over seeded random canonical 7-vectors, entries <= 50:
     the two-sided floor, the norm-reaching set size, and the three-flip
     witness rule (strict variant on all-positive samples)."""
-    floor_ok = vsd_ok = witness_ok = strict_ok = True
+    floor_ok = vsd_ok = True
     min_p = None
     min_vsd = None
     strict_checked = 0
+    first_failure = None
     for i in range(trials):
         rng = random.Random(f"{seed}:dim7:{i}")
         entries = [rng.randint(0, 50) for _ in range(7)]
         if not any(entries):
             continue
         a = canonicalize(entries)
-        two = tail_counts_threshold(a, 1, TWO_SIDED)
-        one = tail_counts_threshold(a, 1, ONE_SIDED)
+        two = tail_counts(a, 1, TWO_SIDED)
+        one = tail_counts(a, 1, ONE_SIDED)
         p_ge = two.p_ge.fraction
         vsd_size = one.at + one.above
         if min_p is None or p_ge < min_p:
@@ -134,16 +130,18 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
             min_vsd = vsd_size
         floor_ok = floor_ok and p_ge >= HK_BOUND
         vsd_ok = vsd_ok and vsd_size >= 14
+        strict = a.entries[6] > 0
+        strict_checked += strict
         try:
             case_lemma_7(a, strict=False)
-        except Exception:
-            witness_ok = False
-        if a.entries[6] > 0:
-            strict_checked += 1
-            try:
+            if strict:
                 case_lemma_7(a, strict=True)
-            except Exception:
-                strict_ok = False
+        except NoWitness:
+            if first_failure is None:
+                first_failure = a
+    rule_details = {"strict_checked": strict_checked}
+    if first_failure is not None:
+        rule_details["first_failure"] = first_failure
     return [
         ClaimResult(
             "dim7-floor-sample",
@@ -160,8 +158,8 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
         ClaimResult(
             "dim7-case-rule-sample",
             "one of the flips (2)_7, (3,4)_7, (5,6,7)_7 always reaches the norm",
-            witness_ok and strict_ok,
-            {"strict_checked": strict_checked},
+            first_failure is None,
+            rule_details,
         ),
     ]
 
@@ -313,9 +311,7 @@ def _crossval_claim(full: bool, seed: int) -> ClaimResult:
         if rho > 3:
             rho = Fraction(3)
         side = rng.choice([ONE_SIDED, TWO_SIDED])
-        direct = tail_counts_threshold(a, rho, side)
-        mitm = tail_counts_mitm(a, rho, side)
-        if direct != mitm:
+        if tail_counts_gray(a, rho, side) != tail_counts(a, rho, side):
             ok = False
     return ClaimResult(
         "engine-crossval",
@@ -330,7 +326,7 @@ def _mitm_large_claim(full: bool, seed: int) -> ClaimResult:
     rng = random.Random(f"{seed}:mitm:{n}")
     a = canonicalize([rng.randint(1, 50) for _ in range(n)])
     t0 = time.monotonic()
-    counts = tail_counts_mitm(a, 1, TWO_SIDED)
+    counts = tail_counts(a, 1, TWO_SIDED)
     elapsed = time.monotonic() - t0
     # the all-plus and all-minus assignments always reach the norm
     sane = counts.at + counts.above >= 2
@@ -338,7 +334,7 @@ def _mitm_large_claim(full: bool, seed: int) -> ClaimResult:
         "mitm-large",
         f"single n={n} meet-in-the-middle count completes in under 60 s",
         elapsed < 60 and sane,
-        {"elapsed_s": f"{elapsed:.2f}", "counts": (counts.below, counts.at, counts.above)},
+        {"counts": (counts.below, counts.at, counts.above)},
     )
 
 

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from radlab import verify
 from radlab.cli import main, verify_ledger
+from radlab.errors import NoWitness
 from radlab.search import SearchTarget, exhaustive_integer_search
 
 
@@ -217,3 +219,25 @@ class TestVerifyPaperCommand:
         obj = json.loads(report.read_text())
         assert obj["all_passed"] is True
         assert "PASS" in out
+        again = tmp_path / "claims-again.json"
+        assert run(capsys, "verify-paper", "--out", str(again))[0] == 0
+        assert again.read_bytes() == report.read_bytes()
+
+    def test_dim7_rule_failure_names_vector(self, monkeypatch):
+        def no_witness(a, strict=False):
+            raise NoWitness(str(a))
+
+        monkeypatch.setattr(verify, "case_lemma_7", no_witness)
+        rule = verify._dim7_sample_claims(3, 7)[2]
+        rng = verify.random.Random("7:dim7:0")
+        first = verify.canonicalize([rng.randint(0, 50) for _ in range(7)])
+        assert not rule.passed
+        assert rule.to_json_dict()["details"]["first_failure"] == str(first)
+
+    def test_dim7_rule_does_not_hide_other_errors(self, monkeypatch):
+        def broken(a, strict=False):
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(verify, "case_lemma_7", broken)
+        with pytest.raises(ZeroDivisionError):
+            verify._dim7_sample_claims(3, 7)

@@ -211,10 +211,10 @@ class TestPairing:
             )
             half = 1 << (n - 1)
             top = sums[half:]
-            expected = all(
-                top[k - 1] * top[half - k] <= a.norm_sq for k in range(1, half + 1)
-            )
-            assert check_pairing(a).holds == expected
+            products = [top[k - 1] * top[half - k] for k in range(1, half + 1)]
+            r = check_pairing(a)
+            assert r.holds == all(p <= a.norm_sq for p in products)
+            assert r.values["max_product"] == max(products)
 
     def test_cap(self):
         with pytest.raises(TooLarge):

@@ -1,4 +1,5 @@
-"""Counting engines: direct Gray-code sweep, distribution, meet-in-the-middle."""
+"""The meet-in-the-middle counting engine, its Gray-code reference oracle,
+and the sum distribution."""
 
 import random
 from fractions import Fraction
@@ -14,8 +15,8 @@ from radlab.counting import (
     distribution,
     iter_sign_sums,
     tail_counts,
+    tail_counts_gray,
     tail_counts_mitm,
-    tail_counts_norm,
     tail_counts_threshold,
 )
 from radlab.errors import InvalidThreshold, TooLarge, UseMitm, ZeroNorm
@@ -45,19 +46,19 @@ def brute_counts(entries, rho, side):
 
 class TestTailCountsNorm:
     def test_single_coordinate(self):
-        c = tail_counts_norm(CoeffVec((1,)))
+        c = tail_counts(CoeffVec((1,)))
         assert (c.below, c.at, c.above) == (0, 2, 0)
         assert c.p_ge.fraction == 1
 
     def test_six_ones_and_zero(self):
-        c = tail_counts_norm(CoeffVec((1, 1, 1, 1, 1, 1, 0)))
+        c = tail_counts(CoeffVec((1, 1, 1, 1, 1, 1, 0)))
         assert (c.below, c.at, c.above) == (100, 0, 28)
         assert c.p_ge.fraction == Fraction(7, 32)
 
     def test_22111(self):
         # two-sided counts; the one-sided strict tail (4 of 32) is half of
         # the two-sided 8 by symmetry
-        c = tail_counts_norm(CoeffVec((2, 2, 1, 1, 1)))
+        c = tail_counts(CoeffVec((2, 2, 1, 1, 1)))
         assert (c.below, c.at, c.above) == (24, 0, 8)
         assert c.p_gt.fraction == Fraction(1, 4)
         one = tail_counts_threshold(CoeffVec((2, 2, 1, 1, 1)), 1, ONE_SIDED)
@@ -65,7 +66,7 @@ class TestTailCountsNorm:
         assert one.p_gt.fraction == Fraction(1, 8)
 
     def test_2221111(self):
-        c = tail_counts_norm(CoeffVec((2, 2, 2, 1, 1, 1, 1)))
+        c = tail_counts(CoeffVec((2, 2, 2, 1, 1, 1, 1)))
         assert (c.below, c.at, c.above) == (68, 32, 28)
         assert c.p_gt.fraction == Fraction(7, 32)
         one = tail_counts_threshold(CoeffVec((2, 2, 2, 1, 1, 1, 1)), 1, ONE_SIDED)
@@ -74,11 +75,11 @@ class TestTailCountsNorm:
 
     def test_zero_vector(self):
         with pytest.raises(ZeroNorm):
-            tail_counts_norm(CoeffVec((0, 0)))
+            tail_counts(CoeffVec((0, 0)))
 
     def test_cap_raises_use_mitm(self):
         with pytest.raises(UseMitm):
-            tail_counts_norm(CoeffVec(tuple([1] * 31)))
+            tail_counts_gray(CoeffVec(tuple([1] * 31)), 1, TWO_SIDED)
 
 
 class TestTailCountsThreshold:
@@ -117,20 +118,11 @@ class TestTailCountsThreshold:
                 continue
             rho = Fraction(rng.randint(0, 15), rng.randint(1, 5))
             side = rng.choice([ONE_SIDED, TWO_SIDED])
+            expected = brute_counts(a.entries, rho, side)
             c = tail_counts_threshold(a, rho, side)
-            assert (c.below, c.at, c.above) == brute_counts(a.entries, rho, side)
-
-    def test_traversal_order_irrelevant(self):
-        rng = random.Random(33)
-        for _ in range(40):
-            n = rng.randint(1, 8)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
-                continue
-            rho = Fraction(rng.randint(0, 8), rng.randint(1, 4))
-            gray = tail_counts_threshold(a, rho, TWO_SIDED, order="gray")
-            binary = tail_counts_threshold(a, rho, TWO_SIDED, order="binary")
-            assert gray == binary
+            assert (c.below, c.at, c.above) == expected
+            g = tail_counts_gray(a, rho, side)
+            assert (g.below, g.at, g.above) == expected
 
     def test_monotone_in_rho(self):
         rng = random.Random(34)
@@ -150,7 +142,7 @@ class TestTailCountsThreshold:
             a = canonicalize([rng.randint(0, 9) for _ in range(n)])
             if a.norm_sq == 0:
                 continue
-            assert tail_counts_norm(a) == tail_counts_threshold(a, 1, TWO_SIDED)
+            assert tail_counts(a) == tail_counts_gray(a, 1, TWO_SIDED)
 
 
 class TestDistribution:
@@ -208,7 +200,7 @@ class TestMitm:
                 continue
             rho = Fraction(rng.randint(0, 15), rng.randint(1, 5))
             side = rng.choice([ONE_SIDED, TWO_SIDED])
-            assert tail_counts_mitm(a, rho, side) == tail_counts_threshold(a, rho, side)
+            assert tail_counts_mitm(a, rho, side) == tail_counts_gray(a, rho, side)
 
     def test_all_ones_n30_no_boundary(self):
         # sums share the parity of n and sqrt(30) is irrational, so
@@ -227,15 +219,19 @@ class TestMitm:
 
     def test_rho_zero(self):
         a = CoeffVec((2, 1, 1))
-        assert tail_counts_mitm(a, 0, ONE_SIDED) == tail_counts_threshold(a, 0, ONE_SIDED)
-        assert tail_counts_mitm(a, 0, TWO_SIDED) == tail_counts_threshold(a, 0, TWO_SIDED)
+        assert tail_counts_mitm(a, 0, ONE_SIDED) == tail_counts_gray(a, 0, ONE_SIDED)
+        assert tail_counts_mitm(a, 0, TWO_SIDED) == tail_counts_gray(a, 0, TWO_SIDED)
 
 
 def test_auto_dispatch():
+    assert tail_counts is tail_counts_mitm is tail_counts_threshold
     small = canonicalize([1] * 8)
-    assert tail_counts(small) == tail_counts_norm(small)
+    assert tail_counts(small) == tail_counts_gray(small, 1, TWO_SIDED)
+    # n=30 is meet-in-the-middle work, not a 2^30 sweep
+    ones = canonicalize([1] * 30)
+    assert tail_counts(ones) == tail_counts_mitm(ones, 1, TWO_SIDED)
     big = canonicalize([1] * 32)
-    c = tail_counts(big)  # silently routed through meet-in-the-middle
+    c = tail_counts(big)
     assert c.below + c.at + c.above == 1 << 32
 
 
