@@ -25,7 +25,9 @@ from .counting import (
     SumDistribution,
     TailCounts,
     distribution,
+    tail_count_engine,
     tail_counts,
+    tail_counts_gf,
     tail_counts_mitm,
     tail_counts_threshold,
 )
@@ -50,6 +52,7 @@ from .conjectures import (
     check_tomaszewski,
     classify_A_or_B,
     combinatorial_fraction,
+    combinatorial_fraction_gray,
     delta_sweep,
 )
 from .search import (
@@ -68,14 +71,15 @@ __all__ = [
     "canonicalize", "cmp_abs_vs_norm", "cmp_sum_vs_scaled_norm",
     "parse_vector", "sign_sum",
     "ONE_SIDED", "TWO_SIDED", "SumDistribution", "TailCounts",
-    "distribution", "tail_counts", "tail_counts_mitm", "tail_counts_threshold",
+    "distribution", "tail_count_engine", "tail_counts", "tail_counts_gf",
+    "tail_counts_mitm", "tail_counts_threshold",
     "SignSet", "case_lemma_7", "dominates", "pair_lemma_select",
     "upward_closure", "verify_order_rules", "vsd_count_lower_bound",
     "vsd_membership_quadratic",
     "CheckReport", "check_delta_alt", "check_delta_inequality",
     "check_gprime", "check_hk_bound", "check_pairing",
     "check_symmetric_tails", "check_tomaszewski", "classify_A_or_B",
-    "combinatorial_fraction", "delta_sweep",
+    "combinatorial_fraction", "combinatorial_fraction_gray", "delta_sweep",
     "SearchRecord", "SearchTarget", "exhaustive_integer_search", "hunt",
     "local_descent", "random_search",
     "verify_paper",

@@ -2,8 +2,9 @@
 hunts, the claim suite, and the append-only run ledger.
 
 Exit codes: 0 all checks hold, 1 a violation was found (report written),
-2 usage or input error.  All serialized rationals are exact "p/q" strings;
-no floating point appears in any report.
+2 usage or input error, 3 internal error (traceback printed).  All
+serialized rationals are exact "p/q" strings; no floating point appears
+in any report.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import datetime
 import hashlib
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from .conjectures import (
     delta_sweep,
 )
 from .core import parse_vector
-from .counting import distribution, tail_counts
+from .counting import distribution, tail_count_engine, tail_counts
 from .errors import ConjectureFalsified, RadlabError
 from .search import (
     SearchState,
@@ -45,6 +47,7 @@ from .verify import verify_paper
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 EXIT_INTERRUPT = 130
 
 
@@ -127,6 +130,7 @@ def cmd_eval(args) -> int:
         "p_ge_norm": str(counts.p_ge),
         "p_gt_norm": str(counts.p_gt),
         "class": classify_A_or_B(vec),
+        "engine": tail_count_engine(vec),
     }
     if args.stats in ("dist", "all"):
         report["distribution"] = [[v, c] for v, c in distribution(vec).pairs]
@@ -147,11 +151,11 @@ def _run_check(args) -> CheckReport:
             return delta_sweep(vec)
         if args.delta is None:
             raise RadlabError("predicate 'delta' needs --delta P/Q or --delta-sweep")
-        return check_delta_inequality(vec, Fraction(args.delta))
+        return check_delta_inequality(vec, _parse_fraction(args.delta))
     if name == "delta-alt":
         if args.delta is None:
             raise RadlabError("predicate 'delta-alt' needs --delta P/Q")
-        return check_delta_alt(vec, Fraction(args.delta))
+        return check_delta_alt(vec, _parse_fraction(args.delta))
     if name == "pairing":
         return check_pairing(vec)
     if name == "comb":
@@ -171,18 +175,35 @@ def cmd_check(args) -> int:
     return EXIT_VIOLATION if report.violated else EXIT_OK
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise RadlabError(f"cannot parse {text!r} as P/Q") from exc
+
+
 def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            ns = list(range(int(lo), int(hi) + 1))
+        else:
+            ns = [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise RadlabError(f"cannot parse dimension range {text!r}") from exc
+    if not ns:
+        raise RadlabError(f"empty dimension range {text!r}")
+    return ns
 
 
 def cmd_search(args) -> int:
     lines: list[str] = []
     resume_state = None
     if args.resume:
-        resume_state = SearchState.from_json_dict(json.loads(Path(args.resume).read_text()))
+        try:
+            resume_state = SearchState.from_json_dict(json.loads(Path(args.resume).read_text()))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise RadlabError(f"cannot read checkpoint {args.resume}: {exc}") from exc
         target, n, mode = resume_state.target, resume_state.n, "exhaustive"
         bound = resume_state.bound
     else:
@@ -332,9 +353,10 @@ def main(argv: list[str] | None = None) -> int:
     except RadlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception:
+        # anything else is a bug, not a usage error
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

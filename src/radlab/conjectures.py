@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .core import CoeffVec, DyadicProb, RationalLike, parse_vector
 from .counting import (
@@ -48,9 +49,10 @@ GPRIME_TABLE = {
     6: Fraction(3, 16),
     7: Fraction(7, 32),
 }
-# Half-mass floor known through dimension 9.
+# Half-mass floor P(|a.s| <= ||a||) >= 1/2, proven in every dimension
+# (Keller and Klein, "Proof of Tomaszewski's conjecture on randomly signed
+# sums", arXiv:2006.16834).
 T_FLOOR = Fraction(1, 2)
-T_FLOOR_MAX_N = 9
 
 
 @dataclass
@@ -216,13 +218,36 @@ def check_delta_alt(a: CoeffVec, delta: RationalLike) -> CheckReport:
     )
 
 
-def _sweep_lhs(dist: SumDistribution, norm_sq: int, q: Fraction) -> Fraction:
-    """The threshold-pair left side at delta = q/||a||: both resulting
-    thresholds (q and norm_sq/q) are rational, so the counts are exact."""
-    n = dist.n
-    above1 = dist.count_above(q)
-    above2 = dist.count_above(Fraction(norm_sq, 1) / q)
-    return Fraction(above1 + above2, 1 << n)
+def _sweep_lhs(dist: SumDistribution, norm_sq: int, p: int, q: int) -> int:
+    """2^n times the threshold-pair left side at delta = (p/q)/||a||.
+
+    Sign sums are integers, so v > p/q iff v > p // q, and
+    v > norm_sq / (p/q) iff v > norm_sq*q // p: both counts bisect on ints.
+    """
+    return dist.count_above(p // q) + dist.count_above(norm_sq * q // p)
+
+
+def _jump_points(pos: list[int], norm_sq: int) -> list[tuple[int, int]]:
+    """The distinct points v and norm_sq/v over the ascending positive sums
+    v, in ascending order, as reduced (numerator, denominator) pairs.
+
+    norm_sq/v descends as v ascends, so the two runs merge by comparing
+    cross products: v < norm_sq/w iff v*w < norm_sq.
+    """
+    out: list[tuple[int, int]] = []
+    i, j = 0, len(pos) - 1
+    while i < len(pos) or j >= 0:
+        if j < 0 or (i < len(pos) and pos[i] * pos[j] <= norm_sq):
+            if j >= 0 and pos[i] * pos[j] == norm_sq:
+                j -= 1  # v == norm_sq/w: one point
+            out.append((pos[i], 1))
+            i += 1
+        else:
+            w = pos[j]
+            g = gcd(norm_sq, w)
+            out.append((norm_sq // g, w // g))
+            j -= 1
+    return out
 
 
 def delta_sweep(a: CoeffVec) -> CheckReport:
@@ -237,31 +262,26 @@ def delta_sweep(a: CoeffVec) -> CheckReport:
     """
     _require_norm(a)
     dist = distribution(a)
-    pos = [v for v, _ in dist.pairs if v > 0]
-    qs = sorted({Fraction(v) for v in pos} | {Fraction(a.norm_sq, v) for v in pos})
-    samples = list(qs)
+    points = _jump_points([v for v, _ in dist.pairs if v > 0], a.norm_sq)
     # mediants between consecutive jump points, plus one sample in the
     # open intervals below the first and above the last point
-    first, last = qs[0], qs[-1]
-    samples.append(Fraction(first.numerator, first.denominator + 1))
-    samples.append(Fraction(last.numerator + 1, last.denominator))
-    for q1, q2 in zip(qs, qs[1:]):
-        samples.append(
-            Fraction(q1.numerator + q2.numerator, q1.denominator + q2.denominator)
-        )
-    best_q = None
-    best = Fraction(-1)
-    for q in samples:
-        lhs = _sweep_lhs(dist, a.norm_sq, q)
-        if lhs > best:
-            best, best_q = lhs, q
-    holds = best <= Fraction(1, 2)
+    (p0, q0), (pk, qk) = points[0], points[-1]
+    samples = points + [(p0, q0 + 1), (pk + 1, qk)]
+    samples += [(p1 + p2, q1 + q2) for (p1, q1), (p2, q2) in zip(points, points[1:])]
+    best, best_pq = -1, samples[0]
+    for p, q in samples:
+        above = _sweep_lhs(dist, a.norm_sq, p, q)
+        if above > best:
+            best, best_pq = above, (p, q)
+    best_lhs = Fraction(best, 1 << a.n)
+    best_q = Fraction(*best_pq)
+    holds = best_lhs <= Fraction(1, 2)
     values = {
-        "max_lhs": best,
+        "max_lhs": best_lhs,
         "argmax_q": best_q,
         "points_tested": len(samples),
     }
-    witness = None if holds else {"q": best_q, "max_lhs": best}
+    witness = None if holds else {"q": best_q, "max_lhs": best_lhs}
     return CheckReport(
         "delta-sweep", a, HOLDS if holds else VIOLATED, values, witness,
         note="delta parametrized as q/||a||; q rational",
@@ -319,8 +339,20 @@ def combinatorial_fraction(l: CoeffVec) -> DyadicProb:
 
         pairs inside J + pairs inside the complement - cross pairs <= 0.
 
-    Maintained incrementally under single-index toggles in Gray-code
-    order, so each subset costs O(1) multiplications.
+    With s the sign vector flipping J, twice the left side is
+    (l.s)^2 - ||l||^2, so the fraction is P(|l.s| <= ||l||), read off the
+    tail counts.  combinatorial_fraction_gray evaluates the subset form
+    itself.
+    """
+    if any(x < 1 for x in l.entries):
+        raise NonPositiveEntry("all entries must be >= 1")
+    return tail_counts(l).p_le
+
+
+def combinatorial_fraction_gray(l: CoeffVec) -> DyadicProb:
+    """Reference oracle for combinatorial_fraction: walks all 2^n subsets
+    in Gray-code order, maintaining the pair sums incrementally under
+    single-index toggles, so each subset costs O(1) multiplications.
     """
     if any(x < 1 for x in l.entries):
         raise NonPositiveEntry("all entries must be >= 1")

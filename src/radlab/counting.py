@@ -1,11 +1,24 @@
 """Exact counting of sign-sum outcomes against norm-scaled thresholds.
 
-``tail_counts`` is the one counting engine: meet-in-the-middle
-(Horowitz-Sahni) enumerates the two half spaces of 2^(n/2) sums and
-combines sorted half sums with binary search.  ``tail_counts_gray``, a
-direct Gray-code sweep over all 2^n sign vectors, is kept only as the
-reference oracle that tests and the claim suite compare against.  Both
-decide every comparison against ``rho * ||a||`` in integers.
+Two engines produce identical counts:
+
+- ``tail_counts_gf`` packs the subset-sum generating function
+  prod (1 + x^(a_i)) into one integer (Kronecker substitution), with
+  n+1 bits per coefficient: n shift-adds build it, and each class count
+  is one shift plus one reduction modulo 2^(n+1) - 1.
+- ``tail_counts_mitm``, meet-in-the-middle (Horowitz-Sahni), enumerates
+  the two half spaces of 2^(n/2) sums and combines sorted half sums
+  with binary search.
+
+``tail_counts`` picks one by a fixed cost rule, ``tail_count_engine``:
+the packed polynomial when the n*T*(n+1) bits its shift-adds touch
+(T = sum of entries) stay within GF_WORK_PER_HALF_SUM per half sum of
+meet-in-the-middle and the integer fits GF_BIT_BUDGET; otherwise
+meet-in-the-middle up to MITM_CAP; otherwise TooLarge, raised before
+anything is allocated.  ``tail_counts_gray``, a direct Gray-code sweep
+over all 2^n sign vectors, is kept only as the reference oracle that
+tests and the claim suite compare against.  All three decide every
+comparison against ``rho * ||a||`` in integers.
 
 The key trick: for integer sums S and rational rho >= 0, let
 ``k0 = floor(rho * ||a||)`` (computed from squares with isqrt) and let
@@ -37,6 +50,11 @@ Side = Literal["one-sided", "two-sided"]
 GRAY_CAP = 30
 # Half sums of 2^24 entries each are the practical memory limit.
 MITM_CAP = 48
+# The packed generating function is used while n*T*(n+1), the bits its n
+# shift-adds touch, stays within this many per meet-in-the-middle half sum
+# (2^ceil(n/2) of them) and the packed integer within the bit budget.
+GF_WORK_PER_HALF_SUM = 10_000
+GF_BIT_BUDGET = 1 << 26
 # Full value/multiplicity tables are only kept up to here.
 DISTRIBUTION_CAP = 24
 
@@ -152,23 +170,23 @@ def iter_sign_sums(entries: tuple[int, ...]) -> Iterator[int]:
         yield s
 
 
-def _validated_rho(rho: RationalLike) -> Fraction:
+def _validated(a: CoeffVec, rho: RationalLike, side: Side) -> Fraction:
     rho = Fraction(rho)
     if rho < 0:
         raise InvalidThreshold(f"negative threshold multiplier {rho}")
+    if a.norm_sq == 0:
+        raise ZeroNorm("zero vector has no norm threshold")
+    if side not in (ONE_SIDED, TWO_SIDED):
+        raise ValueError(f"unknown side {side!r}")
     return rho
 
 
 def tail_counts_gray(a: CoeffVec, rho: RationalLike, side: Side) -> TailCounts:
     """Reference oracle: count a.s (one-sided) or |a.s| (two-sided) against
     rho * ||a|| by sweeping all 2^n sign vectors."""
-    rho = _validated_rho(rho)
-    if a.norm_sq == 0:
-        raise ZeroNorm("zero vector has no norm threshold")
+    rho = _validated(a, rho, side)
     if a.n > GRAY_CAP:
         raise UseMitm(f"n={a.n} exceeds the Gray sweep cap {GRAY_CAP}")
-    if side not in (ONE_SIDED, TWO_SIDED):
-        raise ValueError(f"unknown side {side!r}")
     k0, exact = _threshold_boundary(a.norm_sq, rho)
     lo = k0 - 1 if exact else k0
     below = at = above = 0
@@ -205,20 +223,103 @@ def _half_sums(entries: tuple[int, ...]) -> list[int]:
     return sums
 
 
+def _gf_bits(n: int, total: int) -> int:
+    """Size of the packed generating function: T+1 slots of n+1 bits."""
+    return (total + 1) * (n + 1)
+
+
+def tail_count_engine(a: CoeffVec) -> str:
+    """The engine tail_counts uses for a: "gf" or "mitm".
+
+    The packed generating function costs about n shift-adds of n*T*(n+1)
+    bits in total; meet-in-the-middle costs about 2^(n/2) bisections.
+    Raises TooLarge, before anything is allocated, when neither fits.
+    """
+    n, total = a.n, a.total
+    if (
+        _gf_bits(n, total) <= GF_BIT_BUDGET
+        and n * total * (n + 1) <= GF_WORK_PER_HALF_SUM << ((n + 1) // 2)
+    ):
+        return "gf"
+    if n <= MITM_CAP:
+        return "mitm"
+    raise TooLarge(
+        f"n={n} with entry sum {total} exceeds both the packed generating "
+        f"function budget ({GF_BIT_BUDGET} bits) and the meet-in-the-middle cap {MITM_CAP}"
+    )
+
+
 def tail_counts(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
     """Count a.s (one-sided) or |a.s| (two-sided) against rho * ||a||.
 
-    Splits the coordinates into two halves, enumerates the 2^(n/2) half
-    sums, sorts one side and counts pair sums per class with bisection.
-    Produces counts identical to tail_counts_gray, field for field.
+    Dispatches on tail_count_engine; both engines produce counts
+    identical to tail_counts_gray, field for field.
     """
-    rho = _validated_rho(rho)
-    if a.norm_sq == 0:
-        raise ZeroNorm("zero vector has no norm threshold")
+    rho = _validated(a, rho, side)
+    if tail_count_engine(a) == "gf":
+        return tail_counts_gf(a, rho, side)
+    return tail_counts_mitm(a, rho, side)
+
+
+# Former name of the dispatcher, kept for callers.
+tail_counts_threshold = tail_counts
+
+
+def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
+    """Count from the subset-sum generating function prod (1 + x^(a_i)),
+    packed into one integer with B = n+1 bits per slot.
+
+    Slot m holds the number of flipped subsets with sum m; such a subset
+    has sign sum S = T - 2m, where T = sum(a).  No slot exceeds 2^n <
+    2^B - 1, so the slots above one right shift are summed exactly by a
+    single reduction modulo 2^B - 1, and one slot is one mask.
+    """
+    rho = _validated(a, rho, side)
+    n, total = a.n, a.total
+    if _gf_bits(n, total) > GF_BIT_BUDGET:
+        raise TooLarge(f"packed generating function of {_gf_bits(n, total)} bits "
+                       f"exceeds the budget of {GF_BIT_BUDGET}")
+    width = n + 1
+    mask = (1 << width) - 1
+    poly = 1
+    for e in reversed(a.entries):  # ascending entries keep early products short
+        poly += poly << (e * width)
+    everything = 1 << n
+
+    # callers pass v >= -1 and T >= 1, so no slot index m exceeds T
+    def count_le(v: int) -> int:
+        """Sign vectors with S <= v: the subsets with m >= (T - v) / 2."""
+        m = (total - v + 1) // 2
+        if m <= 0:
+            return everything
+        return (poly >> (m * width)) % mask
+
+    def count_eq(v: int) -> int:
+        if v > total or (total - v) % 2:
+            return 0
+        return (poly >> ((total - v) // 2 * width)) & mask
+
+    k0, exact = _threshold_boundary(a.norm_sq, rho)
+    lo = k0 - 1 if exact else k0
+    if side == ONE_SIDED:
+        below = count_le(lo)
+        at = count_eq(k0) if exact else 0
+    else:
+        # S and -S are equally frequent, so #(S < -lo) = 2^n - #(S <= lo)
+        below = 2 * count_le(lo) - everything if lo >= 0 else 0
+        at = 0
+        if exact:
+            at = count_eq(k0) * (2 if k0 else 1)
+    return TailCounts(n, below, at, everything - below - at)
+
+
+def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
+    """Meet-in-the-middle (Horowitz-Sahni): split the coordinates into two
+    halves, enumerate the 2^(n/2) half sums, sort one side and count pair
+    sums per class with bisection."""
+    rho = _validated(a, rho, side)
     if a.n > MITM_CAP:
         raise TooLarge(f"n={a.n} exceeds meet-in-the-middle cap {MITM_CAP}")
-    if side not in (ONE_SIDED, TWO_SIDED):
-        raise ValueError(f"unknown side {side!r}")
     split = (a.n + 1) // 2
     left = _half_sums(a.entries[:split])
     right = sorted(_half_sums(a.entries[split:]))
@@ -244,8 +345,3 @@ def tail_counts(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> T
                     at += bisect_right(right, -k0 - x) - bisect_left(right, -k0 - x)
     total = len(left) * size_r
     return TailCounts(a.n, below, at, total - below - at)
-
-
-# Former engine names, kept for callers; all three are one function object.
-tail_counts_mitm = tail_counts
-tail_counts_threshold = tail_counts

@@ -57,5 +57,13 @@ class ConjectureFalsified(RadlabError):
     """
 
 
+class SearchInputError(RadlabError, ValueError):
+    """A search or hunt cannot run as asked: unknown target or predicate,
+    no trials, a checkpoint from another search, or nothing to evaluate.
+
+    Also a ValueError, which is what these inputs raised before.
+    """
+
+
 class BudgetExceeded(RadlabError):
     """Requested enumeration is larger than the configured budget."""

@@ -25,14 +25,19 @@ from .conjectures import (
     HK_BOUND,
     HK_MAX_N,
     T_FLOOR,
-    T_FLOOR_MAX_N,
     check_pairing,
     check_tomaszewski,
     delta_sweep,
 )
 from .core import CoeffVec, DyadicProb, canonicalize
 from .counting import TailCounts, tail_counts
-from .errors import BudgetExceeded, ConjectureFalsified, NonPositiveEntry, ZeroNorm
+from .errors import (
+    BudgetExceeded,
+    ConjectureFalsified,
+    NonPositiveEntry,
+    SearchInputError,
+    ZeroNorm,
+)
 
 DEFAULT_ENTRY_BOUND = 20
 DEFAULT_MAX_VECTORS = 5_000_000
@@ -62,7 +67,7 @@ class SearchTarget(enum.Enum):
         for member in cls:
             if member.value.lower() == text.lower():
                 return member
-        raise ValueError(f"unknown target {text!r}")
+        raise SearchInputError(f"unknown target {text!r}")
 
 
 @dataclass
@@ -144,8 +149,9 @@ def evaluate_target(a: CoeffVec, target: SearchTarget) -> DyadicProb:
 
 def _check_floor(target: SearchTarget, a: CoeffVec, value: Fraction) -> None:
     """Proven floors: any value below them means the build (or mathematics)
-    is broken, so the run aborts with a falsification report."""
-    if target is SearchTarget.T and a.n <= T_FLOOR_MAX_N and value < T_FLOOR:
+    is broken, so the run aborts with a falsification report.  The
+    half-mass floor holds in every dimension, the 7/32 floor for n <= 7."""
+    if target is SearchTarget.T and value < T_FLOOR:
         raise ConjectureFalsified(
             {"target": "T", "vector": str(a), "value": str(value), "floor": str(T_FLOOR)}
         )
@@ -222,7 +228,7 @@ def exhaustive_integer_search(
     cursor: tuple[int, ...] | None = None
     if resume is not None:
         if (resume.target, resume.n, resume.bound) != (target, n, bound):
-            raise ValueError("resume state does not match this search")
+            raise SearchInputError("resume state does not match this search")
         examined = resume.examined
         cursor = resume.cursor
         if resume.best_count is not None and resume.witness is not None:
@@ -261,7 +267,7 @@ def exhaustive_integer_search(
             on_checkpoint(snapshot(last))
         raise
     if best is None:
-        raise ValueError("empty search region")
+        raise SearchInputError("empty search region")
     return SearchRecord(
         target=target,
         n=n,
@@ -324,7 +330,7 @@ def random_search(
     not depend on the number of workers or the chunking.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise SearchInputError("trials must be >= 1")
     workers = _resolve_workers(workers)
     chunks = []
     if workers == 1 or trials < 4 * workers:
@@ -348,7 +354,7 @@ def random_search(
         if best is None or cand < best:
             best = cand
     if best is None:
-        raise ValueError("no nonzero vector sampled; increase trials")
+        raise SearchInputError("no nonzero vector sampled; increase trials")
     return SearchRecord(
         target=target,
         n=n,
@@ -432,7 +438,7 @@ def hunt(
     from its report.
     """
     if predicate not in _HUNT_CHECKERS:
-        raise ValueError(f"unknown predicate {predicate!r}")
+        raise SearchInputError(f"unknown predicate {predicate!r}")
     checker = _HUNT_CHECKERS[predicate]
     n_values = list(n_values)
     base, rem = divmod(budget, len(n_values))

@@ -23,10 +23,17 @@ from .conjectures import (
     HK_BOUND,
     check_delta_alt,
     check_pairing,
-    combinatorial_fraction,
+    combinatorial_fraction_gray,
 )
 from .core import CoeffVec, SignAssignment, canonicalize, sign_sum
-from .counting import ONE_SIDED, TWO_SIDED, tail_counts, tail_counts_gray
+from .counting import (
+    ONE_SIDED,
+    TWO_SIDED,
+    tail_counts,
+    tail_counts_gf,
+    tail_counts_gray,
+    tail_counts_mitm,
+)
 from .dominance import case_lemma_7, dominates, upward_closure, verify_order_rules
 from .errors import NoWitness
 from .search import SearchTarget, exhaustive_integer_search, hunt
@@ -176,7 +183,7 @@ def _comb_exhaustive_claim() -> ClaimResult:
             if vec.entries in seen:
                 continue
             seen.add(vec.entries)
-            lhs = combinatorial_fraction(vec).fraction
+            lhs = combinatorial_fraction_gray(vec).fraction
             rhs = tail_counts(vec).p_le.fraction
             checked += 1
             ok = ok and lhs == rhs
@@ -194,7 +201,7 @@ def _comb_random_claim(trials: int, seed: int) -> ClaimResult:
         rng = random.Random(f"{seed}:comb:{i}")
         n = rng.randint(2, 12)
         vec = canonicalize([rng.randint(1, 20) for _ in range(n)])
-        if combinatorial_fraction(vec).fraction != tail_counts(vec).p_le.fraction:
+        if combinatorial_fraction_gray(vec).fraction != tail_counts(vec).p_le.fraction:
             ok = False
     return ClaimResult(
         "comb-equivalence-random",
@@ -311,11 +318,13 @@ def _crossval_claim(full: bool, seed: int) -> ClaimResult:
         if rho > 3:
             rho = Fraction(3)
         side = rng.choice([ONE_SIDED, TWO_SIDED])
-        if tail_counts_gray(a, rho, side) != tail_counts(a, rho, side):
+        oracle = tail_counts_gray(a, rho, side)
+        if tail_counts_gf(a, rho, side) != oracle or tail_counts_mitm(a, rho, side) != oracle:
             ok = False
     return ClaimResult(
         "engine-crossval",
-        f"meet-in-the-middle equals direct Gray-code counts on {len(schedule)} random (a, rho)",
+        "packed generating function and meet-in-the-middle equal direct Gray-code "
+        f"counts on {len(schedule)} random (a, rho)",
         ok,
         {"trials": len(schedule)},
     )
@@ -326,14 +335,15 @@ def _mitm_large_claim(full: bool, seed: int) -> ClaimResult:
     rng = random.Random(f"{seed}:mitm:{n}")
     a = canonicalize([rng.randint(1, 50) for _ in range(n)])
     t0 = time.monotonic()
-    counts = tail_counts(a, 1, TWO_SIDED)
+    counts = tail_counts_mitm(a, 1, TWO_SIDED)
     elapsed = time.monotonic() - t0
     # the all-plus and all-minus assignments always reach the norm
     sane = counts.at + counts.above >= 2
     return ClaimResult(
         "mitm-large",
-        f"single n={n} meet-in-the-middle count completes in under 60 s",
-        elapsed < 60 and sane,
+        f"single n={n} meet-in-the-middle count completes in under 60 s "
+        "and equals the packed generating function count",
+        elapsed < 60 and sane and tail_counts_gf(a, 1, TWO_SIDED) == counts,
         {"counts": (counts.below, counts.at, counts.above)},
     )
 

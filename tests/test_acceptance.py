@@ -17,13 +17,14 @@ from radlab.conjectures import (
     GPRIME_TABLE,
     check_delta_alt,
     check_pairing,
-    combinatorial_fraction,
+    combinatorial_fraction_gray,
 )
 from radlab.core import CoeffVec, SignAssignment, canonicalize, sign_sum
 from radlab.counting import (
     ONE_SIDED,
     TWO_SIDED,
     tail_counts,
+    tail_counts_gf,
     tail_counts_gray,
     tail_counts_mitm,
     tail_counts_threshold,
@@ -166,13 +167,13 @@ def test_criterion_05_subset_count_equivalence():
                 continue
             seen.add(vec.entries)
             checked += 1
-            ok = ok and combinatorial_fraction(vec).fraction == tail_counts(vec).p_le.fraction
+            ok = ok and combinatorial_fraction_gray(vec).fraction == tail_counts(vec).p_le.fraction
     random_trials = 10_000
     for i in range(random_trials):
         rng = random.Random(f"{SEED}:comb:{i}")
         n = rng.randint(2, 12)
         vec = canonicalize([rng.randint(1, 20) for _ in range(n)])
-        ok = ok and combinatorial_fraction(vec).fraction == tail_counts(vec).p_le.fraction
+        ok = ok and combinatorial_fraction_gray(vec).fraction == tail_counts(vec).p_le.fraction
     report(
         5, ok,
         f"subset-count fraction equals P(|l.s|<=||l||) on all {checked} canonical vectors "
@@ -256,7 +257,8 @@ def test_criterion_10_engine_cross_validation():
         if rho > 3:
             rho = Fraction(3)
         side = rng.choice([ONE_SIDED, TWO_SIDED])
-        if tail_counts_gray(a, rho, side) != tail_counts_mitm(a, rho, side):
+        oracle = tail_counts_gray(a, rho, side)
+        if tail_counts_gf(a, rho, side) != oracle or tail_counts_mitm(a, rho, side) != oracle:
             mismatches += 1
 
     rng = random.Random(f"{SEED}:mitm40")
@@ -265,6 +267,7 @@ def test_criterion_10_engine_cross_validation():
     counts = tail_counts_mitm(big, 1, TWO_SIDED)
     elapsed = time.monotonic() - t0
     sane = counts.below + counts.at + counts.above == 1 << 40
+    sane = sane and tail_counts_gf(big, 1, TWO_SIDED) == counts
     ok = mismatches == 0 and elapsed < 60 and sane
     report(
         10, ok,

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from radlab import verify
-from radlab.cli import main, verify_ledger
+from radlab import cli, verify
+from radlab.cli import EXIT_INTERNAL, EXIT_USAGE, main, verify_ledger
+from radlab.counting import TailCounts
 from radlab.errors import NoWitness
 from radlab.search import SearchTarget, exhaustive_integer_search
 
@@ -25,6 +26,20 @@ class TestEval:
         assert obj["p_ge_norm"] == "7/32"
         assert obj["counts"] == {"below": 100, "at": 0, "above": 28}
         assert obj["class"] == "A"
+        assert obj["engine"] == "gf"
+
+    def test_engine_reports_fallback(self, capsys):
+        code, out = run(capsys, "eval", "--vector", "1048576,1048575,999999,3")
+        assert code == 0
+        assert json.loads(out)["engine"] == "mitm"
+
+    def test_internal_error_is_not_usage_error(self, capsys, monkeypatch):
+        # a broken counting invariant is a bug: traceback and its own code
+        monkeypatch.setattr(cli, "tail_counts", lambda *a, **k: TailCounts(3, 1, 0, 0))
+        assert main(["eval", "--vector", "1,1,1"]) == EXIT_INTERNAL
+        assert EXIT_INTERNAL not in (0, 1, EXIT_USAGE)
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "counts 1+0+0 != 2^3" in err
 
     def test_rational_input_canonicalized(self, capsys):
         code, out = run(capsys, "eval", "--vector", "1/2,1/2,1/2,1/2")
@@ -82,6 +97,8 @@ class TestCheck:
         assert main(["check", "delta", "--vector", "1,1"]) == 2
         assert main(["check", "delta", "--vector", "1,1", "--delta", "1"]) == 0
         assert main(["check", "delta", "--vector", "1,1", "--delta-sweep"]) == 0
+        assert main(["check", "delta", "--vector", "1,1", "--delta", "x"]) == 2
+        assert main(["check", "delta-alt", "--vector", "1,1", "--delta", "1/0"]) == 2
 
     def test_hk_out_of_scope_still_exits_zero(self, capsys):
         code, out = run(capsys, "check", "hk", "--vector", "1,1,1,1,1,1,1,1")
@@ -149,6 +166,15 @@ class TestSearch:
     def test_missing_flags_exit_2(self, capsys):
         assert main(["search", "--target", "G"]) == 2
 
+    def test_bad_search_input_exit_2(self, capsys, tmp_path):
+        ck = str(tmp_path / "ck.json")
+        assert main(["search", "--target", "X", "--n", "3", "--bound", "4"]) == 2
+        assert main(["search", "--target", "T", "--n", "3", "--mode", "random",
+                     "--trials", "0", "--checkpoint", ck]) == 2
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert main(["search", "--resume", str(bad), "--checkpoint", ck]) == 2
+
 
 class TestHunt:
     def test_clean_run(self, capsys):
@@ -168,6 +194,10 @@ class TestHunt:
             "--trials", "50", "--seed", "7",
         )
         assert code == 0
+
+    def test_bad_dimension_range_exit_2(self, capsys):
+        assert main(["hunt", "--predicate", "pairing", "--n", "5..3"]) == 2
+        assert main(["hunt", "--predicate", "pairing", "--n", "a..b"]) == 2
 
 
 class TestLedger:

@@ -20,6 +20,7 @@ from radlab.conjectures import (
     check_tomaszewski,
     classify_A_or_B,
     combinatorial_fraction,
+    combinatorial_fraction_gray,
     delta_sweep,
     rerun,
     _implied_counterexample,
@@ -248,14 +249,15 @@ class TestCombinatorialFraction:
 
     def test_22111_matches_tails(self):
         v = CoeffVec((2, 2, 1, 1, 1))
-        assert combinatorial_fraction(v).fraction == tail_counts(v).p_le.fraction == Fraction(3, 4)
+        assert combinatorial_fraction_gray(v).fraction == tail_counts(v).p_le.fraction == Fraction(3, 4)
+        assert combinatorial_fraction(v).fraction == Fraction(3, 4)
 
     def test_incremental_matches_literal_oracle(self):
         rng = random.Random(86)
         for _ in range(60):
             n = rng.randint(1, 8)
             v = canonicalize([rng.randint(1, 9) for _ in range(n)])
-            assert combinatorial_fraction(v).fraction == literal_subset_fraction(v.entries)
+            assert combinatorial_fraction_gray(v).fraction == literal_subset_fraction(v.entries)
 
     def test_equivalence_exhaustive_small(self):
         from itertools import combinations_with_replacement
@@ -267,11 +269,13 @@ class TestCombinatorialFraction:
                 if v.entries in seen:
                     continue
                 seen.add(v.entries)
-                assert combinatorial_fraction(v).fraction == tail_counts(v).p_le.fraction
+                assert combinatorial_fraction_gray(v).fraction == tail_counts(v).p_le.fraction
 
     def test_zero_entry_rejected(self):
         with pytest.raises(NonPositiveEntry):
             combinatorial_fraction(CoeffVec((1, 0)))
+        with pytest.raises(NonPositiveEntry):
+            combinatorial_fraction_gray(CoeffVec((1, 0)))
 
     def test_report_form(self):
         r = check_combinatorial(CoeffVec((1, 1, 1)))

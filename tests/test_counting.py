@@ -1,7 +1,9 @@
-"""The meet-in-the-middle counting engine, its Gray-code reference oracle,
-and the sum distribution."""
+"""The two counting engines (packed generating function and
+meet-in-the-middle), their dispatch, the Gray-code reference oracle, and
+the sum distribution."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +16,9 @@ from radlab.counting import (
     TailCounts,
     distribution,
     iter_sign_sums,
+    tail_count_engine,
     tail_counts,
+    tail_counts_gf,
     tail_counts_gray,
     tail_counts_mitm,
     tail_counts_threshold,
@@ -224,7 +228,8 @@ class TestMitm:
 
 
 def test_auto_dispatch():
-    assert tail_counts is tail_counts_mitm is tail_counts_threshold
+    assert tail_counts is tail_counts_threshold
+    assert tail_counts is not tail_counts_mitm
     small = canonicalize([1] * 8)
     assert tail_counts(small) == tail_counts_gray(small, 1, TWO_SIDED)
     # n=30 is meet-in-the-middle work, not a 2^30 sweep
@@ -233,6 +238,48 @@ def test_auto_dispatch():
     big = canonicalize([1] * 32)
     c = tail_counts(big)
     assert c.below + c.at + c.above == 1 << 32
+
+
+class TestDispatch:
+    def test_small_entries_use_gf(self):
+        assert tail_count_engine(canonicalize([1] * 30)) == "gf"
+        assert tail_count_engine(CoeffVec((1, 1, 1, 1, 1, 1, 0))) == "gf"
+
+    def test_wide_entries_fall_back(self):
+        rng = random.Random(61)
+        for n in (10, 14, 32):
+            a = canonicalize([rng.randint(1, 1 << 20) for _ in range(n)])
+            assert tail_count_engine(a) == "mitm"
+            assert tail_counts(a) == tail_counts_mitm(a, 1, TWO_SIDED)
+
+    def test_n60_small_entries_counts_through_gf(self):
+        rng = random.Random(62)
+        a = canonicalize([rng.randint(1, 50) for _ in range(60)])
+        assert tail_count_engine(a) == "gf"
+        two = tail_counts(a)
+        one = tail_counts(a, 1, ONE_SIDED)
+        assert two.below + two.at + two.above == 1 << 60
+        # |S| > t splits evenly between S > t and S < -t
+        assert (two.at, two.above) == (2 * one.at, 2 * one.above)
+        assert two == tail_counts_gf(a, 1, TWO_SIDED)
+        with pytest.raises(TooLarge):
+            tail_counts_mitm(a, 1, TWO_SIDED)
+
+    def test_too_large_raised_before_allocating(self):
+        rng = random.Random(63)
+        a = canonicalize([rng.randint(1 << 19, 1 << 20) for _ in range(49)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                tail_count_engine(a)
+            with pytest.raises(TooLarge):
+                tail_counts(a)
+            with pytest.raises(TooLarge):
+                tail_counts_gf(a, 1, TWO_SIDED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_probability_accessors_sum_to_one():

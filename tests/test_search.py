@@ -7,7 +7,13 @@ from itertools import product
 import pytest
 
 from radlab.core import CoeffVec, canonicalize
-from radlab.errors import BudgetExceeded, ConjectureFalsified, NonPositiveEntry
+from radlab.errors import (
+    BudgetExceeded,
+    ConjectureFalsified,
+    NonPositiveEntry,
+    RadlabError,
+    SearchInputError,
+)
 from radlab.search import (
     SearchState,
     SearchTarget,
@@ -156,8 +162,14 @@ class TestFloors:
             _check_floor(SearchTarget.T, CoeffVec((1, 1)), Fraction(1, 3))
 
     def test_out_of_range_dimension_not_checked(self):
-        _check_floor(SearchTarget.T, CoeffVec(tuple([1] * 10)), Fraction(1, 3))
         _check_floor(SearchTarget.G, CoeffVec(tuple([1] * 8)), Fraction(1, 5))
+
+    def test_half_mass_floor_checked_in_every_dimension(self):
+        # proven for every n, so the gate has no dimension cap
+        for n in (10, 40):
+            with pytest.raises(ConjectureFalsified):
+                _check_floor(SearchTarget.T, CoeffVec(tuple([1] * n)), Fraction(1, 3))
+        _check_floor(SearchTarget.T, CoeffVec(tuple([1] * 40)), Fraction(1, 2))
 
 
 class TestDescent:
@@ -218,6 +230,24 @@ class TestHunt:
     def test_unknown_predicate(self):
         with pytest.raises(ValueError):
             hunt("nope", [3], 10, seed=0)
+
+
+def test_input_errors_are_typed():
+    # one class, both a library error and the ValueError these used to be
+    assert issubclass(SearchInputError, RadlabError)
+    assert issubclass(SearchInputError, ValueError)
+    state = SearchState(SearchTarget.G, 5, 10, None, None, None, 0)
+    calls = [
+        lambda: SearchTarget.parse("X"),
+        lambda: hunt("nope", [3], 10, seed=0),
+        lambda: random_search(3, SearchTarget.T, 0, seed=0),
+        lambda: random_search(3, SearchTarget.T, 1, seed=0, entry_bound=0),
+        lambda: exhaustive_integer_search(5, SearchTarget.T, 10, resume=state),
+        lambda: exhaustive_integer_search(3, SearchTarget.GPRIME, 2),
+    ]
+    for call in calls:
+        with pytest.raises(SearchInputError):
+            call()
 
     def test_budget_split(self):
         # budget smaller than the dimension count still runs something
