@@ -231,6 +231,10 @@ class TestHunt:
         with pytest.raises(ValueError):
             hunt("nope", [3], 10, seed=0)
 
+    def test_budget_split(self):
+        # budget smaller than the dimension count still runs something
+        assert hunt("tomaszewski", range(2, 10), 3, seed=1) == []
+
 
 def test_input_errors_are_typed():
     # one class, both a library error and the ValueError these used to be
@@ -248,7 +252,3 @@ def test_input_errors_are_typed():
     for call in calls:
         with pytest.raises(SearchInputError):
             call()
-
-    def test_budget_split(self):
-        # budget smaller than the dimension count still runs something
-        assert hunt("tomaszewski", range(2, 10), 3, seed=1) == []
