@@ -19,22 +19,17 @@ from fractions import Fraction
 from pathlib import Path
 
 from .conjectures import (
+    CHECKERS,
     CheckReport,
-    check_combinatorial,
     check_delta_alt,
     check_delta_inequality,
-    check_gprime,
-    check_hk_bound,
-    check_pairing,
-    check_symmetric_tails,
-    check_tomaszewski,
     classify_A_or_B,
-    delta_sweep,
 )
 from .core import parse_vector
 from .counting import distribution, tail_count_engine, tail_counts
 from .errors import ConjectureFalsified, RadlabError
 from .search import (
+    HUNT_PREDICATES,
     SearchState,
     SearchTarget,
     exhaustive_integer_search,
@@ -91,14 +86,12 @@ def verify_ledger(ledger: str) -> list[tuple[dict, bool]]:
     return out
 
 
-def _finish(report_obj, args, command: str) -> None:
+def _finish(data: bytes, args) -> None:
     """Write the report artifact and the ledger entry, if requested."""
-    data = canonical_json_bytes(report_obj)
-    out_path = getattr(args, "out", None)
-    if out_path:
-        Path(out_path).write_bytes(data)
-    if getattr(args, "ledger", None):
-        append_ledger(args.ledger, command, sys.argv[1:], _digest(data), out_path)
+    if args.out:
+        Path(args.out).write_bytes(data)
+    if args.ledger:
+        append_ledger(args.ledger, args.command, args.argv, _digest(data), args.out)
 
 
 def _emit_jsonl(line_obj, sink) -> None:
@@ -106,13 +99,8 @@ def _emit_jsonl(line_obj, sink) -> None:
     print(sink[-1], flush=True)
 
 
-def _finish_jsonl(lines: list[str], args, command: str) -> None:
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    out_path = getattr(args, "out", None)
-    if out_path:
-        Path(out_path).write_bytes(data)
-    if getattr(args, "ledger", None):
-        append_ledger(args.ledger, command, sys.argv[1:], _digest(data), out_path)
+def _jsonl_bytes(lines: list[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def cmd_eval(args) -> int:
@@ -135,20 +123,16 @@ def cmd_eval(args) -> int:
     if args.stats in ("dist", "all"):
         report["distribution"] = [[v, c] for v, c in distribution(vec).pairs]
     print(json.dumps(report, indent=2))
-    _finish(report, args, "eval")
+    _finish(canonical_json_bytes(report), args)
     return EXIT_OK
 
 
 def _run_check(args) -> CheckReport:
     vec = parse_vector(args.vector)
     name = args.predicate
-    if name == "tomaszewski":
-        return check_tomaszewski(vec)
-    if name == "tails":
-        return check_symmetric_tails(vec)
     if name == "delta":
         if args.delta_sweep:
-            return delta_sweep(vec)
+            return CHECKERS["delta-sweep"](vec)
         if args.delta is None:
             raise RadlabError("predicate 'delta' needs --delta P/Q or --delta-sweep")
         return check_delta_inequality(vec, _parse_fraction(args.delta))
@@ -156,22 +140,14 @@ def _run_check(args) -> CheckReport:
         if args.delta is None:
             raise RadlabError("predicate 'delta-alt' needs --delta P/Q")
         return check_delta_alt(vec, _parse_fraction(args.delta))
-    if name == "pairing":
-        return check_pairing(vec)
-    if name == "comb":
-        return check_combinatorial(vec)
-    if name == "hk":
-        return check_hk_bound(vec)
-    if name == "gprime":
-        return check_gprime(vec)
-    raise RadlabError(f"unknown predicate {name!r}")
+    return CHECKERS[name](vec)
 
 
 def cmd_check(args) -> int:
     report = _run_check(args)
     obj = report.to_json_dict()
     print(json.dumps(obj, indent=2))
-    _finish(obj, args, "check")
+    _finish(canonical_json_bytes(obj), args)
     return EXIT_VIOLATION if report.violated else EXIT_OK
 
 
@@ -245,10 +221,10 @@ def cmd_search(args) -> int:
             raise RadlabError(f"unknown mode {mode!r}")
     except KeyboardInterrupt:
         print(f"interrupted; checkpoint written to {checkpoint_path}", file=sys.stderr)
-        _finish_jsonl(lines, args, "search")
+        _finish(_jsonl_bytes(lines), args)
         return EXIT_INTERRUPT
     _emit_jsonl({"kind": "final", **record.to_json_dict()}, lines)
-    _finish_jsonl(lines, args, "search")
+    _finish(_jsonl_bytes(lines), args)
     return EXIT_OK
 
 
@@ -263,7 +239,7 @@ def cmd_hunt(args) -> int:
          "trials": args.trials, "violations": len(violations)},
         lines,
     )
-    _finish_jsonl(lines, args, "hunt")
+    _finish(_jsonl_bytes(lines), args)
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
@@ -273,7 +249,7 @@ def cmd_verify_paper(args) -> int:
     total = len(report["claims"])
     passed = sum(1 for c in report["claims"] if c["passed"])
     print(f"{passed}/{total} claims passed")
-    _finish(report, args, "verify-paper")
+    _finish(canonical_json_bytes(report), args)
     return EXIT_OK if report["all_passed"] else EXIT_VIOLATION
 
 
@@ -325,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("hunt", help="random falsification sweep of a predicate")
-    p.add_argument("--predicate", required=True, choices=["tomaszewski", "pairing", "delta"])
+    p.add_argument("--predicate", required=True, choices=list(HUNT_PREDICATES))
     p.add_argument("--n", required=True, help='dimension range, e.g. "2..9" or "7"')
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
@@ -343,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # what the ledger records
     try:
         return args.fn(args)
     except ConjectureFalsified as exc:

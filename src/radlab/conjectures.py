@@ -447,6 +447,18 @@ def check_gprime(a: CoeffVec) -> CheckReport:
     return CheckReport("gprime", a, HOLDS if holds else VIOLATED, values, witness)
 
 
+# The one-argument checkers, keyed by the predicate name in their reports.
+CHECKERS = {
+    "tomaszewski": check_tomaszewski,
+    "tails": check_symmetric_tails,
+    "delta-sweep": delta_sweep,
+    "pairing": check_pairing,
+    "comb": check_combinatorial,
+    "hk": check_hk_bound,
+    "gprime": check_gprime,
+}
+
+
 def rerun(report: CheckReport) -> CheckReport:
     """Re-execute the named predicate on the stored input; used to confirm
     that every report is reproducible bit for bit."""
@@ -456,13 +468,4 @@ def rerun(report: CheckReport) -> CheckReport:
         return check_delta_inequality(vec, Fraction(report.params["delta"]))
     if name == "delta-alt":
         return check_delta_alt(vec, Fraction(report.params["delta"]))
-    fn = {
-        "tomaszewski": check_tomaszewski,
-        "tails": check_symmetric_tails,
-        "delta-sweep": delta_sweep,
-        "pairing": check_pairing,
-        "comb": check_combinatorial,
-        "hk": check_hk_bound,
-        "gprime": check_gprime,
-    }[name]
-    return fn(vec)
+    return CHECKERS[name](vec)

@@ -37,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Literal
+from typing import Callable, Iterator, Literal
 
 from .core import CoeffVec, DyadicProb, RationalLike
 from .errors import InvalidThreshold, TooLarge, UseMitm, ZeroNorm
@@ -170,6 +170,27 @@ def iter_sign_sums(entries: tuple[int, ...]) -> Iterator[int]:
         yield s
 
 
+def _classify(n: int, le: Callable[[int], int], eq: Callable[[int], int],
+              k0: int, exact: bool, side: Side) -> TailCounts:
+    """The three classes from two counts over the sign sums S:
+    le(v) = #(S <= v) for v >= -1 and eq(v) = #(S == v) for v >= 0.
+
+    S and -S are equally frequent, so the two-sided classes follow from
+    the one-sided ones: #(|S| <= v) = 2*le(v) - 2^n for v >= 0, and
+    #(|S| == v) = 2*eq(v) for v > 0.
+    """
+    everything = 1 << n
+    lo = k0 - 1 if exact else k0
+    at = eq(k0) if exact else 0
+    if side == ONE_SIDED:
+        below = le(lo)
+    else:
+        below = 2 * le(lo) - everything if lo >= 0 else 0
+        if k0:
+            at *= 2
+    return TailCounts(n, below, at, everything - below - at)
+
+
 def _validated(a: CoeffVec, rho: RationalLike, side: Side) -> Fraction:
     rho = Fraction(rho)
     if rho < 0:
@@ -284,14 +305,13 @@ def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -
     poly = 1
     for e in reversed(a.entries):  # ascending entries keep early products short
         poly += poly << (e * width)
-    everything = 1 << n
 
-    # callers pass v >= -1 and T >= 1, so no slot index m exceeds T
+    # _classify passes v >= -1 and T >= 1, so no slot index m exceeds T
     def count_le(v: int) -> int:
         """Sign vectors with S <= v: the subsets with m >= (T - v) / 2."""
         m = (total - v + 1) // 2
         if m <= 0:
-            return everything
+            return 1 << n
         return (poly >> (m * width)) % mask
 
     def count_eq(v: int) -> int:
@@ -300,48 +320,25 @@ def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -
         return (poly >> ((total - v) // 2 * width)) & mask
 
     k0, exact = _threshold_boundary(a.norm_sq, rho)
-    lo = k0 - 1 if exact else k0
-    if side == ONE_SIDED:
-        below = count_le(lo)
-        at = count_eq(k0) if exact else 0
-    else:
-        # S and -S are equally frequent, so #(S < -lo) = 2^n - #(S <= lo)
-        below = 2 * count_le(lo) - everything if lo >= 0 else 0
-        at = 0
-        if exact:
-            at = count_eq(k0) * (2 if k0 else 1)
-    return TailCounts(n, below, at, everything - below - at)
+    return _classify(n, count_le, count_eq, k0, exact, side)
 
 
 def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
     """Meet-in-the-middle (Horowitz-Sahni): split the coordinates into two
     halves, enumerate the 2^(n/2) half sums, sort one side and count pair
-    sums per class with bisection."""
+    sums with bisection."""
     rho = _validated(a, rho, side)
     if a.n > MITM_CAP:
         raise TooLarge(f"n={a.n} exceeds meet-in-the-middle cap {MITM_CAP}")
     split = (a.n + 1) // 2
     left = _half_sums(a.entries[:split])
     right = sorted(_half_sums(a.entries[split:]))
-    size_r = len(right)
+
+    def count_le(v: int) -> int:
+        return sum(bisect_right(right, v - x) for x in left)
+
+    def count_eq(v: int) -> int:
+        return sum(bisect_right(right, v - x) - bisect_left(right, v - x) for x in left)
+
     k0, exact = _threshold_boundary(a.norm_sq, rho)
-    lo = k0 - 1 if exact else k0
-    below = at = 0
-    if side == ONE_SIDED:
-        for x in left:
-            below += bisect_right(right, lo - x)
-            if exact:
-                at += bisect_right(right, k0 - x) - bisect_left(right, k0 - x)
-    else:
-        for x in left:
-            if lo >= 0:
-                hi_i = bisect_right(right, lo - x)
-                lo_i = bisect_left(right, -lo - x)
-                if hi_i > lo_i:
-                    below += hi_i - lo_i
-            if exact:
-                at += bisect_right(right, k0 - x) - bisect_left(right, k0 - x)
-                if k0 > 0:
-                    at += bisect_right(right, -k0 - x) - bisect_left(right, -k0 - x)
-    total = len(left) * size_r
-    return TailCounts(a.n, below, at, total - below - at)
+    return _classify(a.n, count_le, count_eq, k0, exact, side)

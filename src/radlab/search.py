@@ -4,9 +4,23 @@ falsification harness.
 Search spaces are always canonical: non-increasing, gcd-reduced, bounded
 entry sum (exhaustive) or bounded entries (random).  Results report "best
 value found plus witness"; no global optimality is claimed outside
-exhausted regions.  Random modes draw each trial from a counter-derived
-substream, so results are reproducible and independent of how trials are
-partitioned across workers.
+exhausted regions.
+
+Every sampled vector, here and in the claim suite, comes from
+``seeded_vectors``: each vector has its own substream
+``random.Random(key)``, so results are reproducible and independent of
+how trials are partitioned across workers.  The substream keys are
+
+- ``"{seed}:{i}"``: trial i of ``random_search``;
+- ``"{seed}:{n}:{i}"``: trial i in dimension n of ``hunt``;
+- ``"{seed}:dim7:{i}"``: sample i of the dimension-7 floor claims;
+- ``"{seed}:pair:{n}:{i}"``: sample i in dimension n of the pairing claim;
+- ``"{seed}:xval:{n}:{i}"``: pair i of the engine cross-validation, which
+  draws rho and the side from the same substream after the entries.
+
+Every search folds integer ``(count, entries)`` keys from ``_score``:
+n is fixed within a search, so the tail count orders like the
+probability, and the entries break ties lexicographically.
 """
 
 from __future__ import annotations
@@ -18,17 +32,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .conjectures import (
-    CheckReport,
-    HK_BOUND,
-    HK_MAX_N,
-    T_FLOOR,
-    check_pairing,
-    check_tomaszewski,
-    delta_sweep,
-)
+from .conjectures import CHECKERS, CheckReport, HK_BOUND, HK_MAX_N, T_FLOOR
 from .core import CoeffVec, DyadicProb, canonicalize
 from .counting import TailCounts, tail_counts
 from .errors import (
@@ -161,6 +167,43 @@ def _check_floor(target: SearchTarget, a: CoeffVec, value: Fraction) -> None:
         )
 
 
+_Key = tuple[int, tuple[int, ...]]
+
+
+def _score(target: SearchTarget, a: CoeffVec) -> _Key:
+    """The fold key of one evaluated vector, (tail count, entries), after
+    the floor check."""
+    prob = target.probability(tail_counts(a))
+    _check_floor(target, a, prob.fraction)
+    return prob.count, a.entries
+
+
+def seeded_vectors(
+    keys: Iterable[tuple[str, int]], lo: int, hi: int
+) -> Iterator[tuple[CoeffVec, random.Random]]:
+    """For each (key, n), draw n entries in [lo, hi] from
+    random.Random(key); yield the canonical vector of every draw that is
+    not all zero, together with its substream for any further draws."""
+    for key, n in keys:
+        # string seeding is stable across runs and hash randomization
+        rng = random.Random(key)
+        entries = [rng.randint(lo, hi) for _ in range(n)]
+        if any(entries):
+            yield canonicalize(entries), rng
+
+
+def _check_inputs(n_values: Sequence[int], trials: int, entry_bound: int, min_entry: int) -> None:
+    """The input rules shared by random_search and hunt."""
+    if not n_values:
+        raise SearchInputError("no dimension to search")
+    if min(n_values) < 1:
+        raise SearchInputError(f"dimensions must be >= 1, got {min(n_values)}")
+    if trials < 1:
+        raise SearchInputError("trials must be >= 1")
+    if entry_bound < max(min_entry, 1):
+        raise SearchInputError(f"entry bound must be >= {max(min_entry, 1)}, got {entry_bound}")
+
+
 def canonical_vectors(n: int, bound: int, min_entry: int = 0) -> Iterator[CoeffVec]:
     """All canonical vectors of dimension n with entry sum <= bound, in
     ascending lexicographic order of their entry tuples."""
@@ -223,7 +266,7 @@ def exhaustive_integer_search(
         raise BudgetExceeded(
             f"region holds an estimated {estimate} canonical vectors (cap {max_vectors})"
         )
-    best: tuple[Fraction, tuple[int, ...]] | None = None
+    best: _Key | None = None
     examined = 0
     cursor: tuple[int, ...] | None = None
     if resume is not None:
@@ -232,7 +275,7 @@ def exhaustive_integer_search(
         examined = resume.examined
         cursor = resume.cursor
         if resume.best_count is not None and resume.witness is not None:
-            best = (Fraction(resume.best_count, 1 << n), resume.witness)
+            best = (resume.best_count, resume.witness)
 
     def snapshot(last: tuple[int, ...] | None) -> SearchState:
         return SearchState(
@@ -240,7 +283,7 @@ def exhaustive_integer_search(
             n=n,
             bound=bound,
             cursor=last,
-            best_count=int(best[0] * (1 << n)) if best else None,
+            best_count=best[0] if best else None,
             witness=best[1] if best else None,
             examined=examined,
         )
@@ -253,11 +296,9 @@ def exhaustive_integer_search(
                 if vec.entries <= cursor:
                     continue
                 skipping = False
-            value = target.probability(tail_counts(vec)).fraction
-            _check_floor(target, vec, value)
+            cand = _score(target, vec)
             examined += 1
             last = vec.entries
-            cand = (value, vec.entries)
             if best is None or cand < best:
                 best = cand
             if checkpoint_every and on_checkpoint and examined % checkpoint_every == 0:
@@ -271,7 +312,7 @@ def exhaustive_integer_search(
     return SearchRecord(
         target=target,
         n=n,
-        best_value=DyadicProb(int(best[0] * (1 << n)), n),
+        best_value=DyadicProb(best[0], n),
         witness=CoeffVec(best[1]),
         vectors_examined=examined,
         mode="exhaustive",
@@ -279,31 +320,18 @@ def exhaustive_integer_search(
     )
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    # string seeding is stable across runs and hash randomization
-    return random.Random(f"{seed}:{trial}")
-
-
-def _random_chunk(args: tuple) -> tuple[int | None, tuple[int, ...] | None, int]:
+def _random_chunk(args: tuple) -> tuple[_Key | None, int]:
     n, target_name, lo, hi, seed, entry_bound = args
     target = SearchTarget.parse(target_name)
-    best: tuple[Fraction, tuple[int, ...]] | None = None
+    keys = ((f"{seed}:{i}", n) for i in range(lo, hi))
+    best: _Key | None = None
     examined = 0
-    for i in range(lo, hi):
-        rng = _trial_rng(seed, i)
-        entries = [rng.randint(target.min_entry, entry_bound) for _ in range(n)]
-        if not any(entries):
-            continue
-        vec = canonicalize(entries)
-        value = target.probability(tail_counts(vec)).fraction
-        _check_floor(target, vec, value)
+    for vec, _ in seeded_vectors(keys, target.min_entry, entry_bound):
+        cand = _score(target, vec)
         examined += 1
-        cand = (value, vec.entries)
         if best is None or cand < best:
             best = cand
-    if best is None:
-        return None, None, examined
-    return int(best[0] * (1 << n)), best[1], examined
+    return best, examined
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -329,8 +357,7 @@ def random_search(
     associative min with a lexicographic tie-break, so the outcome does
     not depend on the number of workers or the chunking.
     """
-    if trials < 1:
-        raise SearchInputError("trials must be >= 1")
+    _check_inputs([n], trials, entry_bound, target.min_entry)
     workers = _resolve_workers(workers)
     chunks = []
     if workers == 1 or trials < 4 * workers:
@@ -344,23 +371,15 @@ def random_search(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_random_chunk, chunks))
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    examined = 0
-    for count, witness, seen in results:
-        examined += seen
-        if count is None:
-            continue
-        cand = (Fraction(count, 1 << n), witness)
-        if best is None or cand < best:
-            best = cand
+    best = min((b for b, _ in results if b is not None), default=None)
     if best is None:
         raise SearchInputError("no nonzero vector sampled; increase trials")
     return SearchRecord(
         target=target,
         n=n,
-        best_value=DyadicProb(int(best[0] * (1 << n)), n),
+        best_value=DyadicProb(best[0], n),
         witness=CoeffVec(best[1]),
-        vectors_examined=examined,
+        vectors_examined=sum(seen for _, seen in results),
         mode="random",
         seed=seed,
         bound=entry_bound,
@@ -378,49 +397,37 @@ def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRe
         raise ZeroNorm("descent needs a nonzero start")
     if target.min_entry == 1 and any(x == 0 for x in start.entries):
         raise NonPositiveEntry("this target requires strictly positive entries")
-    current = start
-    cur_value = evaluate_target(current, target).fraction
-    _check_floor(target, current, cur_value)
+    current = _score(target, start)
     examined = 1
     for _ in range(steps):
         neighbors: set[tuple[int, ...]] = set()
-        for idx in range(current.n):
+        for idx in range(start.n):
             for d in (1, -1):
-                e = list(current.entries)
+                e = list(current[1])
                 e[idx] += d
                 if e[idx] < target.min_entry or not any(e):
                     continue
                 neighbors.add(canonicalize(e).entries)
-        neighbors.discard(current.entries)
-        best_move: tuple[Fraction, tuple[int, ...]] | None = None
-        for entries in sorted(neighbors):
-            vec = CoeffVec(entries)
-            value = target.probability(tail_counts(vec)).fraction
-            _check_floor(target, vec, value)
-            examined += 1
-            cand = (value, entries)
-            if best_move is None or cand < best_move:
-                best_move = cand
-        if best_move is None or best_move[0] >= cur_value:
+        neighbors.discard(current[1])
+        best_move = min((_score(target, CoeffVec(e)) for e in sorted(neighbors)), default=None)
+        examined += len(neighbors)
+        if best_move is None or best_move[0] >= current[0]:
             break
-        cur_value = best_move[0]
-        current = CoeffVec(best_move[1])
+        current = best_move
     return SearchRecord(
         target=target,
-        n=current.n,
-        best_value=DyadicProb(int(cur_value * (1 << current.n)), current.n),
-        witness=current,
+        n=start.n,
+        best_value=DyadicProb(current[0], start.n),
+        witness=CoeffVec(current[1]),
         vectors_examined=examined,
         mode="descent",
         bound=steps,
     )
 
 
-_HUNT_CHECKERS = {
-    "tomaszewski": check_tomaszewski,
-    "pairing": check_pairing,
-    "delta": delta_sweep,
-}
+# hunt's predicate names and the checkers they run; "delta" sweeps every
+# threshold pair
+HUNT_PREDICATES = {"tomaszewski": "tomaszewski", "pairing": "pairing", "delta": "delta-sweep"}
 
 
 def hunt(
@@ -437,20 +444,24 @@ def hunt(
     is the expected outcome; any violation is independently re-checkable
     from its report.
     """
-    if predicate not in _HUNT_CHECKERS:
+    if predicate not in HUNT_PREDICATES:
         raise SearchInputError(f"unknown predicate {predicate!r}")
-    checker = _HUNT_CHECKERS[predicate]
+    checker = CHECKERS[HUNT_PREDICATES[predicate]]
     n_values = list(n_values)
+    _check_inputs(n_values, budget, entry_bound, 0)
     base, rem = divmod(budget, len(n_values))
+    keys = (
+        (f"{seed}:{n}:{i}", n)
+        for pos, n in enumerate(n_values)
+        for i in range(base + (1 if pos < rem else 0))
+    )
     violations: list[CheckReport] = []
-    for pos, n in enumerate(n_values):
-        trials = base + (1 if pos < rem else 0)
-        for i in range(trials):
-            rng = random.Random(f"{seed}:{n}:{i}")
-            entries = [rng.randint(0, entry_bound) for _ in range(n)]
-            if not any(entries):
-                continue
-            report = checker(canonicalize(entries))
-            if report.violated:
-                violations.append(report)
+    evaluated = 0
+    for vec, _ in seeded_vectors(keys, 0, entry_bound):
+        evaluated += 1
+        report = checker(vec)
+        if report.violated:
+            violations.append(report)
+    if not evaluated:
+        raise SearchInputError("no nonzero vector sampled; increase trials")
     return violations

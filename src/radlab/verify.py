@@ -36,7 +36,7 @@ from .counting import (
 )
 from .dominance import case_lemma_7, dominates, upward_closure, verify_order_rules
 from .errors import NoWitness
-from .search import SearchTarget, exhaustive_integer_search, hunt
+from .search import SearchTarget, exhaustive_integer_search, hunt, seeded_vectors
 
 G_TABLE = {
     1: Fraction(1),
@@ -121,12 +121,8 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
     min_vsd = None
     strict_checked = 0
     first_failure = None
-    for i in range(trials):
-        rng = random.Random(f"{seed}:dim7:{i}")
-        entries = [rng.randint(0, 50) for _ in range(7)]
-        if not any(entries):
-            continue
-        a = canonicalize(entries)
+    keys = ((f"{seed}:dim7:{i}", 7) for i in range(trials))
+    for a, _ in seeded_vectors(keys, 0, 50):
         two = tail_counts(a, 1, TWO_SIDED)
         one = tail_counts(a, 1, ONE_SIDED)
         p_ge = two.p_ge.fraction
@@ -214,15 +210,11 @@ def _comb_random_claim(trials: int, seed: int) -> ClaimResult:
 def _pairing_claim(trials_per_n: int, seed: int) -> ClaimResult:
     ok = True
     checked = 0
-    for n in range(2, 9):
-        for i in range(trials_per_n):
-            rng = random.Random(f"{seed}:pair:{n}:{i}")
-            entries = [rng.randint(0, 20) for _ in range(n)]
-            if not any(entries):
-                continue
-            checked += 1
-            if not check_pairing(canonicalize(entries)).holds:
-                ok = False
+    keys = ((f"{seed}:pair:{n}:{i}", n) for n in range(2, 9) for i in range(trials_per_n))
+    for a, _ in seeded_vectors(keys, 0, 20):
+        checked += 1
+        if not check_pairing(a).holds:
+            ok = False
     return ClaimResult(
         "pairing-sample",
         f"sorted pairing products stay within norm_sq, {trials_per_n} vectors per n in [2,8]",
@@ -308,12 +300,8 @@ def _crossval_schedule(full: bool) -> list[int]:
 def _crossval_claim(full: bool, seed: int) -> ClaimResult:
     ok = True
     schedule = _crossval_schedule(full)
-    for i, n in enumerate(schedule):
-        rng = random.Random(f"{seed}:xval:{n}:{i}")
-        entries = [rng.randint(0, 20) for _ in range(n)]
-        if not any(entries):
-            continue
-        a = canonicalize(entries)
+    keys = ((f"{seed}:xval:{n}:{i}", n) for i, n in enumerate(schedule))
+    for a, rng in seeded_vectors(keys, 0, 20):
         rho = Fraction(rng.randint(0, 3 * 8), rng.randint(1, 8))
         if rho > 3:
             rho = Fraction(3)

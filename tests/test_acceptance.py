@@ -31,7 +31,7 @@ from radlab.counting import (
 )
 from radlab.dominance import case_lemma_7, dominates, upward_closure, verify_order_rules
 from radlab.errors import NoWitness
-from radlab.search import SearchTarget, exhaustive_integer_search, hunt
+from radlab.search import SearchTarget, exhaustive_integer_search, hunt, seeded_vectors
 
 SEED = 7
 
@@ -97,13 +97,8 @@ def dim7_sample():
     min_vsd = None
     floor_ok = vsd_ok = witness_ok = strict_ok = True
     strict_checked = used = 0
-    for i in range(trials):
-        rng = random.Random(f"{SEED}:dim7:{i}")
-        entries = [rng.randint(0, 50) for _ in range(7)]
-        if not any(entries):
-            continue
+    for a, _ in seeded_vectors(((f"{SEED}:dim7:{i}", 7) for i in range(trials)), 0, 50):
         used += 1
-        a = canonicalize(entries)
         p_ge = tail_counts_threshold(a, 1, TWO_SIDED).p_ge.fraction
         one = tail_counts_threshold(a, 1, ONE_SIDED)
         vsd_size = one.at + one.above
@@ -195,15 +190,11 @@ def test_criterion_07_sorted_pairing():
     trials_per_n = 10_000
     violations = 0
     used = 0
-    for n in range(2, 9):
-        for i in range(trials_per_n):
-            rng = random.Random(f"{SEED}:pair:{n}:{i}")
-            entries = [rng.randint(0, 20) for _ in range(n)]
-            if not any(entries):
-                continue
-            used += 1
-            if not check_pairing(canonicalize(entries)).holds:
-                violations += 1
+    keys = ((f"{SEED}:pair:{n}:{i}", n) for n in range(2, 9) for i in range(trials_per_n))
+    for a, _ in seeded_vectors(keys, 0, 20):
+        used += 1
+        if not check_pairing(a).holds:
+            violations += 1
     report(7, violations == 0, f"sorted pairing held on {used} vectors ({trials_per_n} per n in [2,8]); {violations} violations")
 
 
@@ -247,12 +238,7 @@ def test_criterion_10_engine_cross_validation():
         n for n in range(15, 21) for _ in range(15)
     ]
     assert len(trials) == 1000
-    for i, n in enumerate(trials):
-        rng = random.Random(f"{SEED}:xval:{n}:{i}")
-        entries = [rng.randint(0, 20) for _ in range(n)]
-        if not any(entries):
-            continue
-        a = canonicalize(entries)
+    for a, rng in seeded_vectors(((f"{SEED}:xval:{n}:{i}", n) for i, n in enumerate(trials)), 0, 20):
         rho = Fraction(rng.randint(0, 24), rng.randint(1, 8))
         if rho > 3:
             rho = Fraction(3)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -199,6 +200,13 @@ class TestHunt:
         assert main(["hunt", "--predicate", "pairing", "--n", "5..3"]) == 2
         assert main(["hunt", "--predicate", "pairing", "--n", "a..b"]) == 2
 
+    def test_nothing_to_evaluate_exit_2(self, capsys):
+        # each of these evaluates no vector, which is not a clean pass
+        base = ["hunt", "--predicate", "tomaszewski", "--n", "3", "--trials", "40"]
+        for extra in (["--entry-bound", "0"], ["--entry-bound", "-1"],
+                      ["--trials", "0"], ["--n", "0"]):
+            assert main(base + extra) == EXIT_USAGE, extra
+
 
 class TestLedger:
     def test_digest_matches_report_file(self, capsys, tmp_path):
@@ -228,6 +236,14 @@ class TestLedger:
         run(capsys, "eval", "--vector", "1,1", "--ledger", str(ledger))
         run(capsys, "eval", "--vector", "1,1,1", "--ledger", str(ledger))
         assert len(verify_ledger(str(ledger))) == 2
+
+    def test_arguments_are_the_argv_given(self, capsys, tmp_path, monkeypatch):
+        ledger = tmp_path / "ledger.jsonl"
+        monkeypatch.setattr(sys, "argv", ["radlab", "extra-host-arg"])
+        argv = ["eval", "--vector", "1,1", "--ledger", str(ledger)]
+        assert main(argv) == 0
+        (entry, ok), = verify_ledger(str(ledger))
+        assert entry["arguments"] == argv and entry["command"] == "eval"
 
     def test_jsonl_artifact_digest(self, capsys, tmp_path):
         out_file = tmp_path / "hunt.jsonl"

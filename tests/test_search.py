@@ -24,6 +24,7 @@ from radlab.search import (
     hunt,
     local_descent,
     random_search,
+    seeded_vectors,
 )
 
 
@@ -236,6 +237,25 @@ class TestHunt:
         assert hunt("tomaszewski", range(2, 10), 3, seed=1) == []
 
 
+def test_sampler_matches_literal_draws_for_every_key_shape():
+    # the substream key shapes of random_search, hunt and the claim suite
+    shapes = ["7:{i}", "7:3:{i}", "7:dim7:{i}", "7:pair:3:{i}", "7:xval:3:{i}"]
+    skipped = 0
+    for shape in shapes:
+        keys = [(shape.format(i=i), 3) for i in range(200)]
+        expected = []
+        for key, n in keys:
+            rng = random.Random(key)
+            entries = [rng.randint(0, 2) for _ in range(n)]
+            if any(entries):
+                expected.append((canonicalize(entries), rng.random()))
+        # the yielded substream continues where the entry draws stopped
+        got = [(a, rng.random()) for a, rng in seeded_vectors(keys, 0, 2)]
+        assert got == expected
+        skipped += len(keys) - len(got)
+    assert skipped > 0  # all-zero draws occurred and were skipped
+
+
 def test_input_errors_are_typed():
     # one class, both a library error and the ValueError these used to be
     assert issubclass(SearchInputError, RadlabError)
@@ -246,9 +266,22 @@ def test_input_errors_are_typed():
         lambda: hunt("nope", [3], 10, seed=0),
         lambda: random_search(3, SearchTarget.T, 0, seed=0),
         lambda: random_search(3, SearchTarget.T, 1, seed=0, entry_bound=0),
+        lambda: random_search(0, SearchTarget.T, 10, seed=0),
+        lambda: random_search(3, SearchTarget.GPRIME, 10, seed=0, entry_bound=0),
+        lambda: hunt("tomaszewski", [], 10, seed=0),
+        lambda: hunt("tomaszewski", [3, 0], 10, seed=0),
+        lambda: hunt("tomaszewski", [3], 0, seed=0),
+        lambda: hunt("tomaszewski", [3], 10, seed=0, entry_bound=0),
+        lambda: hunt("tomaszewski", [3], 10, seed=0, entry_bound=-1),
+        # a single trial whose one entry is drawn as 0 evaluates nothing
+        lambda: hunt("tomaszewski", [1], 1, seed=_zero_draw_seed(), entry_bound=1),
         lambda: exhaustive_integer_search(5, SearchTarget.T, 10, resume=state),
         lambda: exhaustive_integer_search(3, SearchTarget.GPRIME, 2),
     ]
     for call in calls:
         with pytest.raises(SearchInputError):
             call()
+
+
+def _zero_draw_seed() -> int:
+    return next(s for s in range(100) if random.Random(f"{s}:1:0").randint(0, 1) == 0)
