@@ -442,7 +442,9 @@ def hunt(
     The budget is the total number of vectors, split evenly across the
     dimensions (earlier dimensions absorb the remainder).  An empty result
     is the expected outcome; any violation is independently re-checkable
-    from its report.
+    from its report.  Raises SearchInputError on inputs _check_inputs
+    rejects and when every draw was the zero vector, because a hunt that
+    evaluated nothing is not a clean pass.
     """
     if predicate not in HUNT_PREDICATES:
         raise SearchInputError(f"unknown predicate {predicate!r}")
