@@ -21,8 +21,6 @@ from pathlib import Path
 from .conjectures import (
     CHECKERS,
     CheckReport,
-    check_delta_alt,
-    check_delta_inequality,
     classify_A_or_B,
 )
 from .core import parse_vector
@@ -130,17 +128,14 @@ def cmd_eval(args) -> int:
 def _run_check(args) -> CheckReport:
     vec = parse_vector(args.vector)
     name = args.predicate
-    if name == "delta":
-        if args.delta_sweep:
-            return CHECKERS["delta-sweep"](vec)
-        if args.delta is None:
-            raise RadlabError("predicate 'delta' needs --delta P/Q or --delta-sweep")
-        return check_delta_inequality(vec, _parse_fraction(args.delta))
-    if name == "delta-alt":
-        if args.delta is None:
-            raise RadlabError("predicate 'delta-alt' needs --delta P/Q")
-        return check_delta_alt(vec, _parse_fraction(args.delta))
-    return CHECKERS[name](vec)
+    if name == "delta" and args.delta_sweep:
+        return CHECKERS["delta-sweep"](vec)
+    if name not in ("delta", "delta-alt"):
+        return CHECKERS[name](vec)
+    if args.delta is None:
+        hint = " or --delta-sweep" if name == "delta" else ""
+        raise RadlabError(f"predicate {name!r} needs --delta P/Q{hint}")
+    return CHECKERS[name](vec, _parse_fraction(args.delta))
 
 
 def cmd_check(args) -> int:
@@ -273,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run one predicate on one vector")
     p.add_argument(
         "predicate",
-        choices=["tomaszewski", "tails", "delta", "delta-alt", "pairing", "comb", "hk", "gprime"],
+        choices=[name for name in CHECKERS if name != "delta-sweep"],
     )
     p.add_argument("--vector", required=True)
     p.add_argument("--delta", help="threshold ratio P/Q for the delta predicates")

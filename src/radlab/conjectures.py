@@ -447,10 +447,13 @@ def check_gprime(a: CoeffVec) -> CheckReport:
     return CheckReport("gprime", a, HOLDS if holds else VIOLATED, values, witness)
 
 
-# The one-argument checkers, keyed by the predicate name in their reports.
+# The checkers, keyed by the predicate name in their reports; "delta" and
+# "delta-alt" also take delta, every other one only the vector.
 CHECKERS = {
     "tomaszewski": check_tomaszewski,
     "tails": check_symmetric_tails,
+    "delta": check_delta_inequality,
+    "delta-alt": check_delta_alt,
     "delta-sweep": delta_sweep,
     "pairing": check_pairing,
     "comb": check_combinatorial,
@@ -463,9 +466,4 @@ def rerun(report: CheckReport) -> CheckReport:
     """Re-execute the named predicate on the stored input; used to confirm
     that every report is reproducible bit for bit."""
     vec = parse_vector(str(report.vector))
-    name = report.predicate
-    if name == "delta":
-        return check_delta_inequality(vec, Fraction(report.params["delta"]))
-    if name == "delta-alt":
-        return check_delta_alt(vec, Fraction(report.params["delta"]))
-    return CHECKERS[name](vec)
+    return CHECKERS[report.predicate](vec, **{k: Fraction(v) for k, v in report.params.items()})

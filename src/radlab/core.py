@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionError, InvalidCoefficient, InvalidThreshold, ZeroNorm
@@ -71,9 +71,7 @@ class CoeffVec:
                 raise InvalidCoefficient(f"negative entry {x}")
         if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
             raise InvalidCoefficient("entries must be sorted non-increasing")
-        g = 0
-        for x in e:
-            g = gcd(g, x)
+        g = gcd(*e)
         if g > 1:
             raise InvalidCoefficient(f"entries share common factor {g}; canonicalize first")
         object.__setattr__(self, "norm_sq", sum(x * x for x in e))
@@ -164,34 +162,17 @@ def canonicalize(raw: Sequence[RationalLike]) -> CoeffVec:
     """
     if len(raw) == 0:
         raise InvalidCoefficient("empty coefficient vector")
-    if all(isinstance(x, int) and not isinstance(x, bool) for x in raw):
-        if any(x < 0 for x in raw):
-            raise InvalidCoefficient("negative entry")
-        ints = sorted(raw, reverse=True)
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        return CoeffVec(tuple(ints))
-    fracs = []
     for x in raw:
         if isinstance(x, float):
             raise InvalidCoefficient(f"float entry {x!r}; use int or Fraction")
-        if isinstance(x, int) and not isinstance(x, bool):
-            x = Fraction(x)
-        if not isinstance(x, Fraction):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise InvalidCoefficient(f"entry {x!r} is not an exact number")
         if x < 0:
             raise InvalidCoefficient(f"negative entry {x}")
-        fracs.append(x)
-    scale = 1
-    for x in fracs:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = sorted((int(x * scale) for x in fracs), reverse=True)
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    # ints and Fractions both carry numerator and denominator
+    scale = lcm(*(x.denominator for x in raw))
+    ints = sorted((x.numerator * (scale // x.denominator) for x in raw), reverse=True)
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return CoeffVec(tuple(ints))

@@ -273,13 +273,11 @@ def tail_count_engine(a: CoeffVec) -> str:
 def tail_counts(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
     """Count a.s (one-sided) or |a.s| (two-sided) against rho * ||a||.
 
-    Dispatches on tail_count_engine; both engines produce counts
-    identical to tail_counts_gray, field for field.
+    Dispatches on tail_count_engine; the engine checks the inputs, and
+    both produce counts identical to tail_counts_gray, field for field.
     """
-    rho = _validated(a, rho, side)
-    if tail_count_engine(a) == "gf":
-        return tail_counts_gf(a, rho, side)
-    return tail_counts_mitm(a, rho, side)
+    engine = tail_counts_gf if tail_count_engine(a) == "gf" else tail_counts_mitm
+    return engine(a, rho, side)
 
 
 # Former name of the dispatcher, kept for callers.

@@ -32,6 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .conjectures import CHECKERS, CheckReport, HK_BOUND, HK_MAX_N, T_FLOOR
@@ -41,6 +42,7 @@ from .errors import (
     BudgetExceeded,
     ConjectureFalsified,
     NonPositiveEntry,
+    RadlabError,
     SearchInputError,
     ZeroNorm,
 )
@@ -129,22 +131,45 @@ class SearchState:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SearchState":
+        """Parse a checkpoint; raises SearchInputError when n, bound or
+        examined is no integer (n >= 1, examined >= 0), its best value is
+        not a count over 2^n, its cursor or witness is not a canonical
+        n-vector, or only one of best value and witness is present."""
+        n, bound, examined, best_value = d["n"], d["bound"], d["examined"], d.get("best_value")
+        if any(type(x) is not int for x in (n, bound, examined)) or n < 1 or examined < 0:
+            raise SearchInputError(f"bad checkpoint n={n!r}, bound={bound!r} or examined={examined!r}")
+        if (best_value is None) != (d.get("witness") is None):
+            raise SearchInputError("checkpoint holds only one of best_value and witness")
         best_count = None
-        if d.get("best_value") is not None:
-            best_count = int(Fraction(d["best_value"]) * (1 << d["n"]))
-        witness = None
-        if d.get("witness"):
-            witness = tuple(int(x) for x in d["witness"].split(","))
-        cursor = tuple(d["cursor"]) if d.get("cursor") else None
+        if best_value is not None:
+            scaled = Fraction(best_value) * (1 << n)
+            if scaled.denominator != 1 or not 0 <= scaled <= 1 << n:
+                raise SearchInputError(f"checkpoint best_value {best_value} is not a count over 2^{n}")
+            best_count = scaled.numerator
+        witness = d.get("witness")
+        cursor = d.get("cursor")
         return cls(
             target=SearchTarget.parse(d["target"]),
-            n=d["n"],
-            bound=d["bound"],
-            cursor=cursor,
+            n=n,
+            bound=bound,
+            cursor=None if cursor is None else _state_vector(cursor, n, "cursor"),
             best_count=best_count,
-            witness=witness,
-            examined=d["examined"],
+            witness=None if witness is None else _state_vector(witness, n, "witness"),
+            examined=examined,
         )
+
+
+def _state_vector(value: str | Sequence[int], n: int, what: str) -> tuple[int, ...]:
+    """A checkpoint's cursor (a list) or witness (a string) as a canonical,
+    nonzero n-vector."""
+    try:
+        entries = tuple(int(x) for x in value.split(",")) if isinstance(value, str) else tuple(value)
+        vec = CoeffVec(entries)
+    except (TypeError, ValueError, RadlabError) as exc:
+        raise SearchInputError(f"checkpoint {what} {value!r}: {exc}") from exc
+    if vec.n != n or vec.is_zero():
+        raise SearchInputError(f"checkpoint {what} {value!r} is not a canonical {n}-vector")
+    return entries
 
 
 def evaluate_target(a: CoeffVec, target: SearchTarget) -> DyadicProb:
@@ -204,29 +229,34 @@ def _check_inputs(n_values: Sequence[int], trials: int, entry_bound: int, min_en
         raise SearchInputError(f"entry bound must be >= {max(min_entry, 1)}, got {entry_bound}")
 
 
-def canonical_vectors(n: int, bound: int, min_entry: int = 0) -> Iterator[CoeffVec]:
+def canonical_vectors(
+    n: int, bound: int, min_entry: int = 0, after: tuple[int, ...] | None = None
+) -> Iterator[CoeffVec]:
     """All canonical vectors of dimension n with entry sum <= bound, in
-    ascending lexicographic order of their entry tuples."""
-    from math import gcd
+    ascending lexicographic order of their entry tuples; with ``after``, a
+    canonical n-vector of the region, only those that come after it.
 
-    def rec(prefix: list[int], slots: int, max_val: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            yield tuple(prefix)
+    The walk seeks: while the prefix still equals ``after``, each level
+    starts at the cursor's own entry.  The running gcd is carried down,
+    and the all-zero vector fails the gcd test like any other multiple.
+    """
+    last = n - 1
+    prefix = [0] * n
+
+    def rec(d: int, max_val: int, budget: int, g: int, on_cursor: bool) -> Iterator[CoeffVec]:
+        lo = after[d] if on_cursor else min_entry
+        hi = min(max_val, budget - (last - d) * min_entry)
+        if d == last:
+            for v in range(lo + on_cursor, hi + 1):  # the cursor itself is done
+                if gcd(g, v) == 1:
+                    prefix[d] = v
+                    yield CoeffVec(tuple(prefix))
             return
-        hi = min(max_val, budget - (slots - 1) * min_entry)
-        for v in range(min_entry, hi + 1):
-            prefix.append(v)
-            yield from rec(prefix, slots - 1, v, budget - v)
-            prefix.pop()
+        for v in range(lo, hi + 1):
+            prefix[d] = v
+            yield from rec(d + 1, v, budget - v, gcd(g, v), on_cursor and v == lo)
 
-    lead_lo = max(min_entry, 1)
-    for first in range(lead_lo, bound - (n - 1) * min_entry + 1):
-        for tail in rec([first], n - 1, first, bound - first):
-            g = 0
-            for x in tail:
-                g = gcd(g, x)
-            if g == 1:
-                yield CoeffVec(tail)
+    return rec(0, bound, bound, 0, after is not None)
 
 
 @lru_cache(maxsize=None)
@@ -246,6 +276,30 @@ def estimate_search_size(n: int, bound: int, min_entry: int = 0) -> int:
     return total - 1 if min_entry == 0 else total
 
 
+def _resume_key(state: SearchState, target: SearchTarget, n: int, bound: int) -> _Key | None:
+    """The fold key a sweep resumes with.  Raises SearchInputError unless
+    the checkpoint belongs to this search, its cursor and witness are
+    canonical n-vectors of the region, the witness does not come after
+    the cursor, and the stored count is the witness's own."""
+    if (state.target, state.n, state.bound) != (target, n, bound):
+        raise SearchInputError("resume state does not match this search")
+    if state.cursor is None or state.witness is None:
+        if state.cursor != state.witness:
+            raise SearchInputError("checkpoint holds only one of cursor and witness")
+        return None
+    for what, vec in (("cursor", state.cursor), ("witness", state.witness)):
+        _state_vector(vec, n, what)
+        if sum(vec) > bound or vec[-1] < target.min_entry:
+            raise SearchInputError(f"checkpoint {what} {vec} lies outside the search region")
+    if state.witness > state.cursor:
+        raise SearchInputError(f"checkpoint witness {state.witness} comes after cursor {state.cursor}")
+    key = _score(target, CoeffVec(state.witness))
+    if key != (state.best_count, state.witness):
+        raise SearchInputError(f"checkpoint count {state.best_count} is not the "
+                               f"count {key[0]} of witness {state.witness}")
+    return key
+
+
 def exhaustive_integer_search(
     n: int,
     target: SearchTarget,
@@ -258,8 +312,10 @@ def exhaustive_integer_search(
 ) -> SearchRecord:
     """Evaluate the target on every canonical vector with entry sum <= bound.
 
-    Enumeration order is fixed, so a run interrupted at a checkpoint and
-    resumed from it produces the identical final record.
+    Enumeration order is fixed and a resumed walk seeks straight past the
+    checkpoint's cursor, so a run interrupted at a checkpoint and resumed
+    from it produces the identical final record.  The checkpoint is
+    checked first (``_resume_key``).
     """
     estimate = estimate_search_size(n, bound, target.min_entry)
     if estimate > max_vectors:
@@ -268,44 +324,26 @@ def exhaustive_integer_search(
         )
     best: _Key | None = None
     examined = 0
-    cursor: tuple[int, ...] | None = None
+    last: tuple[int, ...] | None = None
     if resume is not None:
-        if (resume.target, resume.n, resume.bound) != (target, n, bound):
-            raise SearchInputError("resume state does not match this search")
-        examined = resume.examined
-        cursor = resume.cursor
-        if resume.best_count is not None and resume.witness is not None:
-            best = (resume.best_count, resume.witness)
+        best = _resume_key(resume, target, n, bound)
+        examined, last = resume.examined, resume.cursor
 
-    def snapshot(last: tuple[int, ...] | None) -> SearchState:
-        return SearchState(
-            target=target,
-            n=n,
-            bound=bound,
-            cursor=last,
-            best_count=best[0] if best else None,
-            witness=best[1] if best else None,
-            examined=examined,
-        )
+    def snapshot() -> SearchState:
+        return SearchState(target, n, bound, last, *(best or (None, None)), examined)
 
-    skipping = cursor is not None
-    last = cursor
     try:
-        for vec in canonical_vectors(n, bound, target.min_entry):
-            if skipping:
-                if vec.entries <= cursor:
-                    continue
-                skipping = False
+        for vec in canonical_vectors(n, bound, target.min_entry, after=last):
             cand = _score(target, vec)
             examined += 1
             last = vec.entries
             if best is None or cand < best:
                 best = cand
             if checkpoint_every and on_checkpoint and examined % checkpoint_every == 0:
-                on_checkpoint(snapshot(last))
+                on_checkpoint(snapshot())
     except KeyboardInterrupt:
         if on_checkpoint:
-            on_checkpoint(snapshot(last))
+            on_checkpoint(snapshot())
         raise
     if best is None:
         raise SearchInputError("empty search region")

@@ -100,6 +100,7 @@ class TestCheck:
         assert main(["check", "delta", "--vector", "1,1", "--delta-sweep"]) == 0
         assert main(["check", "delta", "--vector", "1,1", "--delta", "x"]) == 2
         assert main(["check", "delta-alt", "--vector", "1,1", "--delta", "1/0"]) == 2
+        assert main(["check", "delta-alt", "--vector", "1,1"]) == 2
 
     def test_hk_out_of_scope_still_exits_zero(self, capsys):
         code, out = run(capsys, "check", "hk", "--vector", "1,1,1,1,1,1,1,1")
@@ -174,6 +175,10 @@ class TestSearch:
                      "--trials", "0", "--checkpoint", ck]) == 2
         bad = tmp_path / "bad.json"
         bad.write_text("{")
+        assert main(["search", "--resume", str(bad), "--checkpoint", ck]) == 2
+        # a best value that is no count over 2^5, and a 2-vector witness
+        bad.write_text(json.dumps({"target": "G", "n": 5, "bound": 10, "cursor": [9, 1, 0, 0, 0],
+                                   "best_value": "1/3", "witness": "1,1", "examined": 3}))
         assert main(["search", "--resume", str(bad), "--checkpoint", ck]) == 2
 
 

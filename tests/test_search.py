@@ -1,5 +1,7 @@
 """Search modes: exhaustive sweeps, random probes, descent, hunts, resume."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,6 +17,7 @@ from radlab.errors import (
     SearchInputError,
 )
 from radlab.search import (
+    SearchRecord,
     SearchState,
     SearchTarget,
     _check_floor,
@@ -58,6 +61,15 @@ class TestCanonicalVectors:
     def test_min_entry_one(self):
         for v in canonical_vectors(3, 8, min_entry=1):
             assert all(x >= 1 for x in v.entries)
+
+    def test_seek_after_cursor_is_the_suffix(self):
+        for n in range(1, 6):
+            for bound in range(11):
+                for m in (0, 1):
+                    full = [v.entries for v in canonical_vectors(n, bound, m)]
+                    for i, c in enumerate(full):
+                        seek = [v.entries for v in canonical_vectors(n, bound, m, after=c)]
+                        assert seek == full[i + 1:], (n, bound, m, c)
 
     def test_estimate_upper_bounds_actual(self):
         for n, bound, min_entry in [(3, 6, 0), (4, 9, 0), (4, 9, 1), (2, 5, 1)]:
@@ -117,6 +129,17 @@ class TestResume:
         assert state.examined < full.vectors_examined
         resumed = exhaustive_integer_search(5, SearchTarget.G, 10, resume=state)
         assert resumed == full
+
+    def test_resume_from_every_checkpoint(self):
+        for target, bound in ((SearchTarget.G, 10), (SearchTarget.GPRIME, 12)):
+            full = exhaustive_integer_search(5, target, bound)
+            states: list[SearchState] = []
+            exhaustive_integer_search(5, target, bound, checkpoint_every=1, on_checkpoint=states.append)
+            assert len(states) == full.vectors_examined
+            for state in states:
+                again = SearchState.from_json_dict(json.loads(json.dumps(state.to_json_dict())))
+                assert again == state
+                assert exhaustive_integer_search(5, target, bound, resume=again) == full
 
     def test_state_json_roundtrip(self):
         state = SearchState(SearchTarget.G, 5, 10, (2, 1, 1, 0, 0), 9, (1, 1, 1, 0, 0), 17)
@@ -261,6 +284,15 @@ def test_input_errors_are_typed():
     assert issubclass(SearchInputError, RadlabError)
     assert issubclass(SearchInputError, ValueError)
     state = SearchState(SearchTarget.G, 5, 10, None, None, None, 0)
+    # the checkpoint a real G sweep (n=5, bound 10) could write
+    checkpoint = {"target": "G", "n": 5, "bound": 10, "cursor": [9, 1, 0, 0, 0],
+                  "best_value": "1/4", "witness": "1,1,1,0,0", "examined": 3}
+    good = SearchState.from_json_dict(checkpoint)
+    assert exhaustive_integer_search(5, SearchTarget.G, 10, resume=good).best_value.count == 8
+
+    def resume_from(**changes) -> SearchRecord:
+        return exhaustive_integer_search(5, SearchTarget.G, 10, resume=dataclasses.replace(good, **changes))
+
     calls = [
         lambda: SearchTarget.parse("X"),
         lambda: hunt("nope", [3], 10, seed=0),
@@ -276,6 +308,26 @@ def test_input_errors_are_typed():
         # a single trial whose one entry is drawn as 0 evaluates nothing
         lambda: hunt("tomaszewski", [1], 1, seed=_zero_draw_seed(), entry_bound=1),
         lambda: exhaustive_integer_search(5, SearchTarget.T, 10, resume=state),
+        # a best value that is no count over 2^5 and a 2-vector witness
+        lambda: SearchState.from_json_dict(dict(checkpoint, best_value="1/3", witness="1,1")),
+        lambda: SearchState.from_json_dict(dict(checkpoint, witness="1,1")),
+        lambda: SearchState.from_json_dict(dict(checkpoint, cursor=[2, 1])),
+        lambda: SearchState.from_json_dict(dict(checkpoint, cursor=[1, 2, 0, 0, 0])),
+        lambda: SearchState.from_json_dict(dict(checkpoint, witness=None)),
+        lambda: SearchState.from_json_dict(dict(checkpoint, best_value=None)),
+        lambda: SearchState.from_json_dict(dict(checkpoint, best_value="33/32")),
+        lambda: SearchState.from_json_dict(dict(checkpoint, n="5")),
+        lambda: SearchState.from_json_dict(dict(checkpoint, examined=-7)),
+        # (1,1,1,0,0) has G count 8, not 9
+        lambda: resume_from(best_count=9),
+        lambda: resume_from(cursor=(9, 2, 0, 0, 0)),
+        lambda: resume_from(cursor=(1, 1, 1, 0, 0), witness=(2, 1, 1, 0, 0)),
+        lambda: resume_from(cursor=(2, 1, 1, 0, 0), witness=None),
+        lambda: resume_from(cursor=(2, 1, 1, 0, 0), best_count=None, witness=(1, 1, 1, 0, 0)),
+        # zero entries lie outside the all-positive region
+        lambda: exhaustive_integer_search(
+            5, SearchTarget.GPRIME, 10, resume=dataclasses.replace(good, target=SearchTarget.GPRIME)
+        ),
         lambda: exhaustive_integer_search(3, SearchTarget.GPRIME, 2),
     ]
     for call in calls:
