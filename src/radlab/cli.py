@@ -173,7 +173,7 @@ def cmd_search(args) -> int:
     if args.resume:
         try:
             resume_state = SearchState.from_json_dict(json.loads(Path(args.resume).read_text()))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise RadlabError(f"cannot read checkpoint {args.resume}: {exc}") from exc
         target, n, mode = resume_state.target, resume_state.n, "exhaustive"
         bound = resume_state.bound

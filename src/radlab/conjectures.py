@@ -11,13 +11,15 @@ independently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .core import CoeffVec, DyadicProb, RationalLike, parse_vector
 from .counting import (
-    DISTRIBUTION_CAP,
+    GRAY_CAP,
     ONE_SIDED,
     SumDistribution,
     distribution,
@@ -297,35 +299,22 @@ def check_pairing(a: CoeffVec) -> CheckReport:
     half = 1 << (a.n - 1)
     # The 2^(n-1) largest sums, ascending, as (value, count) runs: half of
     # the zeros, then every positive value.
-    runs = [(v, c) for v, c in dist.pairs if v > 0]
-    zeros = dist.count_eq(0)
-    if zeros:
-        runs.insert(0, (0, zeros // 2))
-    covered = sum(c for _, c in runs)
-    if covered != half:
-        raise RuntimeError(f"pairing runs cover {covered} sums, not {half}")
-    # Pair the k-th smallest with the k-th largest, one stretch of equal
-    # products at a time; left and right count what remains of the current
-    # bottom and top runs.
-    max_product = 0
-    witness = None
-    up, down = iter(runs), reversed(runs)
-    (s_k, left), (partner, right) = next(up), next(down)
-    k = 1
-    while k <= half:
+    runs = [(v, c if v else c // 2) for v, c in dist.pairs if v >= 0]
+    vals = [v for v, _ in runs]
+    ends = list(accumulate(c for _, c in runs))
+    if ends[-1] != half:
+        raise RuntimeError(f"pairing runs cover {ends[-1]} sums, not {half}")
+    # The k-th smallest lies in run bisect_left(ends, k) and its partner, the
+    # k-th largest, in run bisect_left(ends, half + 1 - k): the product only
+    # changes where k or half + 1 - k passes a run end, so one k per stretch.
+    max_product, witness = 0, None
+    inner = ends[:-1]
+    for k in sorted({1, *(e + 1 for e in inner), *(half + 1 - e for e in inner)}):
+        s_k, partner = vals[bisect_left(ends, k)], vals[bisect_left(ends, half + 1 - k)]
         p = s_k * partner
         max_product = max(max_product, p)
         if p > a.norm_sq and witness is None:
             witness = {"k": k, "s_k": s_k, "partner": partner}
-        step = min(left, right)
-        k += step
-        left -= step
-        right -= step
-        if k <= half:
-            if not left:
-                s_k, left = next(up)
-            if not right:
-                partner, right = next(down)
     holds = witness is None
     values = {"max_product": max_product, "norm_sq": a.norm_sq}
     return CheckReport(
@@ -356,8 +345,8 @@ def combinatorial_fraction_gray(l: CoeffVec) -> DyadicProb:
     """
     if any(x < 1 for x in l.entries):
         raise NonPositiveEntry("all entries must be >= 1")
-    if l.n > DISTRIBUTION_CAP:
-        raise TooLarge(f"n={l.n} exceeds subset enumeration cap {DISTRIBUTION_CAP}")
+    if l.n > GRAY_CAP:
+        raise TooLarge(f"n={l.n} exceeds the Gray sweep cap {GRAY_CAP}")
     e = l.entries
     n = l.n
     in_sum = 0

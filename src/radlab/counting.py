@@ -20,6 +20,10 @@ over all 2^n sign vectors, is kept only as the reference oracle that
 tests and the claim suite compare against.  All three decide every
 comparison against ``rho * ||a||`` in integers.
 
+``distribution`` reads the 2^n sign sums from the smaller table: the same
+product with T+1 64-bit slots (T < 2^n, within GF_BIT_BUDGET), else the
+2^n sums listed (n <= MITM_CAP // 2), else TooLarge before allocating.
+
 The key trick: for integer sums S and rational rho >= 0, let
 ``k0 = floor(rho * ||a||)`` (computed from squares with isqrt) and let
 ``exact`` record whether the threshold is itself an integer.  Then
@@ -33,10 +37,14 @@ which turns the whole count into machine-integer comparisons.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, compress
 from math import isqrt
+from operator import lt, neg
 from typing import Callable, Iterator, Literal
 
 from .core import CoeffVec, DyadicProb, RationalLike
@@ -55,8 +63,6 @@ MITM_CAP = 48
 # (2^ceil(n/2) of them) and the packed integer within the bit budget.
 GF_WORK_PER_HALF_SUM = 10_000
 GF_BIT_BUDGET = 1 << 26
-# Full value/multiplicity tables are only kept up to here.
-DISTRIBUTION_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -114,33 +120,20 @@ class SumDistribution:
     _suffix: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vals = tuple(v for v, _ in self.pairs)
-        if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
+        vals, counts = tuple(zip(*self.pairs)) or ((), ())
+        if not all(map(lt, vals, vals[1:])):
             raise ValueError("values must be strictly increasing")
-        if sum(c for _, c in self.pairs) != (1 << self.n):
+        if sum(counts) != (1 << self.n):
             raise ValueError("multiplicities must sum to 2^n")
-        asdict = dict(self.pairs)
-        for v, c in self.pairs:
-            if c <= 0 or asdict.get(-v) != c:
-                raise ValueError("distribution must be symmetric")
-        suffix = [0] * (len(self.pairs) + 1)
-        for i in range(len(self.pairs) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + self.pairs[i][1]
+        if min(counts) <= 0 or counts != counts[::-1] or vals[::-1] != tuple(map(neg, vals)):
+            raise ValueError("distribution must be symmetric")
+        suffix = tuple(accumulate(reversed(counts), initial=0))[::-1]
         object.__setattr__(self, "_values", vals)
-        object.__setattr__(self, "_suffix", tuple(suffix))
-
-    def values(self) -> tuple[int, ...]:
-        return self._values
+        object.__setattr__(self, "_suffix", suffix)
 
     def count_above(self, threshold: RationalLike) -> int:
         """Number of sign sums strictly greater than an exact rational."""
         return self._suffix[bisect_right(self._values, threshold)]
-
-    def count_eq(self, value: int) -> int:
-        i = bisect_left(self._values, value)
-        if i < len(self._values) and self._values[i] == value:
-            return self.pairs[i][1]
-        return 0
 
 
 def _threshold_boundary(norm_sq: int, rho: Fraction) -> tuple[int, bool]:
@@ -224,17 +217,21 @@ def tail_counts_gray(a: CoeffVec, rho: RationalLike, side: Side) -> TailCounts:
 
 
 def distribution(a: CoeffVec) -> SumDistribution:
-    """Exact multiset of sign-sum values with multiplicities."""
-    if a.n > DISTRIBUTION_CAP:
-        raise TooLarge(f"n={a.n} exceeds distribution cap {DISTRIBUTION_CAP}")
-    counts = {0: 1}
-    for e in a.entries:
-        nxt: dict[int, int] = {}
-        for v, c in counts.items():
-            nxt[v + e] = nxt.get(v + e, 0) + c
-            nxt[v - e] = nxt.get(v - e, 0) + c
-        counts = nxt
-    return SumDistribution(a.n, tuple(sorted(counts.items())))
+    """Exact multiset of sign-sum values with multiplicities.  Packed slot m
+    (64 bits > n) counts the sign sums T - 2m and equals slot T - m, so read
+    in native byte order the slots are the counts of -T, -T+2, ..., T."""
+    n, total = a.n, a.total
+    if total < 1 << n and 64 * (total + 1) <= GF_BIT_BUDGET:
+        poly = _packed_product(a.entries, 64)
+        counts = memoryview(poly.to_bytes(8 * (total + 1), sys.byteorder)).cast("Q").tolist()
+        pairs = tuple(zip(compress(range(-total, total + 1, 2), counts), filter(None, counts)))
+    elif n <= MITM_CAP // 2:
+        # a Counter keeps first-seen order: counting sorted sums encodes runs
+        pairs = tuple(Counter(sorted(_half_sums(a.entries))).items())
+    else:
+        raise TooLarge(f"n={n} with entry sum {total} exceeds the packed budget "
+                       f"({GF_BIT_BUDGET} bits) and the listed-sums cap n <= {MITM_CAP // 2}")
+    return SumDistribution(n, pairs)
 
 
 def _half_sums(entries: tuple[int, ...]) -> list[int]:
@@ -242,6 +239,15 @@ def _half_sums(entries: tuple[int, ...]) -> list[int]:
     for e in entries:
         sums = [s + e for s in sums] + [s - e for s in sums]
     return sums
+
+
+def _packed_product(entries: tuple[int, ...], width: int) -> int:
+    """prod (1 + x^e) over the entries, packed with width bits per slot
+    (Kronecker substitution): slot m counts the subsets with sum m."""
+    poly = 1
+    for e in reversed(entries):  # ascending entries keep early products short
+        poly += poly << (e * width)
+    return poly
 
 
 def _gf_bits(n: int, total: int) -> int:
@@ -300,9 +306,7 @@ def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -
                        f"exceeds the budget of {GF_BIT_BUDGET}")
     width = n + 1
     mask = (1 << width) - 1
-    poly = 1
-    for e in reversed(a.entries):  # ascending entries keep early products short
-        poly += poly << (e * width)
+    poly = _packed_product(a.entries, width)
 
     # _classify passes v >= -1 and T >= 1, so no slot index m exceeds T
     def count_le(v: int) -> int:

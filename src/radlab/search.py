@@ -131,25 +131,31 @@ class SearchState:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SearchState":
-        """Parse a checkpoint; raises SearchInputError when n, bound or
-        examined is no integer (n >= 1, examined >= 0), its best value is
-        not a count over 2^n, its cursor or witness is not a canonical
-        n-vector, or only one of best value and witness is present."""
-        n, bound, examined, best_value = d["n"], d["bound"], d["examined"], d.get("best_value")
-        if any(type(x) is not int for x in (n, bound, examined)) or n < 1 or examined < 0:
-            raise SearchInputError(f"bad checkpoint n={n!r}, bound={bound!r} or examined={examined!r}")
-        if (best_value is None) != (d.get("witness") is None):
+        """Parse a checkpoint; raises SearchInputError unless it is a dict with
+        a string target, integer n >= 1, bound and examined >= 0, a best value
+        that is a count over 2^n exactly when a witness is present, and
+        canonical n-vectors as cursor and witness."""
+        try:
+            target, n, bound, examined = (d[k] for k in ("target", "n", "bound", "examined"))
+        except (KeyError, TypeError) as exc:
+            raise SearchInputError(f"checkpoint lacks target, n, bound or examined: {exc!r}") from exc
+        best_value, witness, cursor = d.get("best_value"), d.get("witness"), d.get("cursor")
+        if tuple(map(type, (target, n, bound, examined))) != (str, int, int, int) or n < 1 or examined < 0:
+            raise SearchInputError(
+                f"bad checkpoint target={target!r}, n={n!r}, bound={bound!r} or examined={examined!r}")
+        if (best_value is None) != (witness is None):
             raise SearchInputError("checkpoint holds only one of best_value and witness")
         best_count = None
         if best_value is not None:
-            scaled = Fraction(best_value) * (1 << n)
+            try:
+                scaled = Fraction(best_value) * (1 << n)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise SearchInputError(f"checkpoint best_value {best_value!r}: {exc}") from exc
             if scaled.denominator != 1 or not 0 <= scaled <= 1 << n:
                 raise SearchInputError(f"checkpoint best_value {best_value} is not a count over 2^{n}")
             best_count = scaled.numerator
-        witness = d.get("witness")
-        cursor = d.get("cursor")
         return cls(
-            target=SearchTarget.parse(d["target"]),
+            target=SearchTarget.parse(target),
             n=n,
             bound=bound,
             cursor=None if cursor is None else _state_vector(cursor, n, "cursor"),
@@ -374,11 +380,12 @@ def _random_chunk(args: tuple) -> tuple[_Key | None, int]:
 
 def _resolve_workers(workers: int | None) -> int:
     cpus = os.cpu_count() or 1
-    cap = os.environ.get("RADLAB_THREADS")
-    limit = min(cpus, int(cap)) if cap else cpus
-    if workers is None:
-        workers = limit
-    return max(1, min(workers, limit))
+    cap = os.environ.get("RADLAB_THREADS") or cpus
+    try:
+        limit = min(cpus, int(cap))
+    except ValueError as exc:
+        raise SearchInputError(f"RADLAB_THREADS={cap!r} is not an integer") from exc
+    return max(1, min(limit if workers is None else workers, limit))
 
 
 def random_search(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+from math import comb
 
 import pytest
 
@@ -61,6 +62,11 @@ class TestEval:
         obj = json.loads(out)
         assert obj["distribution"] == [[-2, 1], [0, 2], [2, 1]]
 
+    def test_distribution_beyond_n24(self, capsys):
+        code, out = run(capsys, "eval", "--vector", ",".join(["1"] * 30), "--stats", "dist")
+        assert code == 0
+        assert json.loads(out)["distribution"] == [[30 - 2 * k, comb(30, k)] for k in range(30, -1, -1)]
+
     def test_no_floats_in_report(self, capsys):
         _, out = run(capsys, "eval", "--vector", "2,2,1,1,1", "--stats", "all")
 
@@ -101,6 +107,10 @@ class TestCheck:
         assert main(["check", "delta", "--vector", "1,1", "--delta", "x"]) == 2
         assert main(["check", "delta-alt", "--vector", "1,1", "--delta", "1/0"]) == 2
         assert main(["check", "delta-alt", "--vector", "1,1"]) == 2
+
+    def test_pairing_too_large_exit_2(self, capsys):
+        wide = ",".join(str((1 << 20) - 3 * i) for i in range(25))
+        assert main(["check", "pairing", "--vector", wide]) == 2
 
     def test_hk_out_of_scope_still_exits_zero(self, capsys):
         code, out = run(capsys, "check", "hk", "--vector", "1,1,1,1,1,1,1,1")
@@ -180,6 +190,15 @@ class TestSearch:
         bad.write_text(json.dumps({"target": "G", "n": 5, "bound": 10, "cursor": [9, 1, 0, 0, 0],
                                    "best_value": "1/3", "witness": "1,1", "examined": 3}))
         assert main(["search", "--resume", str(bad), "--checkpoint", ck]) == 2
+        # a target that is no string, and a checkpoint that is no object
+        for checkpoint in ({"target": 5, "n": 3, "bound": 5, "examined": 0}, [1]):
+            bad.write_text(json.dumps(checkpoint))
+            assert main(["search", "--resume", str(bad), "--checkpoint", ck]) == 2
+
+    def test_bad_thread_cap_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("RADLAB_THREADS", "abc")
+        assert main(["search", "--target", "G", "--n", "3", "--mode", "random", "--trials", "5"]) == 2
+        assert "RADLAB_THREADS" in capsys.readouterr().err
 
 
 class TestHunt:

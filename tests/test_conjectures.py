@@ -30,7 +30,6 @@ from radlab.errors import (
     DimensionError,
     InvalidThreshold,
     NonPositiveEntry,
-    TooLarge,
     ZeroEntry,
     ZeroNorm,
 )
@@ -217,9 +216,11 @@ class TestPairing:
             assert r.holds == all(p <= a.norm_sq for p in products)
             assert r.values["max_product"] == max(products)
 
-    def test_cap(self):
-        with pytest.raises(TooLarge):
-            check_pairing(CoeffVec(tuple([1] * 25)))
+    def test_cap(self, too_large_before_allocating):
+        # 25 ones pair 1 with 25 first: the products reach the norm exactly
+        r = check_pairing(CoeffVec((1,) * 25))
+        assert r.holds and r.values["max_product"] == 25 == r.values["norm_sq"]
+        too_large_before_allocating(check_pairing)
 
 
 def literal_subset_fraction(entries):

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -13,6 +14,7 @@ from radlab.core import CoeffVec, canonicalize
 from radlab.counting import (
     ONE_SIDED,
     TWO_SIDED,
+    SumDistribution,
     TailCounts,
     distribution,
     iter_sign_sums,
@@ -158,8 +160,7 @@ class TestDistribution:
 
     def test_211111(self):
         d = distribution(CoeffVec((2, 1, 1, 1, 1, 1)))
-        assert d.count_eq(3) == 11
-        assert d.count_eq(3) + d.count_eq(-3) == 22
+        assert dict(d.pairs)[3] == dict(d.pairs)[-3] == 11
 
     def test_symmetry_and_total(self):
         rng = random.Random(41)
@@ -169,7 +170,7 @@ class TestDistribution:
             d = distribution(a)
             assert sum(c for _, c in d.pairs) == 1 << n
             for v, c in d.pairs:
-                assert d.count_eq(-v) == c
+                assert dict(d.pairs)[-v] == c
 
     def test_count_above(self):
         d = distribution(CoeffVec((2, 1, 1, 1, 1, 1)))
@@ -189,9 +190,31 @@ class TestDistribution:
                 lt = sum(c for v, c in d.pairs if v < -t)
                 assert d.count_above(t) == lt
 
-    def test_cap(self):
-        with pytest.raises(TooLarge):
-            distribution(CoeffVec(tuple([1] * 25)))
+    @pytest.mark.parametrize("pairs", [
+        ((2, 1), (0, 2), (-2, 1)),  # values decreasing
+        ((0, 2), (0, 2)),  # a repeated value
+        ((-2, 1), (0, 1), (2, 1)),  # counts sum to 3, not 2^2
+        ((-2, 3), (0, -2), (2, 3)),  # a negative count
+        ((-2, 1), (0, 1), (2, 2)),  # counts not mirrored
+        ((-2, 1), (1, 2), (2, 1)),  # values not mirrored
+    ])
+    def test_rejects_bad_tables(self, pairs):
+        with pytest.raises(ValueError):
+            SumDistribution(2, pairs)
+
+    @pytest.mark.parametrize("n", [25, 40, 63])
+    def test_all_ones_are_binomial(self, n):
+        pairs = tuple((n - 2 * k, comb(n, k)) for k in range(n, -1, -1))
+        assert distribution(CoeffVec((1,) * n)).pairs == pairs
+
+    def test_n63_zero_vector_is_one_slot(self):
+        assert distribution(CoeffVec((0,) * 63)).pairs == ((0, 1 << 63),)
+
+    def test_cap(self, too_large_before_allocating):
+        # 25 small entries fit the packed slots; 25 wide ones fit neither
+        # table and fail before anything is allocated
+        assert dict(distribution(CoeffVec((1,) * 25)).pairs)[1] == comb(25, 12)
+        too_large_before_allocating(distribution)
 
 
 class TestMitm:

@@ -240,6 +240,11 @@ class TestWorkers:
         assert _resolve_workers(1) == 1
         assert _resolve_workers(None) >= 1
 
+    def test_bad_env_is_input_error(self, monkeypatch):
+        monkeypatch.setenv("RADLAB_THREADS", "abc")
+        with pytest.raises(SearchInputError, match="RADLAB_THREADS"):
+            random_search(3, SearchTarget.G, 5, seed=0)
+
 
 class TestHunt:
     def test_tomaszewski_clean(self):
@@ -318,6 +323,14 @@ def test_input_errors_are_typed():
         lambda: SearchState.from_json_dict(dict(checkpoint, best_value="33/32")),
         lambda: SearchState.from_json_dict(dict(checkpoint, n="5")),
         lambda: SearchState.from_json_dict(dict(checkpoint, examined=-7)),
+        lambda: SearchState.from_json_dict([checkpoint]),
+        lambda: SearchState.from_json_dict("G"),
+        *[lambda k=k: SearchState.from_json_dict({x: v for x, v in checkpoint.items() if x != k})
+          for k in ("target", "n", "bound", "examined")],
+        lambda: SearchState.from_json_dict(dict(checkpoint, best_value="a quarter")),
+        lambda: SearchState.from_json_dict(dict(checkpoint, best_value="1/0")),
+        lambda: SearchState.from_json_dict(dict(checkpoint, best_value=[1, 4])),
+        lambda: SearchState.from_json_dict({"target": 5, "n": 3, "bound": 5, "examined": 0}),
         # (1,1,1,0,0) has G count 8, not 9
         lambda: resume_from(best_count=9),
         lambda: resume_from(cursor=(9, 2, 0, 0, 0)),
