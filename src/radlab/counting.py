@@ -250,9 +250,38 @@ def _packed_product(entries: tuple[int, ...], width: int) -> int:
     return poly
 
 
+def _gf_width(n: int) -> int:
+    """Bits per slot of the packed generating function of an n-vector:
+    n+1, so that no slot, a count of at most 2^n subsets, carries."""
+    return n + 1
+
+
 def _gf_bits(n: int, total: int) -> int:
     """Size of the packed generating function: T+1 slots of n+1 bits."""
-    return (total + 1) * (n + 1)
+    return (total + 1) * _gf_width(n)
+
+
+def _norm_classes(poly: int, n: int, total: int, norm_sq: int) -> tuple[int, int, int]:
+    """(below, at, above) of |a.s| against ||a||, read off the packed
+    product poly of a nonnegative n-vector a with entry sum total and
+    squared norm norm_sq > 0: the classes tail_counts_gf(a) counts, with
+    no vector built.  0 < ||a|| <= total keeps every slot read within the
+    product."""
+    width = _gf_width(n)
+    mask = (1 << width) - 1
+    k0 = isqrt(norm_sq)
+    everything = 1 << n
+    if k0 * k0 == norm_sq:
+        # x^2 = x mod 2, so k0 has the parity of every sign sum S = T - 2m
+        # and S == k0 in slot (T - k0) / 2; S <= k0 - 1 in the slots above
+        m = (total - k0) // 2
+        at = 2 * ((poly >> (m * width)) & mask)
+        le = (poly >> ((m + 1) * width)) % mask
+    else:  # S <= k0 in the slots m >= (T - k0) / 2
+        at = 0
+        le = (poly >> ((total - k0 + 1) // 2 * width)) % mask
+    below = 2 * le - everything
+    return below, at, everything - below - at
 
 
 def tail_count_engine(a: CoeffVec) -> str:
@@ -304,7 +333,7 @@ def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -
     if _gf_bits(n, total) > GF_BIT_BUDGET:
         raise TooLarge(f"packed generating function of {_gf_bits(n, total)} bits "
                        f"exceeds the budget of {GF_BIT_BUDGET}")
-    width = n + 1
+    width = _gf_width(n)
     mask = (1 << width) - 1
     poly = _packed_product(a.entries, width)
 

@@ -18,9 +18,14 @@ how trials are partitioned across workers.  The substream keys are
 - ``"{seed}:xval:{n}:{i}"``: pair i of the engine cross-validation, which
   draws rho and the side from the same substream after the entries.
 
-Every search folds integer ``(count, entries)`` keys from ``_score``:
-n is fixed within a search, so the tail count orders like the
-probability, and the entries break ties lexicographically.
+Every search minimizes integer ``(count, entries)`` keys: n is fixed
+within a search, so the tail count orders like the probability, and the
+entries break ties lexicographically.  Random search, descent and
+checkpoint validation score each vector with ``_score``.  The exhaustive
+sweep reads its counts off a packed product carried down its walk
+(``counting._norm_classes``) and, because the walk ascends
+lexicographically, keeps a new best only on a strictly smaller count;
+``canonical_vectors`` with ``_score`` is kept as its test oracle.
 """
 
 from __future__ import annotations
@@ -28,16 +33,15 @@ from __future__ import annotations
 import enum
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import ceil, gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .conjectures import CHECKERS, CheckReport, HK_BOUND, HK_MAX_N, T_FLOOR
 from .core import CoeffVec, DyadicProb, canonicalize
-from .counting import TailCounts, tail_counts
+from .counting import TailCounts, _gf_width, _norm_classes, tail_counts
 from .errors import (
     BudgetExceeded,
     ConjectureFalsified,
@@ -184,17 +188,24 @@ def evaluate_target(a: CoeffVec, target: SearchTarget) -> DyadicProb:
     return target.probability(tail_counts(a))
 
 
+def _floor(target: SearchTarget, n: int) -> Fraction:
+    """The proven floor of the target's value in dimension n, 0 where none
+    is proven: the half-mass floor holds in every dimension, the 7/32
+    floor for n <= 7."""
+    if target is SearchTarget.T:
+        return T_FLOOR
+    if target is SearchTarget.G and n <= HK_MAX_N:
+        return HK_BOUND
+    return Fraction(0)
+
+
 def _check_floor(target: SearchTarget, a: CoeffVec, value: Fraction) -> None:
-    """Proven floors: any value below them means the build (or mathematics)
-    is broken, so the run aborts with a falsification report.  The
-    half-mass floor holds in every dimension, the 7/32 floor for n <= 7."""
-    if target is SearchTarget.T and value < T_FLOOR:
+    """Any value below a proven floor means the build (or mathematics) is
+    broken, so the run aborts with a falsification report."""
+    floor = _floor(target, a.n)
+    if value < floor:
         raise ConjectureFalsified(
-            {"target": "T", "vector": str(a), "value": str(value), "floor": str(T_FLOOR)}
-        )
-    if target is SearchTarget.G and a.n <= HK_MAX_N and value < HK_BOUND:
-        raise ConjectureFalsified(
-            {"target": "G", "vector": str(a), "value": str(value), "floor": str(HK_BOUND)}
+            {"target": target.value, "vector": str(a), "value": str(value), "floor": str(floor)}
         )
 
 
@@ -277,21 +288,74 @@ def _count_sequences(slots: int, max_val: int, budget: int, min_entry: int) -> i
 
 
 def estimate_search_size(n: int, bound: int, min_entry: int = 0) -> int:
-    """Upper bound on the canonical-vector count (gcd filter ignored)."""
+    """Upper bound on the canonical-vector count (gcd filter ignored).
+
+    The sweep budgets with the exact ``canonical_count``; this bound is
+    kept for the benchmark, which places its checkpoint by it."""
     total = _count_sequences(n, bound, bound, min_entry)
     return total - 1 if min_entry == 0 else total
+
+
+def _mobius(d: int) -> int:
+    """The Moebius function: 0 when a square divides d, else -1 to the
+    number of prime factors of d."""
+    sign, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if d > 1 else sign
+
+
+def canonical_count(n: int, bound: int, min_entry: int = 0, upto: tuple[int, ...] | None = None) -> int:
+    """The exact number of vectors ``canonical_vectors(n, bound, min_entry)``
+    yields; with ``upto``, a canonical n-vector of that region, the number
+    that do not come after it (its rank, counted from 1).
+
+    Moebius inversion over a common divisor d of the entries: the
+    non-increasing tuples of multiples of d are d times the tuples with
+    entries >= ceil(min_entry / d) and sum <= bound // d, so the tuples with
+    gcd 1 number sum_d mu(d) * (multiples of d, less the zero tuple).  A
+    tuple before ``upto`` shares a prefix of it and then has a smaller entry,
+    and ``_count_sequences`` counts each such set at once.
+    """
+    total = 0
+    for d in range(1, bound + 1):
+        mu = _mobius(d)
+        if not mu:
+            continue
+        lo = -(-min_entry // d)
+        if upto is None:
+            multiples = _count_sequences(n, bound // d, bound // d, lo)
+        else:
+            multiples = spent = 0
+            for i, c in enumerate(upto):
+                multiples += _count_sequences(n - i, (c - 1) // d, (bound - spent) // d, lo)
+                if c % d:
+                    break
+                spent += c
+            else:
+                multiples += 1  # upto itself
+        total += mu * (multiples - (min_entry == 0))
+    return total
 
 
 def _resume_key(state: SearchState, target: SearchTarget, n: int, bound: int) -> _Key | None:
     """The fold key a sweep resumes with.  Raises SearchInputError unless
     the checkpoint belongs to this search, its cursor and witness are
     canonical n-vectors of the region, the witness does not come after
-    the cursor, and the stored count is the witness's own."""
+    the cursor, the stored count is the witness's own, and examined is
+    the cursor's rank in the walk."""
     if (state.target, state.n, state.bound) != (target, n, bound):
         raise SearchInputError("resume state does not match this search")
     if state.cursor is None or state.witness is None:
         if state.cursor != state.witness:
             raise SearchInputError("checkpoint holds only one of cursor and witness")
+        if state.examined:
+            raise SearchInputError(f"checkpoint without a cursor claims {state.examined} vectors examined")
         return None
     for what, vec in (("cursor", state.cursor), ("witness", state.witness)):
         _state_vector(vec, n, what)
@@ -303,6 +367,10 @@ def _resume_key(state: SearchState, target: SearchTarget, n: int, bound: int) ->
     if key != (state.best_count, state.witness):
         raise SearchInputError(f"checkpoint count {state.best_count} is not the "
                                f"count {key[0]} of witness {state.witness}")
+    rank = canonical_count(n, bound, target.min_entry, state.cursor)
+    if state.examined != rank:
+        raise SearchInputError(f"checkpoint claims {state.examined} vectors examined, "
+                               f"but cursor {state.cursor} is vector {rank} of the walk")
     return key
 
 
@@ -318,41 +386,90 @@ def exhaustive_integer_search(
 ) -> SearchRecord:
     """Evaluate the target on every canonical vector with entry sum <= bound.
 
-    Enumeration order is fixed and a resumed walk seeks straight past the
-    checkpoint's cursor, so a run interrupted at a checkpoint and resumed
-    from it produces the identical final record.  The checkpoint is
-    checked first (``_resume_key``).
+    The walk is ``canonical_vectors``' own: fixed lexicographic order,
+    seeking straight past a resume cursor (checked first, by
+    ``_resume_key``), so a run interrupted at a checkpoint and resumed from
+    it produces the identical final record.  Each level carries its
+    prefix's gcd, entry sum, squared norm and packed product
+    prod (1 + x^a_i), so a vector costs one shift-add and one
+    ``_norm_classes`` read; a CoeffVec is built only for a floor violation
+    and for the witness.  An interrupt checkpoints the state as of the last
+    checkpoint or the last finished run of final entries, so that its
+    cursor, best and examined agree.
+
+    ``canonical_count`` sizes the region exactly before the walk: it sets
+    the budget, rejects an empty region, and must equal the vectors
+    examined at the end, or the walk is broken (RuntimeError).
     """
-    estimate = estimate_search_size(n, bound, target.min_entry)
-    if estimate > max_vectors:
-        raise BudgetExceeded(
-            f"region holds an estimated {estimate} canonical vectors (cap {max_vectors})"
-        )
+    if n < 1:
+        raise SearchInputError(f"dimension must be >= 1, got {n}")
+    min_entry = target.min_entry
+    size = canonical_count(n, bound, min_entry)
+    if size > max_vectors:
+        raise BudgetExceeded(f"region holds {size} canonical vectors (cap {max_vectors})")
+    if not size:
+        raise SearchInputError("empty search region")
     best: _Key | None = None
     examined = 0
-    last: tuple[int, ...] | None = None
+    after: tuple[int, ...] | None = None
     if resume is not None:
         best = _resume_key(resume, target, n, bound)
-        examined, last = resume.examined, resume.cursor
+        examined, after = resume.examined, resume.cursor
+    everything = 1 << n
+    floor_count = ceil(_floor(target, n) * everything)
+    best_count = best[0] if best else everything + 1
+    width = _gf_width(n)
+    # the class choice of SearchTarget.probability, inlined: a call per
+    # vector costs a sixth of the walk
+    strict, upper = target is SearchTarget.GPRIME, target is SearchTarget.G
+    every = checkpoint_every if on_checkpoint else 0
+    next_checkpoint = (examined // every + 1) * every if every else -1
+    last = n - 1
+    # what an interrupt reports, replaced whole so that its parts agree
+    done = (after, best, examined)
 
-    def snapshot() -> SearchState:
-        return SearchState(target, n, bound, last, *(best or (None, None)), examined)
+    def state(cursor: tuple[int, ...] | None, key: _Key | None, seen: int) -> SearchState:
+        return SearchState(target, n, bound, cursor, *(key or (None, None)), seen)
+
+    def rec(d: int, max_val: int, budget: int, g: int, poly: int, norm_sq: int,
+            head: tuple[int, ...], on_cursor: bool) -> None:
+        nonlocal best, best_count, examined, next_checkpoint, done
+        lo = after[d] if on_cursor else min_entry
+        hi = min(max_val, budget - (last - d) * min_entry)
+        if d < last:
+            for v in range(lo, hi + 1):
+                rec(d + 1, v, budget - v, gcd(g, v), poly + (poly << v * width), norm_sq + v * v,
+                    head + (v,), on_cursor and v == lo)
+            return
+        total = bound - budget
+        seen, top, cursor = examined, best_count, None
+        for v in range(lo + on_cursor, hi + 1):  # the cursor itself is done
+            if gcd(g, v) != 1:
+                continue
+            below, at, above = _norm_classes(poly + (poly << v * width), n, total + v, norm_sq + v * v)
+            count = above if strict else at + above if upper else below + at
+            seen += 1
+            cursor = v
+            if count < top:
+                if count < floor_count:
+                    _check_floor(target, CoeffVec(head + (v,)), Fraction(count, everything))
+                top, best = count, (count, head + (v,))
+            if seen == next_checkpoint:
+                done = (head + (v,), best, seen)
+                next_checkpoint += every
+                on_checkpoint(state(*done))
+        examined, best_count = seen, top
+        if cursor is not None:
+            done = (head + (cursor,), best, seen)
 
     try:
-        for vec in canonical_vectors(n, bound, target.min_entry, after=last):
-            cand = _score(target, vec)
-            examined += 1
-            last = vec.entries
-            if best is None or cand < best:
-                best = cand
-            if checkpoint_every and on_checkpoint and examined % checkpoint_every == 0:
-                on_checkpoint(snapshot())
+        rec(0, bound, bound, 0, 1, 0, (), after is not None)
     except KeyboardInterrupt:
         if on_checkpoint:
-            on_checkpoint(snapshot())
+            on_checkpoint(state(*done))
         raise
-    if best is None:
-        raise SearchInputError("empty search region")
+    if examined != size:
+        raise RuntimeError(f"sweep examined {examined} vectors of a region of {size}")
     return SearchRecord(
         target=target,
         n=n,
@@ -414,6 +531,9 @@ def random_search(
     if len(chunks) == 1:
         results = [_random_chunk(chunks[0])]
     else:
+        # imported here: it loads multiprocessing on every import of radlab
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_random_chunk, chunks))
     best = min((b for b, _ in results if b is not None), default=None)

@@ -1,6 +1,6 @@
-"""Property tests: both counting engines equal the Gray-code oracle, the sum
-distribution equals the counted Gray-code sums, and the subset-count
-fraction equals its subset-walking oracle."""
+"""Property tests: both counting engines and the sweep's packed read equal
+the Gray-code oracle, the sum distribution equals the counted Gray-code
+sums, and the subset-count fraction equals its subset-walking oracle."""
 
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +9,7 @@ from math import isqrt
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radlab.conjectures import combinatorial_fraction, combinatorial_fraction_gray
@@ -25,6 +25,9 @@ from radlab.counting import (
     tail_counts_gray,
     tail_counts_mitm,
     _gf_bits,
+    _gf_width,
+    _norm_classes,
+    _packed_product,
 )
 from radlab.errors import TooLarge
 
@@ -91,6 +94,16 @@ def test_engines_match_oracle_on_realized_threshold(case, side):
     assert_engines_agree(a, rho, side)
     if side == ONE_SIDED:
         assert tail_counts_gf(a, rho, side).at > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors())
+def test_norm_classes_match_oracle(a):
+    # the exhaustive sweep's read of its packed prefix product
+    assume(_gf_bits(a.n, a.total) <= GF_BIT_BUDGET)
+    poly = _packed_product(a.entries, _gf_width(a.n))
+    oracle = tail_counts_gray(a, 1, TWO_SIDED)
+    assert _norm_classes(poly, a.n, a.total, a.norm_sq) == (oracle.below, oracle.at, oracle.above)
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from radlab import search
 from radlab.core import CoeffVec, canonicalize
 from radlab.errors import (
     BudgetExceeded,
@@ -21,6 +22,8 @@ from radlab.search import (
     SearchState,
     SearchTarget,
     _check_floor,
+    _score,
+    canonical_count,
     canonical_vectors,
     estimate_search_size,
     exhaustive_integer_search,
@@ -71,6 +74,20 @@ class TestCanonicalVectors:
                         seek = [v.entries for v in canonical_vectors(n, bound, m, after=c)]
                         assert seek == full[i + 1:], (n, bound, m, c)
 
+    def test_count_is_exact(self):
+        for n in range(1, 7):
+            for bound in range(21):
+                for m in (0, 1):
+                    actual = len(list(canonical_vectors(n, bound, m)))
+                    assert canonical_count(n, bound, m) == actual, (n, bound, m)
+
+    def test_rank_is_walk_position(self):
+        for n in range(1, 7):
+            for bound in range(15):
+                for m in (0, 1):
+                    for i, c in enumerate(canonical_vectors(n, bound, m)):
+                        assert canonical_count(n, bound, m, c.entries) == i + 1, (n, bound, m, c)
+
     def test_estimate_upper_bounds_actual(self):
         for n, bound, min_entry in [(3, 6, 0), (4, 9, 0), (4, 9, 1), (2, 5, 1)]:
             actual = sum(1 for _ in canonical_vectors(n, bound, min_entry))
@@ -108,6 +125,55 @@ class TestExhaustive:
         ]
         assert r.best_value.fraction == min(values)
         assert r.vectors_examined == len(values)
+
+
+ORACLE_BOUND = 24
+
+
+def _oracle_regions():
+    """For every n <= 7 and target, the walk-ordered (key, entry sum) pairs
+    of canonical_vectors + _score at the largest bound tested: the region
+    of a smaller bound is the pairs with entry sum within it."""
+    for n in range(1, 8):
+        for target in SearchTarget:
+            scored = [(_score(target, v), sum(v.entries))
+                      for v in canonical_vectors(n, ORACLE_BOUND, target.min_entry)]
+            yield n, target, scored
+
+
+class TestWalkMatchesOracle:
+    def test_fresh_and_resumed_sweeps(self):
+        rng = random.Random(5)
+        for n, target, scored in _oracle_regions():
+            for bound in range(ORACLE_BOUND + 1):
+                keys = [key for key, total in scored if total <= bound]
+                if not keys:
+                    with pytest.raises(SearchInputError):
+                        exhaustive_integer_search(n, target, bound)
+                    continue
+                rec = exhaustive_integer_search(n, target, bound)
+                assert (rec.best_value.count, rec.witness.entries, rec.vectors_examined) == (
+                    *min(keys), len(keys)), (n, target, bound)
+                for i in sorted(rng.sample(range(len(keys)), min(2, len(keys)))):
+                    count, witness = min(keys[:i + 1])
+                    state = SearchState(target, n, bound, keys[i][1], count, witness, i + 1)
+                    assert exhaustive_integer_search(n, target, bound, resume=state) == rec
+
+    def test_floor_violation_matches_oracle(self, monkeypatch):
+        monkeypatch.setattr(search, "HK_BOUND", Fraction(1, 4))
+        with pytest.raises(ConjectureFalsified) as oracle:
+            for vec in canonical_vectors(7, 12):
+                _score(SearchTarget.G, vec)
+        with pytest.raises(ConjectureFalsified) as walk:
+            exhaustive_integer_search(7, SearchTarget.G, 12)
+        assert walk.value.args == oracle.value.args
+        assert walk.value.args[0]["floor"] == "1/4"
+
+    def test_miscounted_walk_is_not_a_clean_pass(self, monkeypatch):
+        exact = search.canonical_count
+        monkeypatch.setattr(search, "canonical_count", lambda *args: exact(*args) + 1)
+        with pytest.raises(RuntimeError, match="examined 86"):
+            exhaustive_integer_search(5, SearchTarget.G, 10)
 
 
 class TestResume:
@@ -291,7 +357,7 @@ def test_input_errors_are_typed():
     state = SearchState(SearchTarget.G, 5, 10, None, None, None, 0)
     # the checkpoint a real G sweep (n=5, bound 10) could write
     checkpoint = {"target": "G", "n": 5, "bound": 10, "cursor": [9, 1, 0, 0, 0],
-                  "best_value": "1/4", "witness": "1,1,1,0,0", "examined": 3}
+                  "best_value": "1/4", "witness": "1,1,1,0,0", "examined": 86}
     good = SearchState.from_json_dict(checkpoint)
     assert exhaustive_integer_search(5, SearchTarget.G, 10, resume=good).best_value.count == 8
 
@@ -333,6 +399,11 @@ def test_input_errors_are_typed():
         lambda: SearchState.from_json_dict({"target": 5, "n": 3, "bound": 5, "examined": 0}),
         # (1,1,1,0,0) has G count 8, not 9
         lambda: resume_from(best_count=9),
+        # the cursor (9,1,0,0,0) is the region's last vector, vector 86 of the walk
+        lambda: resume_from(examined=3),
+        lambda: exhaustive_integer_search(5, SearchTarget.G, 10,
+                                          resume=dataclasses.replace(state, examined=5)),
+        lambda: exhaustive_integer_search(0, SearchTarget.G, 10),
         lambda: resume_from(cursor=(9, 2, 0, 0, 0)),
         lambda: resume_from(cursor=(1, 1, 1, 0, 0), witness=(2, 1, 1, 0, 0)),
         lambda: resume_from(cursor=(2, 1, 1, 0, 0), witness=None),
@@ -346,6 +417,9 @@ def test_input_errors_are_typed():
     for call in calls:
         with pytest.raises(SearchInputError):
             call()
+    # rejected for its count alone: everything else in it is the real checkpoint's
+    with pytest.raises(SearchInputError, match="cursor \\(9, 1, 0, 0, 0\\) is vector 86 of the walk"):
+        resume_from(examined=3)
 
 
 def _zero_draw_seed() -> int:
