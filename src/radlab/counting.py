@@ -6,9 +6,10 @@ Two engines produce identical counts:
   prod (1 + x^(a_i)) into one integer (Kronecker substitution), with
   n+1 bits per coefficient: n shift-adds build it, and each class count
   is one shift plus one reduction modulo 2^(n+1) - 1.
-- ``tail_counts_mitm``, meet-in-the-middle (Horowitz-Sahni), enumerates
-  the two half spaces of 2^(n/2) sums and combines sorted half sums
-  with binary search.
+- ``tail_counts_mitm``, meet-in-the-middle (Horowitz-Sahni), builds the
+  2^(n/2) sums of each half in ascending order by merging, one merge of
+  two sorted runs per entry, and counts the pair sums at or below a
+  value in one linear pass with a pointer that only moves down.
 
 ``tail_counts`` picks one by a fixed cost rule, ``tail_count_engine``:
 the packed polynomial when the n*T*(n+1) bits its shift-adds touch
@@ -38,10 +39,11 @@ which turns the whole count into machine-integer comparisons.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, compress
 from math import isqrt
 from operator import lt, neg
@@ -227,7 +229,7 @@ def distribution(a: CoeffVec) -> SumDistribution:
         pairs = tuple(zip(compress(range(-total, total + 1, 2), counts), filter(None, counts)))
     elif n <= MITM_CAP // 2:
         # a Counter keeps first-seen order: counting sorted sums encodes runs
-        pairs = tuple(Counter(sorted(_half_sums(a.entries))).items())
+        pairs = tuple(Counter(_half_sums(a.entries)).items())
     else:
         raise TooLarge(f"n={n} with entry sum {total} exceeds the packed budget "
                        f"({GF_BIT_BUDGET} bits) and the listed-sums cap n <= {MITM_CAP // 2}")
@@ -235,9 +237,13 @@ def distribution(a: CoeffVec) -> SumDistribution:
 
 
 def _half_sums(entries: tuple[int, ...]) -> list[int]:
+    """The 2^k sign sums of k entries, ascending.  Both shifted
+    copies of an ascending list are ascending, so each sort is Timsort's
+    linear merge of two runs."""
     sums = [0]
     for e in entries:
-        sums = [s + e for s in sums] + [s - e for s in sums]
+        sums = [s - e for s in sums] + [s + e for s in sums]
+        sums.sort()
     return sums
 
 
@@ -288,7 +294,7 @@ def tail_count_engine(a: CoeffVec) -> str:
     """The engine tail_counts uses for a: "gf" or "mitm".
 
     The packed generating function costs about n shift-adds of n*T*(n+1)
-    bits in total; meet-in-the-middle costs about 2^(n/2) bisections.
+    bits in total; meet-in-the-middle costs about 2^(n/2) pointer steps.
     Raises TooLarge, before anything is allocated, when neither fits.
     """
     n, total = a.n, a.total
@@ -356,20 +362,33 @@ def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -
 
 def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
     """Meet-in-the-middle (Horowitz-Sahni): split the coordinates into two
-    halves, enumerate the 2^(n/2) half sums, sort one side and count pair
-    sums with bisection."""
+    halves and build the 2^(n/2) sums of each in ascending order.  As x
+    ascends through the left sums, v - x descends, so the number of right
+    sums <= v - x is read by one pointer into the right list that only
+    moves down: #(S <= v) costs one linear pass, and an exact threshold,
+    #(S == k0) = #(S <= k0) - #(S <= k0 - 1), two."""
     rho = _validated(a, rho, side)
     if a.n > MITM_CAP:
         raise TooLarge(f"n={a.n} exceeds meet-in-the-middle cap {MITM_CAP}")
     split = (a.n + 1) // 2
     left = _half_sums(a.entries[:split])
-    right = sorted(_half_sums(a.entries[split:]))
+    right = _half_sums(a.entries[split:])
 
+    @cache  # _classify asks for #(S <= k0 - 1) again after #(S == k0)
     def count_le(v: int) -> int:
-        return sum(bisect_right(right, v - x) for x in left)
+        j = len(right)
+        total = 0
+        for x in left:
+            t = v - x
+            while j and right[j - 1] > t:
+                j -= 1
+            if not j:
+                break
+            total += j
+        return total
 
     def count_eq(v: int) -> int:
-        return sum(bisect_right(right, v - x) - bisect_left(right, v - x) for x in left)
+        return count_le(v) - count_le(v - 1)
 
     k0, exact = _threshold_boundary(a.norm_sq, rho)
     return _classify(a.n, count_le, count_eq, k0, exact, side)

@@ -35,7 +35,6 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -276,15 +275,30 @@ def canonical_vectors(
     return rec(0, bound, bound, 0, after is not None)
 
 
-@lru_cache(maxsize=None)
 def _count_sequences(slots: int, max_val: int, budget: int, min_entry: int) -> int:
+    """The number of non-increasing tuples of ``slots`` entries in
+    [min_entry, max_val] with sum <= budget.
+
+    Less min_entry each, they are the partitions of at most
+    b = budget - s * min_entry into at most s = slots parts, each at most
+    m = min(max_val - min_entry, b), so the count is the sum of the
+    coefficients of q^0..q^b in the Gaussian binomial
+    [m + s choose s]_q = prod_{i=1..s} (1 - q^(m+i)) / (1 - q^i),
+    built as a power series truncated after q^b, one O(b) pass per factor.
+    """
     if slots == 0:
         return 1
-    total = 0
-    hi = min(max_val, budget - (slots - 1) * min_entry)
-    for v in range(min_entry, hi + 1):
-        total += _count_sequences(slots - 1, v, budget - v, min_entry)
-    return total
+    b = budget - slots * min_entry
+    m = min(max_val - min_entry, b)
+    if m < 0:
+        return 0
+    series = [1] + [0] * b
+    for i in range(1, slots + 1):
+        for j in range(b, m + i - 1, -1):  # times (1 - q^(m+i))
+            series[j] -= series[j - m - i]
+        for j in range(i, b + 1):  # divided by (1 - q^i)
+            series[j] += series[j - i]
+    return sum(series)
 
 
 def estimate_search_size(n: int, bound: int, min_entry: int = 0) -> int:
@@ -319,8 +333,9 @@ def canonical_count(n: int, bound: int, min_entry: int = 0, upto: tuple[int, ...
     non-increasing tuples of multiples of d are d times the tuples with
     entries >= ceil(min_entry / d) and sum <= bound // d, so the tuples with
     gcd 1 number sum_d mu(d) * (multiples of d, less the zero tuple).  A
-    tuple before ``upto`` shares a prefix of it and then has a smaller entry,
-    and ``_count_sequences`` counts each such set at once.
+    tuple before ``upto`` shares a prefix of it and then has a smaller entry.
+    ``_count_sequences`` counts each such set at once, as a sum of
+    Gaussian-binomial coefficients.
     """
     total = 0
     for d in range(1, bound + 1):

@@ -6,7 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -248,6 +248,27 @@ class TestMitm:
         a = CoeffVec((2, 1, 1))
         assert tail_counts_mitm(a, 0, ONE_SIDED) == tail_counts_gray(a, 0, ONE_SIDED)
         assert tail_counts_mitm(a, 0, TWO_SIDED) == tail_counts_gray(a, 0, TWO_SIDED)
+
+    @pytest.mark.parametrize("entries", [
+        (1,),  # n = 1: the right half is the single sum 0
+        (1, 0), (3, 2, 0, 0), (1, 1, 0, 0, 0, 0, 0, 0, 0),  # zero entries
+        (1,) * 4, (1,) * 9, (1,) * 16, (1 << 20,) * 11 + (1,),  # long runs of equal half sums
+        (4, 3), (2, 2, 1), (4, 2, 2, 1), (6, 3, 2), (12, 4, 3),  # integer norms
+    ])
+    def test_pointer_edge_cases_match_gray(self, entries):
+        a = CoeffVec(entries)
+        root = isqrt(a.norm_sq)
+        # rho = 0 and rho*||a|| = T are realized thresholds when the norm
+        # is an integer; rho*||a|| just past T leaves nothing above
+        rhos = [Fraction(0), Fraction(1), Fraction(a.total, root), Fraction(a.total + 1, root)]
+        for rho in rhos:
+            for side in (ONE_SIDED, TWO_SIDED):
+                assert tail_counts_mitm(a, rho, side) == tail_counts_gray(a, rho, side), (rho, side)
+        if root * root == a.norm_sq:
+            # S = T needs every nonzero entry signed +
+            assert tail_counts_mitm(a, Fraction(a.total, root), ONE_SIDED).at == 1 << entries.count(0)
+            top = tail_counts_mitm(a, Fraction(a.total + 1, root), TWO_SIDED)
+            assert (top.below, top.above) == (1 << a.n, 0)
 
 
 def test_auto_dispatch():

@@ -26,6 +26,7 @@ from radlab.counting import (
     tail_counts_mitm,
     _gf_bits,
     _gf_width,
+    _half_sums,
     _norm_classes,
     _packed_product,
 )
@@ -104,6 +105,14 @@ def test_norm_classes_match_oracle(a):
     poly = _packed_product(a.entries, _gf_width(a.n))
     oracle = tail_counts_gray(a, 1, TWO_SIDED)
     assert _norm_classes(poly, a.n, a.total, a.norm_sq) == (oracle.below, oracle.at, oracle.above)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors())
+def test_half_sums_are_the_sign_sums_ascending(a):
+    sums = _half_sums(a.entries)
+    assert all(x <= y for x, y in zip(sums, sums[1:]))
+    assert sums == sorted(iter_sign_sums(a.entries))
 
 
 @settings(max_examples=300, deadline=None)

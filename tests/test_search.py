@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -44,6 +45,19 @@ class TestTarget:
     def test_entry_constraints(self):
         assert SearchTarget.T.min_entry == 0
         assert SearchTarget.GPRIME.min_entry == 1
+
+
+@lru_cache(maxsize=None)
+def count_sequences_by_recursion(slots, max_val, budget, min_entry):
+    """Oracle: non-increasing tuples of slots entries in [min_entry,
+    max_val] with sum <= budget, counted by choosing the first entry."""
+    if slots == 0:
+        return 1
+    total = 0
+    hi = min(max_val, budget - (slots - 1) * min_entry)
+    for v in range(min_entry, hi + 1):
+        total += count_sequences_by_recursion(slots - 1, v, budget - v, min_entry)
+    return total
 
 
 class TestCanonicalVectors:
@@ -88,6 +102,14 @@ class TestCanonicalVectors:
                     for i, c in enumerate(canonical_vectors(n, bound, m)):
                         assert canonical_count(n, bound, m, c.entries) == i + 1, (n, bound, m, c)
 
+    def test_sequence_count_matches_recursion(self):
+        for slots in range(7):
+            for max_val in range(-1, 14):
+                for budget in range(-1, 16):
+                    for lo in (0, 1, 2):
+                        args = (slots, max_val, budget, lo)
+                        assert search._count_sequences(*args) == count_sequences_by_recursion(*args), args
+
     def test_estimate_upper_bounds_actual(self):
         for n, bound, min_entry in [(3, 6, 0), (4, 9, 0), (4, 9, 1), (2, 5, 1)]:
             actual = sum(1 for _ in canonical_vectors(n, bound, min_entry))
@@ -114,6 +136,11 @@ class TestExhaustive:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             exhaustive_integer_search(7, SearchTarget.G, 24, max_vectors=10)
+
+    def test_budget_refusal_of_a_huge_region(self):
+        # the region is sized in closed form: 78,392,880 vectors, no walk
+        with pytest.raises(BudgetExceeded, match="78392880"):
+            exhaustive_integer_search(3, SearchTarget.G, 1500)
 
     def test_best_is_true_minimum(self):
         r = exhaustive_integer_search(3, SearchTarget.T, 8)
