@@ -11,17 +11,14 @@ independently.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd
 
 from .core import CoeffVec, DyadicProb, RationalLike, parse_vector
 from .counting import (
     GRAY_CAP,
     ONE_SIDED,
-    SumDistribution,
     distribution,
     tail_counts,
 )
@@ -220,36 +217,9 @@ def check_delta_alt(a: CoeffVec, delta: RationalLike) -> CheckReport:
     )
 
 
-def _sweep_lhs(dist: SumDistribution, norm_sq: int, p: int, q: int) -> int:
-    """2^n times the threshold-pair left side at delta = (p/q)/||a||.
-
-    Sign sums are integers, so v > p/q iff v > p // q, and
-    v > norm_sq / (p/q) iff v > norm_sq*q // p: both counts bisect on ints.
-    """
-    return dist.count_above(p // q) + dist.count_above(norm_sq * q // p)
-
-
-def _jump_points(pos: list[int], norm_sq: int) -> list[tuple[int, int]]:
-    """The distinct points v and norm_sq/v over the ascending positive sums
-    v, in ascending order, as reduced (numerator, denominator) pairs.
-
-    norm_sq/v descends as v ascends, so the two runs merge by comparing
-    cross products: v < norm_sq/w iff v*w < norm_sq.
-    """
-    out: list[tuple[int, int]] = []
-    i, j = 0, len(pos) - 1
-    while i < len(pos) or j >= 0:
-        if j < 0 or (i < len(pos) and pos[i] * pos[j] <= norm_sq):
-            if j >= 0 and pos[i] * pos[j] == norm_sq:
-                j -= 1  # v == norm_sq/w: one point
-            out.append((pos[i], 1))
-            i += 1
-        else:
-            w = pos[j]
-            g = gcd(norm_sq, w)
-            out.append((norm_sq // g, w // g))
-            j -= 1
-    return out
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def delta_sweep(a: CoeffVec) -> CheckReport:
@@ -261,27 +231,61 @@ def delta_sweep(a: CoeffVec) -> CheckReport:
     positive sum value v, or norm_sq/v), so testing each jump point and a
     mediant between consecutive points covers every value the function
     takes.  Everything stays rational; no square root is ever needed.
+
+    One merge walks the jump points ascending (the values v ascend while
+    norm_sq/w descends as w does, and v < norm_sq/w iff v*w < norm_sq) and
+    carries the left side in one running count, with no bisection:
+    #(S > q) drops by count(v) at v, and #(S > norm_sq/q) rises by count(w)
+    just after norm_sq/w.
     """
     _require_norm(a)
-    dist = distribution(a)
-    points = _jump_points([v for v, _ in dist.pairs if v > 0], a.norm_sq)
-    # mediants between consecutive jump points, plus one sample in the
-    # open intervals below the first and above the last point
-    (p0, q0), (pk, qk) = points[0], points[-1]
-    samples = points + [(p0, q0 + 1), (pk + 1, qk)]
-    samples += [(p1 + p2, q1 + q2) for (p1, q1), (p2, q2) in zip(points, points[1:])]
-    best, best_pq = -1, samples[0]
-    for p, q in samples:
-        above = _sweep_lhs(dist, a.norm_sq, p, q)
-        if above > best:
-            best, best_pq = above, (p, q)
+    norm_sq = a.norm_sq
+    pos = [(v, c) for v, c in distribution(a).pairs if v > 0]
+    # below the first point the left side counts every positive sum once
+    lhs = positive = sum(c for _, c in pos)
+    # each point as (p, q), reduced only if a sample needs it, and the left
+    # side on the open interval after it (where its right mediant lies)
+    points: list[tuple[int, int]] = []
+    after: list[int] = []
+    i, j = 0, len(pos) - 1
+    while i < len(pos) or j >= 0:
+        if j >= 0:
+            w, cw = pos[j]
+            cross = pos[i][0] * w if i < len(pos) else norm_sq + 1  # only w left
+        if j < 0 or cross <= norm_sq:
+            v, cv = pos[i]
+            points.append((v, 1))
+            lhs -= cv
+            i += 1
+            if j >= 0 and cross == norm_sq:  # v == norm_sq/w: one point
+                lhs += cw
+                j -= 1
+        else:
+            points.append((norm_sq, w))
+            lhs += cw
+            j -= 1
+        after.append(lhs)
+    # The samples are the points, one below the first and one above the
+    # last, then the mediants between consecutive points, and the first
+    # maximum wins.  The left side at a point is below the one on the
+    # interval before it (v's count drops) or after it (w's count rises),
+    # so no point is a maximum, and above the last point (after[-1]) it
+    # equals below the first.
+    best = max(after)
+    if best == positive:
+        p, q = _reduced(*points[0])
+        q += 1
+    else:
+        k = after.index(best)
+        (p1, q1), (p2, q2) = _reduced(*points[k]), _reduced(*points[k + 1])
+        p, q = p1 + p2, q1 + q2
     best_lhs = Fraction(best, 1 << a.n)
-    best_q = Fraction(*best_pq)
+    best_q = Fraction(p, q)
     holds = best_lhs <= Fraction(1, 2)
     values = {
         "max_lhs": best_lhs,
         "argmax_q": best_q,
-        "points_tested": len(samples),
+        "points_tested": 2 * len(points) + 1,
     }
     witness = None if holds else {"q": best_q, "max_lhs": best_lhs}
     return CheckReport(
@@ -300,21 +304,34 @@ def check_pairing(a: CoeffVec) -> CheckReport:
     # The 2^(n-1) largest sums, ascending, as (value, count) runs: half of
     # the zeros, then every positive value.
     runs = [(v, c if v else c // 2) for v, c in dist.pairs if v >= 0]
-    vals = [v for v, _ in runs]
-    ends = list(accumulate(c for _, c in runs))
-    if ends[-1] != half:
-        raise RuntimeError(f"pairing runs cover {ends[-1]} sums, not {half}")
-    # The k-th smallest lies in run bisect_left(ends, k) and its partner, the
-    # k-th largest, in run bisect_left(ends, half + 1 - k): the product only
-    # changes where k or half + 1 - k passes a run end, so one k per stretch.
+    covered = sum(c for _, c in runs)
+    if covered != half:
+        raise RuntimeError(f"pairing runs cover {covered} sums, not {half}")
+    # Walk from both ends: s_k, the k-th smallest, and its partner, the
+    # k-th largest, stay in their runs for `left` and `right` more k, so
+    # one step covers every k before either run runs out.  k and
+    # half + 1 - k give the same product, so the walk stops at the
+    # midpoint: a violating k past it mirrors to a smaller one.
     max_product, witness = 0, None
-    inner = ends[:-1]
-    for k in sorted({1, *(e + 1 for e in inner), *(half + 1 - e for e in inner)}):
-        s_k, partner = vals[bisect_left(ends, k)], vals[bisect_left(ends, half + 1 - k)]
+    lo, hi = iter(runs), reversed(runs)
+    (s_k, left), (partner, right) = next(lo), next(hi)
+    k = 1
+    while True:
         p = s_k * partner
-        max_product = max(max_product, p)
+        if p > max_product:
+            max_product = p
         if p > a.norm_sq and witness is None:
             witness = {"k": k, "s_k": s_k, "partner": partner}
+        step = min(left, right)
+        k += step
+        if 2 * k > half + 1:
+            break
+        left -= step
+        right -= step
+        if not left:
+            s_k, left = next(lo)
+        if not right:
+            partner, right = next(hi)
     holds = witness is None
     values = {"max_product": max_product, "norm_sq": a.norm_sq}
     return CheckReport(
