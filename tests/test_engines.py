@@ -1,10 +1,14 @@
 """Property tests: both counting engines and the sweep's packed read equal
 the Gray-code oracle, the sum distribution equals the counted Gray-code
-sums, and the subset-count fraction equals its subset-walking oracle."""
+sums, the subset-count fraction equals its subset-walking oracle, the
+linear-pass delta sweep and pairing equal their bisection oracles, and
+every checker's report reruns to the same bytes."""
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from itertools import accumulate
+from math import gcd, isqrt
 
 import pytest
 
@@ -12,12 +16,24 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radlab.conjectures import combinatorial_fraction, combinatorial_fraction_gray
+from radlab import conjectures
+from radlab.conjectures import (
+    CHECKERS,
+    HOLDS,
+    VIOLATED,
+    CheckReport,
+    check_pairing,
+    combinatorial_fraction,
+    combinatorial_fraction_gray,
+    delta_sweep,
+    rerun,
+)
 from radlab.core import canonicalize
 from radlab.counting import (
     GF_BIT_BUDGET,
     ONE_SIDED,
     TWO_SIDED,
+    SumDistribution,
     distribution,
     iter_sign_sums,
     tail_counts,
@@ -30,7 +46,7 @@ from radlab.counting import (
     _norm_classes,
     _packed_product,
 )
-from radlab.errors import TooLarge
+from radlab.errors import DimensionError, NonPositiveEntry, TooLarge, ZeroEntry
 
 SIDES = st.sampled_from([ONE_SIDED, TWO_SIDED])
 RHOS = st.builds(Fraction, st.integers(0, 40), st.integers(1, 9))
@@ -126,3 +142,197 @@ def test_distribution_matches_sign_sums(a):
 @given(vectors(min_entry=1))
 def test_combinatorial_fraction_matches_subset_walk(l):
     assert combinatorial_fraction(l) == combinatorial_fraction_gray(l)
+
+
+# The bisection checkers that the linear passes replaced, kept as oracles.
+# Both read the table through conjectures.distribution, so a test that
+# substitutes a hand-made table feeds the oracle and the checker alike.
+
+def _sweep_lhs(dist, norm_sq, p, q):
+    """2^n times the threshold-pair left side at delta = (p/q)/||a||."""
+    return dist.count_above(p // q) + dist.count_above(norm_sq * q // p)
+
+
+def _jump_points(pos, norm_sq):
+    """The distinct points v and norm_sq/v over the ascending positive sums
+    v, in ascending order, as reduced (numerator, denominator) pairs."""
+    out = []
+    i, j = 0, len(pos) - 1
+    while i < len(pos) or j >= 0:
+        if j < 0 or (i < len(pos) and pos[i] * pos[j] <= norm_sq):
+            if j >= 0 and pos[i] * pos[j] == norm_sq:
+                j -= 1  # v == norm_sq/w: one point
+            out.append((pos[i], 1))
+            i += 1
+        else:
+            w = pos[j]
+            g = gcd(norm_sq, w)
+            out.append((norm_sq // g, w // g))
+            j -= 1
+    return out
+
+
+def sweep_samples(a):
+    """The sweep's samples in order, each with 2^n times the left side."""
+    dist = conjectures.distribution(a)
+    points = _jump_points([v for v, _ in dist.pairs if v > 0], a.norm_sq)
+    (p0, q0), (pk, qk) = points[0], points[-1]
+    samples = points + [(p0, q0 + 1), (pk + 1, qk)]
+    samples += [(p1 + p2, q1 + q2) for (p1, q1), (p2, q2) in zip(points, points[1:])]
+    return [(pq, _sweep_lhs(dist, a.norm_sq, *pq)) for pq in samples]
+
+
+def delta_sweep_bisect(a):
+    samples = sweep_samples(a)
+    best, best_pq = -1, samples[0][0]
+    for pq, above in samples:
+        if above > best:
+            best, best_pq = above, pq
+    best_lhs = Fraction(best, 1 << a.n)
+    best_q = Fraction(*best_pq)
+    holds = best_lhs <= Fraction(1, 2)
+    values = {"max_lhs": best_lhs, "argmax_q": best_q, "points_tested": len(samples)}
+    witness = None if holds else {"q": best_q, "max_lhs": best_lhs}
+    return CheckReport(
+        "delta-sweep", a, HOLDS if holds else VIOLATED, values, witness,
+        note="delta parametrized as q/||a||; q rational",
+    )
+
+
+def check_pairing_bisect(a):
+    dist = conjectures.distribution(a)
+    half = 1 << (a.n - 1)
+    runs = [(v, c if v else c // 2) for v, c in dist.pairs if v >= 0]
+    vals = [v for v, _ in runs]
+    ends = list(accumulate(c for _, c in runs))
+    assert ends[-1] == half
+    # one k per stretch where neither k nor half + 1 - k passes a run end
+    max_product, witness = 0, None
+    inner = ends[:-1]
+    for k in sorted({1, *(e + 1 for e in inner), *(half + 1 - e for e in inner)}):
+        s_k, partner = vals[bisect_left(ends, k)], vals[bisect_left(ends, half + 1 - k)]
+        p = s_k * partner
+        max_product = max(max_product, p)
+        if p > a.norm_sq and witness is None:
+            witness = {"k": k, "s_k": s_k, "partner": partner}
+    holds = witness is None
+    values = {"max_product": max_product, "norm_sq": a.norm_sq}
+    return CheckReport(
+        "pairing", a, HOLDS if holds else VIOLATED, values, witness,
+        note="tests the sorted pairing; sufficient but not claimed necessary",
+    )
+
+
+def assert_checkers_match_oracles(a):
+    assert delta_sweep(a).to_json_dict() == delta_sweep_bisect(a).to_json_dict()
+    assert check_pairing(a).to_json_dict() == check_pairing_bisect(a).to_json_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors())
+def test_linear_checkers_match_bisection_oracles(a):
+    assert_checkers_match_oracles(a)
+
+
+def table(n, upper):
+    """The symmetric table of 2^n sums whose upper half is upper."""
+    counts = Counter(upper) + Counter(-x for x in upper)
+    return SumDistribution(n, tuple(sorted(counts.items())))
+
+
+@st.composite
+def symmetric_tables(draw):
+    """A vector and a hand-made symmetric table of 2^n sums, realizable or
+    not.  Values that divide norm_sq make points v*w == norm_sq coincide."""
+    entries = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(any))
+    a = canonicalize(entries)
+    divisors = [d for d in range(1, a.norm_sq + 1) if a.norm_sq % d == 0]
+    size = 1 << (a.n - 1)
+    upper = draw(st.lists(st.sampled_from(divisors) | st.integers(0, 3 * a.norm_sq),
+                          min_size=size, max_size=size).filter(any))
+    return a, table(a.n, upper)
+
+
+@settings(max_examples=500, deadline=None)
+@given(symmetric_tables())
+def test_linear_checkers_match_oracles_on_synthetic_tables(case):
+    # real vectors never violate either statement; these tables do
+    a, dist = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conjectures, "distribution", lambda _a: dist)
+        assert_checkers_match_oracles(a)
+
+
+HAND_TABLES = {
+    # upper half 0, 2, 3, 9 against norm_sq 3: k = 1 pairs 0 with 9, and
+    # the midpoint k = 2 pairs 2 with 3, whose product 6 exceeds 3
+    "pairing-midpoint": (canonicalize([1, 1, 1]), table(3, [0, 2, 3, 9])),
+    "pairing-self-partner": (canonicalize([1]), table(1, [2])),
+    # 2 * 3 == norm_sq 6
+    "coincident-points": (canonicalize([2, 1, 1]), table(3, [1, 2, 3, 5])),
+    "tied-mediants": (canonicalize([1, 1, 1]), table(3, [0, 1, 4, 4])),
+    "tied-with-below-first": (canonicalize([1, 1, 1]), table(3, [0, 0, 1, 2])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_TABLES))
+def test_linear_checkers_match_oracles_on_hand_tables(name, monkeypatch):
+    a, dist = HAND_TABLES[name]
+    monkeypatch.setattr(conjectures, "distribution", lambda _a: dist)
+    assert_checkers_match_oracles(a)
+
+
+def test_hand_tables_show_their_cases(monkeypatch):
+    def use(name):
+        a, dist = HAND_TABLES[name]
+        monkeypatch.setattr(conjectures, "distribution", lambda _a: dist)
+        return a, dist
+
+    a, _ = use("pairing-midpoint")
+    assert check_pairing(a).witness == {"k": 2, "s_k": 2, "partner": 3}
+    a, _ = use("pairing-self-partner")
+    assert check_pairing(a).witness == {"k": 1, "s_k": 2, "partner": 2}
+
+    a, dist = use("coincident-points")
+    positive = [v for v, _ in dist.pairs if v > 0]
+    # the values 1, 2, 3, 5 and the points 6/w (6/5, 2, 3, 6) share 2 and 3
+    assert delta_sweep(a).values["points_tested"] == 2 * (2 * len(positive) - 2) + 1
+
+    # several samples share the maximum, so the first one must win: two
+    # mediants in a violation, and the sample below the first point with
+    # a later mediant
+    for name, violated in (("tied-mediants", True), ("tied-with-below-first", False)):
+        a, _ = use(name)
+        samples = sweep_samples(a)
+        lhs = [x for _, x in samples]
+        assert lhs.count(max(lhs)) >= 2
+        report = delta_sweep(a)
+        assert report.values["argmax_q"] == Fraction(*samples[lhs.index(max(lhs))][0])
+        assert report.violated == violated
+
+
+def _checker_args(name):
+    """A vector and the parameters the named checker takes."""
+    if name == "delta":
+        return st.tuples(vectors(), st.fixed_dictionaries({"delta": RHOS.filter(bool)}))
+    if name == "delta-alt":
+        deltas = st.builds(lambda p, q: Fraction(min(p, q), max(p, q)),
+                           st.integers(1, 40), st.integers(1, 40))
+        return st.tuples(vectors(), st.fixed_dictionaries({"delta": deltas}))
+    return st.tuples(vectors(), st.just({}))
+
+
+# the typed errors each checker documents for inputs outside its domain
+DOMAIN_ERRORS = {"gprime": (ZeroEntry, DimensionError), "comb": (NonPositiveEntry,)}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKERS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rerun_reproduces_every_checker(name, data):
+    a, params = data.draw(_checker_args(name))
+    try:
+        report = CHECKERS[name](a, **params)
+    except DOMAIN_ERRORS.get(name, ()):
+        return
+    assert rerun(report).to_json_dict() == report.to_json_dict()
