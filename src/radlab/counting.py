@@ -4,12 +4,16 @@ Two engines produce identical counts:
 
 - ``tail_counts_gf`` packs the subset-sum generating function
   prod (1 + x^(a_i)) into one integer (Kronecker substitution), with
-  n+1 bits per coefficient: n shift-adds build it, and each class count
-  is one shift plus one reduction modulo 2^(n+1) - 1.
+  n+1 bits per coefficient: n shift-adds build it, and ``_packed_counts``,
+  which the exhaustive sweep shares, reads each count as one shift plus
+  one reduction modulo 2^(n+1) - 1.
 - ``tail_counts_mitm``, meet-in-the-middle (Horowitz-Sahni), builds the
   2^(n/2) sums of each half in ascending order by merging, one merge of
   two sorted runs per entry, and counts the pair sums at or below a
   value in one linear pass with a pointer that only moves down.
+
+Each engine counts #(S <= k0 - 1 if exact else k0) and #(S == k0) over
+the sign sums S, and ``_classify`` makes the classes of either side.
 
 ``tail_counts`` picks one by a fixed cost rule, ``tail_count_engine``:
 the packed polynomial when the n*T*(n+1) bits its shift-adds touch
@@ -23,7 +27,8 @@ comparison against ``rho * ||a||`` in integers.
 
 ``distribution`` reads the 2^n sign sums from the smaller table: the same
 product with T+1 64-bit slots (T < 2^n, within GF_BIT_BUDGET), else the
-2^n sums listed (n <= MITM_CAP // 2), else TooLarge before allocating.
+2^n sums listed (n <= _LISTED_SUMS_CAP, within 1 GiB), else TooLarge
+before allocating.
 
 The key trick: for integer sums S and rational rho >= 0, let
 ``k0 = floor(rho * ||a||)`` (computed from squares with isqrt) and let
@@ -39,15 +44,13 @@ which turns the whole count into machine-integer comparisons.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import accumulate, compress
+from itertools import compress
 from math import isqrt
 from operator import lt, neg
-from typing import Callable, Iterator, Literal
+from typing import Iterator, Literal
 
 from .core import CoeffVec, DyadicProb, RationalLike
 from .errors import InvalidThreshold, TooLarge, UseMitm, ZeroNorm
@@ -65,6 +68,9 @@ MITM_CAP = 48
 # (2^ceil(n/2) of them) and the packed integer within the bit budget.
 GF_WORK_PER_HALF_SUM = 10_000
 GF_BIT_BUDGET = 1 << 26
+# Listing the 2^n sign sums peaks at about 170 bytes per sum (tracemalloc,
+# n = 14..18), so the listed table stops at the largest n within 1 GiB: 22.
+_LISTED_SUMS_CAP = ((1 << 30) // 170).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -118,8 +124,6 @@ class SumDistribution:
 
     n: int
     pairs: tuple[tuple[int, int], ...]
-    _values: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _suffix: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals, counts = tuple(zip(*self.pairs)) or ((), ())
@@ -129,13 +133,6 @@ class SumDistribution:
             raise ValueError("multiplicities must sum to 2^n")
         if min(counts) <= 0 or counts != counts[::-1] or vals[::-1] != tuple(map(neg, vals)):
             raise ValueError("distribution must be symmetric")
-        suffix = tuple(accumulate(reversed(counts), initial=0))[::-1]
-        object.__setattr__(self, "_values", vals)
-        object.__setattr__(self, "_suffix", suffix)
-
-    def count_above(self, threshold: RationalLike) -> int:
-        """Number of sign sums strictly greater than an exact rational."""
-        return self._suffix[bisect_right(self._values, threshold)]
 
 
 def _threshold_boundary(norm_sq: int, rho: Fraction) -> tuple[int, bool]:
@@ -165,22 +162,18 @@ def iter_sign_sums(entries: tuple[int, ...]) -> Iterator[int]:
         yield s
 
 
-def _classify(n: int, le: Callable[[int], int], eq: Callable[[int], int],
-              k0: int, exact: bool, side: Side) -> TailCounts:
-    """The three classes from two counts over the sign sums S:
-    le(v) = #(S <= v) for v >= -1 and eq(v) = #(S == v) for v >= 0.
+def _classify(n: int, below: int, at: int, k0: int, exact: bool, side: Side) -> TailCounts:
+    """The three classes from below = #(S <= k0 - 1 if exact else k0) and
+    at = #(S == k0) if exact else 0 over the sign sums S.
 
     S and -S are equally frequent, so the two-sided classes follow from
-    the one-sided ones: #(|S| <= v) = 2*le(v) - 2^n for v >= 0, and
-    #(|S| == v) = 2*eq(v) for v > 0.
+    the one-sided ones: #(|S| <= v) = 2*#(S <= v) - 2^n for v >= 0, and
+    #(|S| == v) = 2*#(S == v) for v > 0.  At v = -1 (k0 = 0, exact) the
+    same formula gives -#(S == 0) <= 0, and no |S| is negative.
     """
     everything = 1 << n
-    lo = k0 - 1 if exact else k0
-    at = eq(k0) if exact else 0
-    if side == ONE_SIDED:
-        below = le(lo)
-    else:
-        below = 2 * le(lo) - everything if lo >= 0 else 0
+    if side == TWO_SIDED:
+        below = max(2 * below - everything, 0)
         if k0:
             at *= 2
     return TailCounts(n, below, at, everything - below - at)
@@ -227,12 +220,12 @@ def distribution(a: CoeffVec) -> SumDistribution:
         poly = _packed_product(a.entries, 64)
         counts = memoryview(poly.to_bytes(8 * (total + 1), sys.byteorder)).cast("Q").tolist()
         pairs = tuple(zip(compress(range(-total, total + 1, 2), counts), filter(None, counts)))
-    elif n <= MITM_CAP // 2:
+    elif n <= _LISTED_SUMS_CAP:
         # a Counter keeps first-seen order: counting sorted sums encodes runs
         pairs = tuple(Counter(_half_sums(a.entries)).items())
     else:
         raise TooLarge(f"n={n} with entry sum {total} exceeds the packed budget "
-                       f"({GF_BIT_BUDGET} bits) and the listed-sums cap n <= {MITM_CAP // 2}")
+                       f"({GF_BIT_BUDGET} bits) and the listed-sums cap n <= {_LISTED_SUMS_CAP}")
     return SumDistribution(n, pairs)
 
 
@@ -267,27 +260,22 @@ def _gf_bits(n: int, total: int) -> int:
     return (total + 1) * _gf_width(n)
 
 
-def _norm_classes(poly: int, n: int, total: int, norm_sq: int) -> tuple[int, int, int]:
-    """(below, at, above) of |a.s| against ||a||, read off the packed
-    product poly of a nonnegative n-vector a with entry sum total and
-    squared norm norm_sq > 0: the classes tail_counts_gf(a) counts, with
-    no vector built.  0 < ||a|| <= total keeps every slot read within the
-    product."""
-    width = _gf_width(n)
+def _packed_counts(poly: int, width: int, total: int, k0: int, exact: bool) -> tuple[int, int]:
+    """The counts _classify takes, read off the packed product poly of a
+    nonnegative vector with entry sum total and width > n bits per slot.
+
+    Slot m counts the subsets with sum m, whose sign sum is S = T - 2m, so
+    S <= v in the slots m >= (T - v) / 2.  No slot exceeds 2^n < 2^width - 1,
+    so the slots above one right shift are summed exactly by a single
+    reduction modulo 2^width - 1, and one slot is one mask.
+    """
     mask = (1 << width) - 1
-    k0 = isqrt(norm_sq)
-    everything = 1 << n
-    if k0 * k0 == norm_sq:
-        # x^2 = x mod 2, so k0 has the parity of every sign sum S = T - 2m
-        # and S == k0 in slot (T - k0) / 2; S <= k0 - 1 in the slots above
-        m = (total - k0) // 2
-        at = 2 * ((poly >> (m * width)) & mask)
-        le = (poly >> ((m + 1) * width)) % mask
-    else:  # S <= k0 in the slots m >= (T - k0) / 2
-        at = 0
-        le = (poly >> ((total - k0 + 1) // 2 * width)) % mask
-    below = 2 * le - everything
-    return below, at, everything - below - at
+    # the first slot with S <= k0 - 1 if exact else k0
+    m = (total - k0 + 2) // 2 if exact else (total - k0 + 1) // 2
+    below = (poly >> m * width) % mask if m > 0 else poly % mask
+    if exact and 2 * m - 2 == total - k0 >= 0:  # slot m - 1 holds S == k0
+        return below, (poly >> (m - 1) * width) & mask
+    return below, 0
 
 
 def tail_count_engine(a: CoeffVec) -> str:
@@ -327,37 +315,17 @@ tail_counts_threshold = tail_counts
 
 def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
     """Count from the subset-sum generating function prod (1 + x^(a_i)),
-    packed into one integer with B = n+1 bits per slot.
-
-    Slot m holds the number of flipped subsets with sum m; such a subset
-    has sign sum S = T - 2m, where T = sum(a).  No slot exceeds 2^n <
-    2^B - 1, so the slots above one right shift are summed exactly by a
-    single reduction modulo 2^B - 1, and one slot is one mask.
-    """
+    packed into one integer with n+1 bits per slot and read by
+    ``_packed_counts``."""
     rho = _validated(a, rho, side)
     n, total = a.n, a.total
     if _gf_bits(n, total) > GF_BIT_BUDGET:
         raise TooLarge(f"packed generating function of {_gf_bits(n, total)} bits "
                        f"exceeds the budget of {GF_BIT_BUDGET}")
     width = _gf_width(n)
-    mask = (1 << width) - 1
-    poly = _packed_product(a.entries, width)
-
-    # _classify passes v >= -1 and T >= 1, so no slot index m exceeds T
-    def count_le(v: int) -> int:
-        """Sign vectors with S <= v: the subsets with m >= (T - v) / 2."""
-        m = (total - v + 1) // 2
-        if m <= 0:
-            return 1 << n
-        return (poly >> (m * width)) % mask
-
-    def count_eq(v: int) -> int:
-        if v > total or (total - v) % 2:
-            return 0
-        return (poly >> ((total - v) // 2 * width)) & mask
-
     k0, exact = _threshold_boundary(a.norm_sq, rho)
-    return _classify(n, count_le, count_eq, k0, exact, side)
+    below, at = _packed_counts(_packed_product(a.entries, width), width, total, k0, exact)
+    return _classify(n, below, at, k0, exact, side)
 
 
 def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
@@ -374,7 +342,6 @@ def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED)
     left = _half_sums(a.entries[:split])
     right = _half_sums(a.entries[split:])
 
-    @cache  # _classify asks for #(S <= k0 - 1) again after #(S == k0)
     def count_le(v: int) -> int:
         j = len(right)
         total = 0
@@ -387,8 +354,6 @@ def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED)
             total += j
         return total
 
-    def count_eq(v: int) -> int:
-        return count_le(v) - count_le(v - 1)
-
     k0, exact = _threshold_boundary(a.norm_sq, rho)
-    return _classify(a.n, count_le, count_eq, k0, exact, side)
+    below = count_le(k0 - 1 if exact else k0)
+    return _classify(a.n, below, count_le(k0) - below if exact else 0, k0, exact, side)

@@ -22,10 +22,10 @@ Every search minimizes integer ``(count, entries)`` keys: n is fixed
 within a search, so the tail count orders like the probability, and the
 entries break ties lexicographically.  Random search, descent and
 checkpoint validation score each vector with ``_score``.  The exhaustive
-sweep reads its counts off a packed product carried down its walk
-(``counting._norm_classes``) and, because the walk ascends
-lexicographically, keeps a new best only on a strictly smaller count;
-``canonical_vectors`` with ``_score`` is kept as its test oracle.
+sweep reads its counts off a packed product carried down its walk with
+``tail_counts_gf``'s reader, ``counting._packed_counts``, and, because the
+walk ascends lexicographically, keeps a new best only on a strictly smaller
+count; ``canonical_vectors`` with ``_score`` is kept as its test oracle.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .conjectures import CHECKERS, CheckReport, HK_BOUND, HK_MAX_N, T_FLOOR
+from .conjectures import CHECKERS, GPRIME_TABLE, CheckReport, HK_BOUND, HK_MAX_N, T_FLOOR
 from .core import CoeffVec, DyadicProb, canonicalize
-from .counting import TailCounts, _gf_width, _norm_classes, tail_counts
+from .counting import TailCounts, _gf_width, _packed_counts, tail_counts
 from .errors import (
     BudgetExceeded,
     ConjectureFalsified,
@@ -190,12 +190,12 @@ def evaluate_target(a: CoeffVec, target: SearchTarget) -> DyadicProb:
 def _floor(target: SearchTarget, n: int) -> Fraction:
     """The proven floor of the target's value in dimension n, 0 where none
     is proven: the half-mass floor holds in every dimension, the 7/32
-    floor for n <= 7."""
+    floor and the strict-tail table for n <= 7."""
     if target is SearchTarget.T:
         return T_FLOOR
-    if target is SearchTarget.G and n <= HK_MAX_N:
-        return HK_BOUND
-    return Fraction(0)
+    if n > HK_MAX_N:
+        return Fraction(0)
+    return HK_BOUND if target is SearchTarget.G else GPRIME_TABLE[n]
 
 
 def _check_floor(target: SearchTarget, a: CoeffVec, value: Fraction) -> None:
@@ -406,8 +406,8 @@ def exhaustive_integer_search(
     ``_resume_key``), so a run interrupted at a checkpoint and resumed from
     it produces the identical final record.  Each level carries its
     prefix's gcd, entry sum, squared norm and packed product
-    prod (1 + x^a_i), so a vector costs one shift-add and one
-    ``_norm_classes`` read; a CoeffVec is built only for a floor violation
+    prod (1 + x^a_i), so a vector costs one shift-add, one isqrt and one
+    ``_packed_counts`` read; a CoeffVec is built only for a floor violation
     and for the witness.  An interrupt checkpoints the state as of the last
     checkpoint or the last finished run of final entries, so that its
     cursor, best and examined agree.
@@ -461,8 +461,12 @@ def exhaustive_integer_search(
         for v in range(lo + on_cursor, hi + 1):  # the cursor itself is done
             if gcd(g, v) != 1:
                 continue
-            below, at, above = _norm_classes(poly + (poly << v * width), n, total + v, norm_sq + v * v)
-            count = above if strict else at + above if upper else below + at
+            sq = norm_sq + v * v
+            k0 = isqrt(sq)
+            below, at = _packed_counts(poly + (poly << v * width), width, total + v, k0, k0 * k0 == sq)
+            # the two-sided classes, as _classify derives them for k0 > 0
+            below, at = 2 * below - everything, 2 * at
+            count = everything - below - at if strict else everything - below if upper else below + at
             seen += 1
             cursor = v
             if count < top:

@@ -178,9 +178,10 @@ class TestDeltaSweep:
                 continue
             r = delta_sweep(a)
             q = r.values["argmax_q"]
-            d = distribution(a)
+            pairs = distribution(a).pairs
             lhs = Fraction(
-                d.count_above(q) + d.count_above(Fraction(a.norm_sq) / q), 1 << n
+                sum(c for v, c in pairs if v > q) + sum(c for v, c in pairs if v > a.norm_sq / q),
+                1 << n,
             )
             assert lhs == r.values["max_lhs"]
 

@@ -172,24 +172,6 @@ class TestDistribution:
             for v, c in d.pairs:
                 assert dict(d.pairs)[-v] == c
 
-    def test_count_above(self):
-        d = distribution(CoeffVec((2, 1, 1, 1, 1, 1)))
-        assert d.count_above(Fraction(5, 2)) == 11 + 5 + 1
-        assert d.count_above(3) == 5 + 1
-        assert d.count_above(-8) == 64
-
-    def test_mirror_counts(self):
-        # #(s > t) == #(s < -t) for every threshold
-        rng = random.Random(42)
-        for _ in range(40):
-            n = rng.randint(1, 9)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            d = distribution(a)
-            for _ in range(10):
-                t = Fraction(rng.randint(-40, 40), rng.randint(1, 5))
-                lt = sum(c for v, c in d.pairs if v < -t)
-                assert d.count_above(t) == lt
-
     @pytest.mark.parametrize("pairs", [
         ((2, 1), (0, 2), (-2, 1)),  # values decreasing
         ((0, 2), (0, 2)),  # a repeated value

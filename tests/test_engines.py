@@ -1,10 +1,10 @@
-"""Property tests: both counting engines and the sweep's packed read equal
-the Gray-code oracle, the sum distribution equals the counted Gray-code
+"""Property tests: both counting engines and the packed-product reader
+they share with the exhaustive sweep equal the Gray-code oracle, the sum distribution equals the counted Gray-code
 sums, the subset-count fraction equals its subset-walking oracle, the
 linear-pass delta sweep and pairing equal their bisection oracles, and
 every checker's report reruns to the same bytes."""
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -42,9 +42,11 @@ from radlab.counting import (
     tail_counts_mitm,
     _gf_bits,
     _gf_width,
+    _classify,
     _half_sums,
-    _norm_classes,
+    _packed_counts,
     _packed_product,
+    _threshold_boundary,
 )
 from radlab.errors import DimensionError, NonPositiveEntry, TooLarge, ZeroEntry
 
@@ -114,13 +116,18 @@ def test_engines_match_oracle_on_realized_threshold(case, side):
 
 
 @settings(max_examples=300, deadline=None)
-@given(vectors())
-def test_norm_classes_match_oracle(a):
-    # the exhaustive sweep's read of its packed prefix product
-    assume(_gf_bits(a.n, a.total) <= GF_BIT_BUDGET)
-    poly = _packed_product(a.entries, _gf_width(a.n))
-    oracle = tail_counts_gray(a, 1, TWO_SIDED)
-    assert _norm_classes(poly, a.n, a.total, a.norm_sq) == (oracle.below, oracle.at, oracle.above)
+@given(vectors(), st.one_of(st.just(Fraction(0)), RHOS, st.integers(4, 60).map(Fraction)),
+       SIDES, st.integers(0, 50))
+def test_packed_counts_match_oracle(a, rho, side, extra_width):
+    # the reader of tail_counts_gf and the exhaustive sweep, at any slot
+    # width > n; rho >= 4 > sqrt(12) puts the threshold above the entry sum
+    width = _gf_width(a.n) + extra_width
+    assume((a.total + 1) * width <= GF_BIT_BUDGET)
+    k0, exact = _threshold_boundary(a.norm_sq, rho)
+    below, at = _packed_counts(_packed_product(a.entries, width), width, a.total, k0, exact)
+    one = tail_counts_gray(a, rho, ONE_SIDED)
+    assert (below, at) == (one.below, one.at)
+    assert _classify(a.n, below, at, k0, exact, side) == tail_counts_gray(a, rho, side)
 
 
 @settings(max_examples=300, deadline=None)
@@ -148,9 +155,11 @@ def test_combinatorial_fraction_matches_subset_walk(l):
 # Both read the table through conjectures.distribution, so a test that
 # substitutes a hand-made table feeds the oracle and the checker alike.
 
-def _sweep_lhs(dist, norm_sq, p, q):
-    """2^n times the threshold-pair left side at delta = (p/q)/||a||."""
-    return dist.count_above(p // q) + dist.count_above(norm_sq * q // p)
+def _counter_above(dist):
+    """t -> the number of sign sums strictly above t, by bisection."""
+    values = [v for v, _ in dist.pairs]
+    suffix = list(accumulate((c for _, c in reversed(dist.pairs)), initial=0))[::-1]
+    return lambda t: suffix[bisect_right(values, t)]
 
 
 def _jump_points(pos, norm_sq):
@@ -179,7 +188,10 @@ def sweep_samples(a):
     (p0, q0), (pk, qk) = points[0], points[-1]
     samples = points + [(p0, q0 + 1), (pk + 1, qk)]
     samples += [(p1 + p2, q1 + q2) for (p1, q1), (p2, q2) in zip(points, points[1:])]
-    return [(pq, _sweep_lhs(dist, a.norm_sq, *pq)) for pq in samples]
+    above = _counter_above(dist)
+    # 2^n times the threshold-pair left side at delta = (p/q)/||a||; the
+    # sums are integers, so the floors of the thresholds split them alike
+    return [((p, q), above(p // q) + above(a.norm_sq * q // p)) for p, q in samples]
 
 
 def delta_sweep_bisect(a):

@@ -278,6 +278,13 @@ class TestFloors:
         with pytest.raises(ConjectureFalsified):
             _check_floor(SearchTarget.T, CoeffVec((1, 1)), Fraction(1, 3))
 
+    def test_strict_tail_table_checked(self):
+        # the G' floor is the proven strict-tail table, 1/4 at n = 5
+        with pytest.raises(ConjectureFalsified):
+            _check_floor(SearchTarget.GPRIME, CoeffVec((2, 2, 1, 1, 1)), Fraction(1, 5))
+        _check_floor(SearchTarget.GPRIME, CoeffVec((2, 2, 1, 1, 1)), Fraction(1, 4))
+        _check_floor(SearchTarget.GPRIME, CoeffVec(tuple([1] * 9)), Fraction(23, 128))
+
     def test_out_of_range_dimension_not_checked(self):
         _check_floor(SearchTarget.G, CoeffVec(tuple([1] * 8)), Fraction(1, 5))
 
