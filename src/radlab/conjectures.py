@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .core import CoeffVec, DyadicProb, RationalLike, parse_vector
 from .counting import (
@@ -240,9 +241,11 @@ def delta_sweep(a: CoeffVec) -> CheckReport:
     """
     _require_norm(a)
     norm_sq = a.norm_sq
-    pos = [(v, c) for v, c in distribution(a).pairs if v > 0]
+    pairs = distribution(a).pairs
+    # the table is symmetric and strictly increasing: the upper half is positive
+    pos = pairs[(len(pairs) + 1) // 2:]
     # below the first point the left side counts every positive sum once
-    lhs = positive = sum(c for _, c in pos)
+    lhs = positive = sum(map(itemgetter(1), pos))
     # each point as (p, q), reduced only if a sample needs it, and the left
     # side on the open interval after it (where its right mediant lies)
     points: list[tuple[int, int]] = []
@@ -299,12 +302,16 @@ def check_pairing(a: CoeffVec) -> CheckReport:
     k-th largest must not exceed norm_sq (the scale-corrected form of the
     unit-product pairing)."""
     _require_norm(a)
-    dist = distribution(a)
+    pairs = distribution(a).pairs
     half = 1 << (a.n - 1)
     # The 2^(n-1) largest sums, ascending, as (value, count) runs: half of
-    # the zeros, then every positive value.
-    runs = [(v, c if v else c // 2) for v, c in dist.pairs if v >= 0]
-    covered = sum(c for _, c in runs)
+    # the zeros, then every positive value.  The table is symmetric and
+    # strictly increasing, so its upper half starts at 0 when its length is
+    # odd and at the first positive value otherwise.
+    runs = pairs[len(pairs) // 2:]
+    if len(pairs) % 2:
+        runs = ((0, runs[0][1] // 2),) + runs[1:]
+    covered = sum(map(itemgetter(1), runs))
     if covered != half:
         raise RuntimeError(f"pairing runs cover {covered} sums, not {half}")
     # Walk from both ends: s_k, the k-th smallest, and its partner, the

@@ -28,7 +28,12 @@ comparison against ``rho * ||a||`` in integers.
 ``distribution`` reads the 2^n sign sums from the smaller table: the same
 product with T+1 64-bit slots (T < 2^n, within GF_BIT_BUDGET), else the
 2^n sums listed (n <= _LISTED_SUMS_CAP, within 1 GiB), else TooLarge
-before allocating.
+before allocating.  A one-slot memo keyed by the entries hands the same
+immutable table to consecutive calls on one vector, so ``delta_sweep``
+and ``check_pairing`` after ``distribution`` build it once.  Any other
+call empties the slot before it builds, so the slot never holds two
+tables at once; it retains the last vector's entries and table (hundreds
+of MB for a wide vector at n = 22) until a call on another vector.
 
 The key trick: for integer sums S and rational rho >= 0, let
 ``k0 = floor(rho * ||a||)`` (computed from squares with isqrt) and let
@@ -211,10 +216,25 @@ def tail_counts_gray(a: CoeffVec, rho: RationalLike, side: Side) -> TailCounts:
     return TailCounts(a.n, below, at, above)
 
 
+# (entries, table) of the last distribution call, or None
+_last_table: tuple[tuple[int, ...], SumDistribution] | None = None
+
+
 def distribution(a: CoeffVec) -> SumDistribution:
     """Exact multiset of sign-sum values with multiplicities.  Packed slot m
     (64 bits > n) counts the sign sums T - 2m and equals slot T - m, so read
-    in native byte order the slots are the counts of -T, -T+2, ..., T."""
+    in native byte order the slots are the counts of -T, -T+2, ..., T.
+
+    A call on the entries of the previous call returns the same table
+    object.  Any other call first empties the one-slot memo, so no earlier
+    table stays alive through it, and then builds and stores its own; a
+    build that raises leaves the slot empty.
+    """
+    global _last_table
+    last = _last_table
+    if last is not None and last[0] == a.entries:
+        return last[1]
+    _last_table = None
     n, total = a.n, a.total
     if total < 1 << n and 64 * (total + 1) <= GF_BIT_BUDGET:
         poly = _packed_product(a.entries, 64)
@@ -226,7 +246,9 @@ def distribution(a: CoeffVec) -> SumDistribution:
     else:
         raise TooLarge(f"n={n} with entry sum {total} exceeds the packed budget "
                        f"({GF_BIT_BUDGET} bits) and the listed-sums cap n <= {_LISTED_SUMS_CAP}")
-    return SumDistribution(n, pairs)
+    dist = SumDistribution(n, pairs)
+    _last_table = (a.entries, dist)
+    return dist
 
 
 def _half_sums(entries: tuple[int, ...]) -> list[int]:

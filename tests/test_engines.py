@@ -1,9 +1,13 @@
 """Property tests: both counting engines and the packed-product reader
 they share with the exhaustive sweep equal the Gray-code oracle, the sum distribution equals the counted Gray-code
-sums, the subset-count fraction equals its subset-walking oracle, the
-linear-pass delta sweep and pairing equal their bisection oracles, and
-every checker's report reruns to the same bytes."""
+sums (also through its one-slot memo), the subset-count fraction equals its
+subset-walking oracle, the linear-pass delta sweep and pairing equal their
+bisection oracles on a warm or cold memo, and every checker's report
+reruns to the same bytes."""
 
+import gc
+import tracemalloc
+import weakref
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -138,11 +142,85 @@ def test_half_sums_are_the_sign_sums_ascending(a):
     assert sums == sorted(iter_sign_sums(a.entries))
 
 
+def sign_sum_table(a):
+    return tuple(sorted(Counter(iter_sign_sums(a.entries)).items()))
+
+
 @settings(max_examples=300, deadline=None)
 @given(vectors())
 def test_distribution_matches_sign_sums(a):
     # entries up to 2^20 reach the listed sums, small ones the packed slots
-    assert distribution(a).pairs == tuple(sorted(Counter(iter_sign_sums(a.entries)).items()))
+    assert distribution(a).pairs == sign_sum_table(a)
+
+
+# distribution's one-slot memo: consecutive calls on one vector share a
+# table, and a call on another vector lets the previous table go.
+
+def test_distribution_repeat_returns_the_same_table():
+    a, b = canonicalize([3, 2, 2, 1]), canonicalize([5, 1, 1])
+    first = distribution(a)
+    assert distribution(a) is first
+    other = distribution(b)
+    assert other is not first
+    assert other.pairs == sign_sum_table(b)
+    assert first.pairs == sign_sum_table(a)
+
+
+@st.composite
+def slot_sequences(draw):
+    """Calls on a few vectors, with repeats: a packed table (entries 1..3,
+    so T < 2^n), a listed-sums table (entries near 2^20, so T >= 2^n) and
+    any others."""
+    packed = draw(st.lists(st.integers(1, 3), min_size=4, max_size=10))
+    listed = draw(st.lists(st.integers(1 << 19, 1 << 20), max_size=9)) + [1]
+    pool = [canonicalize(packed), canonicalize(listed)] + draw(st.lists(vectors(), max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=len(pool) + 1, max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(slot_sequences())
+def test_interleaved_distribution_calls_match_sign_sums(sequence):
+    for a in sequence:
+        assert distribution(a).pairs == sign_sum_table(a)
+
+
+def test_too_large_build_leaves_the_slot_correct():
+    a = canonicalize([3, 2, 2, 1])
+    # n = 23 with entry sum above 2^23: past both tables
+    big = canonicalize([(1 << 20) + i for i in range(23)])
+    r = weakref.ref(distribution(a))
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            with pytest.raises(TooLarge):
+                distribution(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # refused before any table is allocated
+    gc.collect()
+    assert r() is None  # the slot was emptied before the refused build
+    assert distribution(a).pairs == sign_sum_table(a)
+
+
+def test_slot_lets_go_of_the_previous_table():
+    a, b = canonicalize([7, 5, 3, 1]), canonicalize([2, 1])
+    r = weakref.ref(distribution(a))
+    distribution(b)
+    gc.collect()
+    assert r() is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors(), vectors())
+def test_checkers_report_alike_on_warm_and_cold_slots(a, b):
+    assume(a.entries != b.entries)
+    for checker in (check_pairing, delta_sweep):
+        table = distribution(a)
+        warm = checker(a).to_json_dict()
+        assert distribution(a) is table  # the checker read the slot's table
+        distribution(b)
+        assert checker(a).to_json_dict() == warm
 
 
 @settings(max_examples=300, deadline=None)
