@@ -18,11 +18,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from .conjectures import (
-    CHECKERS,
-    CheckReport,
-    classify_A_or_B,
-)
+from .conjectures import CHECKERS, CheckReport
 from .core import parse_vector
 from .counting import distribution, tail_count_engine, tail_counts
 from .errors import ConjectureFalsified, RadlabError
@@ -115,7 +111,7 @@ def cmd_eval(args) -> int:
         "p_eq_norm": str(counts.p_eq),
         "p_ge_norm": str(counts.p_ge),
         "p_gt_norm": str(counts.p_gt),
-        "class": classify_A_or_B(vec),
+        "class": "B" if counts.at else "A",
         "engine": tail_count_engine(vec),
     }
     if args.stats in ("dist", "all"):

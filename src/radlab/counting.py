@@ -66,8 +66,10 @@ Side = Literal["one-sided", "two-sided"]
 
 # The Gray-code reference sweep refuses dimensions above this n.
 GRAY_CAP = 30
-# Half sums of 2^24 entries each are the practical memory limit.
-MITM_CAP = 48
+# Meet-in-the-middle peaks at about 55 bytes per half sum (tracemalloc,
+# entries near 2^20, n = 32..40), so it stops at the largest n whose
+# 2^ceil(n/2) + 2^floor(n/2) half sums fit 1 GiB: 46.
+MITM_CAP = max(n for n in range(64) if ((1 << (n + 1) // 2) + (1 << n // 2)) * 55 <= 1 << 30)
 # The packed generating function is used while n*T*(n+1), the bits its n
 # shift-adds touch, stays within this many per meet-in-the-middle half sum
 # (2^ceil(n/2) of them) and the packed integer within the bit budget.

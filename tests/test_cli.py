@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from radlab import cli, verify
+from radlab import cli, counting, verify
 from radlab.cli import EXIT_INTERNAL, EXIT_USAGE, main, verify_ledger
 from radlab.counting import TailCounts
 from radlab.errors import NoWitness
@@ -29,6 +29,22 @@ class TestEval:
         assert obj["counts"] == {"below": 100, "at": 0, "above": 28}
         assert obj["class"] == "A"
         assert obj["engine"] == "gf"
+
+    def test_counts_once(self, capsys, monkeypatch):
+        # the class comes from the same count as the probabilities
+        calls = []
+        for name in ("tail_counts_gf", "tail_counts_mitm"):
+            engine = getattr(counting, name)
+            monkeypatch.setattr(counting, name, lambda *a, _e=engine: calls.append(_e) or _e(*a))
+        code, out = run(capsys, "eval", "--vector", "2,2,1,1,1")
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out) == {
+            "vector": "2,2,1,1,1", "canonical": "2,2,1,1,1", "n": 5, "norm_sq": 11,
+            "counts": {"below": 24, "at": 0, "above": 8},
+            "p_lt_norm": "3/4", "p_le_norm": "3/4", "p_eq_norm": "0",
+            "p_ge_norm": "1/4", "p_gt_norm": "1/4", "class": "A", "engine": "gf",
+        }
 
     def test_engine_reports_fallback(self, capsys):
         code, out = run(capsys, "eval", "--vector", "1048576,1048575,999999,3")

@@ -224,7 +224,7 @@ class TestMitm:
 
     def test_cap(self):
         with pytest.raises(TooLarge):
-            tail_counts_mitm(CoeffVec(tuple([1] * 49)), 1)
+            tail_counts_mitm(CoeffVec(tuple([1] * 47)), 1)
 
     def test_rho_zero(self):
         a = CoeffVec((2, 1, 1))
@@ -292,8 +292,10 @@ class TestDispatch:
             tail_counts_mitm(a, 1, TWO_SIDED)
 
     def test_too_large_raised_before_allocating(self):
+        # n = 47 is the first n whose half sums would not fit 1 GiB
         rng = random.Random(63)
-        a = canonicalize([rng.randint(1 << 19, 1 << 20) for _ in range(49)])
+        a = canonicalize([rng.randint(1 << 19, 1 << 20) for _ in range(47)])
+        assert tail_count_engine(canonicalize(a.entries[1:])) == "mitm"
         tracemalloc.start()
         try:
             with pytest.raises(TooLarge):
@@ -302,6 +304,8 @@ class TestDispatch:
                 tail_counts(a)
             with pytest.raises(TooLarge):
                 tail_counts_gf(a, 1, TWO_SIDED)
+            with pytest.raises(TooLarge):
+                tail_counts_mitm(a, 1, TWO_SIDED)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

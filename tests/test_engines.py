@@ -1,5 +1,7 @@
 """Property tests: both counting engines and the packed-product reader
-they share with the exhaustive sweep equal the Gray-code oracle, the sum distribution equals the counted Gray-code
+they share with the exhaustive sweep equal the Gray-code oracle, the
+two-sided norm tail is twice the one-sided one (as the dim-7 claim pass
+assumes), the sum distribution equals the counted Gray-code
 sums (also through its one-slot memo), the subset-count fraction equals its
 subset-walking oracle, the linear-pass delta sweep and pairing equal their
 bisection oracles on a warm or cold memo, and every checker's report
@@ -20,7 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radlab import conjectures
+from radlab import conjectures, verify
 from radlab.conjectures import (
     CHECKERS,
     HOLDS,
@@ -53,6 +55,7 @@ from radlab.counting import (
     _threshold_boundary,
 )
 from radlab.errors import DimensionError, NonPositiveEntry, TooLarge, ZeroEntry
+from radlab.search import seeded_vectors
 
 SIDES = st.sampled_from([ONE_SIDED, TWO_SIDED])
 RHOS = st.builds(Fraction, st.integers(0, 40), st.integers(1, 9))
@@ -117,6 +120,25 @@ def test_engines_match_oracle_on_realized_threshold(case, side):
     assert_engines_agree(a, rho, side)
     if side == ONE_SIDED:
         assert tail_counts_gf(a, rho, side).at > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors(max_n=14))
+def test_two_sided_norm_tail_is_twice_the_one_sided(a):
+    # S and -S are equally frequent and ||a|| > 0: the dim-7 pass counts one side
+    one = tail_counts(a, 1, ONE_SIDED)
+    two = tail_counts(a, 1, TWO_SIDED)
+    assert (two.below, two.at, two.above) == (
+        (1 << a.n) - 2 * (one.at + one.above), 2 * one.at, 2 * one.above)
+
+
+def test_dim7_pass_matches_a_direct_recount():
+    floor, vsd, _ = verify._dim7_sample_claims(300, 7)
+    sample = [a for a, _ in seeded_vectors(((f"7:dim7:{i}", 7) for i in range(300)), 0, 50)]
+    assert floor.details["min_p_ge"] == min(
+        tail_counts_gray(a, 1, TWO_SIDED).p_ge.fraction for a in sample)
+    assert vsd.details["min_size"] == min(
+        c.at + c.above for c in (tail_counts_gray(a, 1, ONE_SIDED) for a in sample))
 
 
 @settings(max_examples=300, deadline=None)
