@@ -180,9 +180,12 @@ def cmd_search(args) -> int:
         n, mode, bound = args.n, args.mode, args.bound
 
     checkpoint_path = args.checkpoint or "radlab-checkpoint.json"
+    saved = False  # only the exhaustive sweep writes checkpoints
 
     def save_checkpoint(state: SearchState) -> None:
+        nonlocal saved
         Path(checkpoint_path).write_text(json.dumps(state.to_json_dict(), indent=2))
+        saved = True
 
     def progress(state: SearchState) -> None:
         save_checkpoint(state)
@@ -211,7 +214,7 @@ def cmd_search(args) -> int:
         else:
             raise RadlabError(f"unknown mode {mode!r}")
     except KeyboardInterrupt:
-        print(f"interrupted; checkpoint written to {checkpoint_path}", file=sys.stderr)
+        print("interrupted" + (f"; checkpoint written to {checkpoint_path}" if saved else ""), file=sys.stderr)
         _finish(_jsonl_bytes(lines), args)
         return EXIT_INTERRUPT
     _emit_jsonl({"kind": "final", **record.to_json_dict()}, lines)

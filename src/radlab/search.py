@@ -6,7 +6,7 @@ entry sum (exhaustive) or bounded entries (random).  Results report "best
 value found plus witness"; no global optimality is claimed outside
 exhausted regions.
 
-Every sampled vector, here and in the claim suite, comes from
+Every sampled vector here, and most in the claim suite, comes from
 ``seeded_vectors``: each vector has its own substream
 ``random.Random(key)``, so results are reproducible and independent of
 how trials are partitioned across workers.  The substream keys are
@@ -16,7 +16,13 @@ how trials are partitioned across workers.  The substream keys are
 - ``"{seed}:dim7:{i}"``: sample i of the dimension-7 floor claims;
 - ``"{seed}:pair:{n}:{i}"``: sample i in dimension n of the pairing claim;
 - ``"{seed}:xval:{n}:{i}"``: pair i of the engine cross-validation, which
-  draws rho and the side from the same substream after the entries.
+  draws rho and the side from the same substream after the entries;
+- ``"{seed}:mitm:{n}"``: the one n-vector of the large meet-in-the-middle
+  claim.
+
+The random subset-count claim (``"{seed}:comb:{i}"`` for trial i) and the
+sampled dominance pairs (one stream, ``"{seed}:dom"``) draw from their own
+``random.Random`` instead.
 
 Every search minimizes integer ``(count, entries)`` keys: n is fixed
 within a search, so the tail count orders like the probability, and the

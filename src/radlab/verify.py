@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Callable, Iterator
 
 from .conjectures import (
@@ -108,7 +109,6 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
     Each sample is counted on one side only: S and -S are equally
     frequent and ||a|| > 0, so |a.s| >= ||a|| holds for twice as many of
     the 2^7 signs as a.s >= ||a||, the members of V_sd(a)."""
-    min_p = None
     min_vsd = None
     strict_checked = 0
     first_failure = None
@@ -118,7 +118,6 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
         vsd_size = one.at + one.above
         if min_vsd is None or vsd_size < min_vsd:
             min_vsd = vsd_size
-            min_p = Fraction(2 * vsd_size, 2**7)
         strict = a.entries[6] > 0
         strict_checked += strict
         try:
@@ -128,6 +127,8 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
         except NoWitness:
             if first_failure is None:
                 first_failure = a
+    sampled = min_vsd is not None
+    min_p = Fraction(2 * min_vsd, 2**7) if sampled else None
     rule_details = {"strict_checked": strict_checked}
     if first_failure is not None:
         rule_details["first_failure"] = first_failure
@@ -135,56 +136,41 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
         ClaimResult(
             "dim7-floor-sample",
             f"P(|a.s| >= ||a||) >= 7/32 on {trials} random 7-vectors",
-            min_p is None or min_p >= HK_BOUND,
+            sampled and min_p >= HK_BOUND,
             {"min_p_ge": min_p},
         ),
         ClaimResult(
             "dim7-vsd-size-sample",
             f"|V_sd(a)| >= 14 by direct enumeration on the same sample",
-            min_vsd is None or min_vsd >= 14,
+            sampled and min_vsd >= 14,
             {"min_size": min_vsd},
         ),
         ClaimResult(
             "dim7-case-rule-sample",
             "one of the flips (2)_7, (3,4)_7, (5,6,7)_7 always reaches the norm",
-            first_failure is None,
+            sampled and first_failure is None,
             rule_details,
         ),
     ]
 
 
 def _comb_exhaustive_claim() -> ClaimResult:
-    from itertools import combinations_with_replacement
-
-    seen = set()
-    ok = True
-    checked = 0
-    for n in range(1, 9):
-        for combo in combinations_with_replacement(range(1, 5), n):
-            vec = canonicalize(combo)
-            if vec.entries in seen:
-                continue
-            seen.add(vec.entries)
-            lhs = combinatorial_fraction_gray(vec).fraction
-            rhs = tail_counts(vec).p_le.fraction
-            checked += 1
-            ok = ok and lhs == rhs
+    vecs = {canonicalize(c) for n in range(1, 9) for c in combinations_with_replacement(range(1, 5), n)}
     return ClaimResult(
         "comb-equivalence-exhaustive",
         "subset-count fraction equals P(|l.s| <= ||l||) for all vectors with n <= 8, entries in [1,4]",
-        ok,
-        {"canonical_vectors": checked},
+        all(combinatorial_fraction_gray(a).fraction == tail_counts(a).p_le.fraction for a in vecs),
+        {"canonical_vectors": len(vecs)},
     )
 
 
 def _comb_random_claim(trials: int, seed: int) -> ClaimResult:
-    ok = True
+    ok = trials > 0
     for i in range(trials):
         rng = random.Random(f"{seed}:comb:{i}")
         n = rng.randint(2, 12)
         vec = canonicalize([rng.randint(1, 20) for _ in range(n)])
-        if combinatorial_fraction_gray(vec).fraction != tail_counts(vec).p_le.fraction:
-            ok = False
+        ok = ok and combinatorial_fraction_gray(vec).fraction == tail_counts(vec).p_le.fraction
     return ClaimResult(
         "comb-equivalence-random",
         f"subset-count equivalence on {trials} random vectors with n <= 12",
@@ -194,48 +180,36 @@ def _comb_random_claim(trials: int, seed: int) -> ClaimResult:
 
 
 def _pairing_claim(trials_per_n: int, seed: int) -> ClaimResult:
-    ok = True
-    checked = 0
     keys = ((f"{seed}:pair:{n}:{i}", n) for n in range(2, 9) for i in range(trials_per_n))
-    for a, _ in seeded_vectors(keys, 0, 20):
-        checked += 1
-        if not check_pairing(a).holds:
-            ok = False
+    holds = [check_pairing(a).holds for a, _ in seeded_vectors(keys, 0, 20)]
     return ClaimResult(
         "pairing-sample",
         f"sorted pairing products stay within norm_sq, {trials_per_n} vectors per n in [2,8]",
-        ok,
-        {"checked": checked},
+        bool(holds) and all(holds),
+        {"checked": len(holds)},
     )
 
 
-def _dominance_claims(max_exhaustive_n: int, seed: int) -> list[ClaimResult]:
+def _dominance_claims(max_exhaustive_n: int, pairs: int, max_n: int, seed: int) -> list[ClaimResult]:
     rules_ok = all(verify_order_rules(n) for n in range(1, max_exhaustive_n + 1))
     closure = upward_closure(SignAssignment.from_indices((4, 5, 7), 7))
     closure_ids = {s.indices for s in closure}
     closure_ok = closure_ids == CLOSURE_457
 
-    sound_ok = True
-    complete_ok = True
+    sampled_ok = pairs > 0
+    prefixes = {n: [CoeffVec((1,) * k + (0,) * (n - k)) for k in range(1, n + 1)] for n in range(2, max_n + 1)}
     rng = random.Random(f"{seed}:dom")
-    for _ in range(2000):
-        n = rng.randint(2, 10)
+    for _ in range(pairs):
+        n = rng.randint(2, max_n)
         s = SignAssignment(rng.randrange(1 << n), n)
         t = SignAssignment(rng.randrange(1 << n), n)
-        a = canonicalize([rng.randint(0, 9) for _ in range(n)])
         if dominates(s, t):
-            if sign_sum(a, t) < sign_sum(a, s):
-                sound_ok = False
+            # sound: t is at least as good as s on a sampled vector
+            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
+            sampled_ok = sampled_ok and sign_sum(a, t) >= sign_sum(a, s)
         else:
-            # some prefix indicator vector must separate the pair
-            found = False
-            for k in range(1, n + 1):
-                ind = CoeffVec(tuple([1] * k + [0] * (n - k)))
-                if sign_sum(ind, t) < sign_sum(ind, s):
-                    found = True
-                    break
-            if not found:
-                complete_ok = False
+            # complete: some prefix indicator vector separates the pair
+            sampled_ok = sampled_ok and any(sign_sum(ind, t) < sign_sum(ind, s) for ind in prefixes[n])
     return [
         ClaimResult(
             "dominance-rules",
@@ -251,7 +225,8 @@ def _dominance_claims(max_exhaustive_n: int, seed: int) -> list[ClaimResult]:
         ClaimResult(
             "dominance-soundness-completeness",
             "prefix-sum order is sound and complete against sampled vectors",
-            sound_ok and complete_ok,
+            sampled_ok,
+            {"pairs": pairs, "max_n": max_n},
         ),
     ]
 
@@ -275,17 +250,10 @@ def _hunt_claims(tomaszewski_budget: int, delta_budget: int, seed: int) -> list[
     ]
 
 
-def _crossval_schedule(full: bool) -> list[int]:
-    if full:
-        return [n for n in range(2, 15) for _ in range(70)] + [
-            n for n in range(15, 21) for _ in range(15)
-        ]
-    return [n for n in range(2, 15) for _ in range(8)]
-
-
 def _crossval_claim(full: bool, seed: int) -> ClaimResult:
     ok = True
-    schedule = _crossval_schedule(full)
+    schedule = [n for n in range(2, 15) for _ in range(70 if full else 8)]
+    schedule += [n for n in range(15, 21) for _ in range(15)] if full else []
     keys = ((f"{seed}:xval:{n}:{i}", n) for i, n in enumerate(schedule))
     for a, rng in seeded_vectors(keys, 0, 20):
         rho = Fraction(rng.randint(0, 3 * 8), rng.randint(1, 8))
@@ -293,8 +261,7 @@ def _crossval_claim(full: bool, seed: int) -> ClaimResult:
             rho = Fraction(3)
         side = rng.choice([ONE_SIDED, TWO_SIDED])
         oracle = tail_counts_gray(a, rho, side)
-        if tail_counts_gf(a, rho, side) != oracle or tail_counts_mitm(a, rho, side) != oracle:
-            ok = False
+        ok = ok and tail_counts_gf(a, rho, side) == oracle == tail_counts_mitm(a, rho, side)
     return ClaimResult(
         "engine-crossval",
         "packed generating function and meet-in-the-middle equal direct Gray-code "
@@ -350,7 +317,7 @@ def _claims(full: bool, seed: int) -> Iterator[ClaimResult]:
     yield _comb_exhaustive_claim()
     yield _comb_random_claim(10_000 if full else 1000, seed)
     yield _pairing_claim(10_000 if full else 250, seed)
-    yield from _dominance_claims(8 if full else 6, seed)
+    yield from _dominance_claims(8 if full else 6, 10_000 if full else 2000, 12 if full else 10, seed)
     yield from _hunt_claims(100_000 if full else 4000, 700 if full else 140, seed)
     yield _crossval_claim(full, seed)
     yield _mitm_large_claim(full, seed)

@@ -3,15 +3,20 @@
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
-from radlab import cli, counting, verify
-from radlab.cli import EXIT_INTERNAL, EXIT_USAGE, main, verify_ledger
+from radlab import cli, counting, search, verify
+from radlab.cli import EXIT_INTERNAL, EXIT_INTERRUPT, EXIT_USAGE, EXIT_VIOLATION, main, verify_ledger
+from radlab.conjectures import VIOLATED, CheckReport
 from radlab.counting import TailCounts
 from radlab.errors import NoWitness
-from radlab.search import SearchTarget, exhaustive_integer_search
+
+# sha256 of `radlab verify-paper --out` at the default seed
+QUICK_SHA256 = "9d12138116218ae7964b2a98a17e5ccefe65a0da3ee8fdbd0046d0bb2037cbf6"
 
 
 def run(capsys, *argv):
@@ -167,29 +172,41 @@ class TestSearch:
         assert final["best_value"] == "7/32"
 
     def test_resume_from_checkpoint_file(self, capsys, tmp_path):
-        full = exhaustive_integer_search(5, SearchTarget.G, 10)
-        captured = []
-
-        def grab(state):
-            captured.append(state)
-            if len(captured) == 1:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            exhaustive_integer_search(
-                5, SearchTarget.G, 10, checkpoint_every=25, on_checkpoint=grab
-            )
-        ck = tmp_path / "resume.json"
-        ck.write_text(json.dumps(captured[-1].to_json_dict()))
-        code, out = run(
-            capsys, "search", "--resume", str(ck),
-            "--checkpoint", str(tmp_path / "ck2.json"),
-        )
+        # a progress line every 25 vectors, each also written as the checkpoint
+        ck = tmp_path / "ck.json"
+        code, out = run(capsys, "search", "--target", "G", "--n", "5", "--bound", "10",
+                        "--progress-every", "25", "--checkpoint", str(ck))
         assert code == 0
-        final = json.loads(out.strip().splitlines()[-1])
-        assert final["best_value"] == str(full.best_value)
-        assert final["witness"] == str(full.witness)
-        assert final["vectors_examined"] == full.vectors_examined
+        *progress, final = map(json.loads, out.strip().splitlines())
+        assert [p.pop("kind") for p in progress] == ["progress"] * 3
+        assert [p["examined"] for p in progress] == [25, 50, 75]
+        assert final["vectors_examined"] == 86
+        assert json.loads(ck.read_text()) == progress[-1]
+        code, out = run(capsys, "search", "--resume", str(ck), "--checkpoint", str(tmp_path / "ck2.json"))
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1]) == final
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random", "descent"])
+    def test_interrupt_names_only_a_written_checkpoint(self, capsys, tmp_path, monkeypatch, mode):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        # the sweep's count reader, and the scorer of random and descent
+        monkeypatch.setattr(search, "_packed_counts", interrupt)
+        monkeypatch.setattr(search, "tail_counts", interrupt)
+        ck = tmp_path / "ck.json"
+        assert main(["search", "--target", "G", "--n", "5", "--mode", mode, "--bound", "10",
+                     "--trials", "5", "--workers", "1", "--start", "1,1,1,1,1",
+                     "--checkpoint", str(ck)]) == EXIT_INTERRUPT
+        written = mode == "exhaustive"
+        assert ck.exists() == written
+        assert ("checkpoint written to" in capsys.readouterr().err) == written
+
+    def test_falsified_exit_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(search, "_floor", lambda target, n: Fraction(1))
+        assert main(["search", "--target", "G", "--n", "3", "--bound", "5",
+                     "--checkpoint", str(tmp_path / "ck.json")]) == EXIT_VIOLATION
+        assert json.loads(capsys.readouterr().err)["kind"] == "falsified"
 
     def test_missing_flags_exit_2(self, capsys):
         assert main(["search", "--target", "G"]) == 2
@@ -235,6 +252,14 @@ class TestHunt:
             "--trials", "50", "--seed", "7",
         )
         assert code == 0
+
+    def test_violation_lines_and_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(search.CHECKERS, "pairing", lambda vec: CheckReport("pairing", vec, VIOLATED))
+        code, out = run(capsys, "hunt", "--predicate", "pairing", "--n", "3", "--trials", "4")
+        assert code == EXIT_VIOLATION
+        *violations, summary = map(json.loads, out.strip().splitlines())
+        assert [v["kind"] for v in violations] == ["violation"] * 4
+        assert summary["violations"] == 4
 
     def test_bad_dimension_range_exit_2(self, capsys):
         assert main(["hunt", "--predicate", "pairing", "--n", "5..3"]) == 2
@@ -305,9 +330,28 @@ class TestVerifyPaperCommand:
         obj = json.loads(report.read_text())
         assert obj["all_passed"] is True
         assert "PASS" in out
-        again = tmp_path / "claims-again.json"
-        assert run(capsys, "verify-paper", "--out", str(again))[0] == 0
-        assert again.read_bytes() == report.read_bytes()
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == QUICK_SHA256
+
+    def test_empty_samples_fail(self):
+        # a sampled claim that evaluated nothing is not a clean pass
+        claims = [*verify._dim7_sample_claims(0, 7), verify._comb_random_claim(0, 7),
+                  verify._pairing_claim(0, 7), verify._dominance_claims(1, 0, 10, 7)[2]]
+        assert [c.passed for c in claims] == [False] * 6
+
+    @pytest.mark.parametrize("name, fake, claims", [
+        ("tail_counts", lambda a, rho, side: TailCounts(7, 115, 0, 13),
+         lambda: verify._dim7_sample_claims(3, 7)[:2]),
+        ("combinatorial_fraction_gray", lambda a: SimpleNamespace(fraction=None),
+         lambda: [verify._comb_random_claim(3, 7)]),
+        ("check_pairing", lambda a: SimpleNamespace(holds=False), lambda: [verify._pairing_claim(1, 7)]),
+        # every pair dominates: soundness fails; none does: completeness fails
+        ("dominates", lambda s, t: True, lambda: verify._dominance_claims(1, 50, 6, 7)[2:]),
+        ("dominates", lambda s, t: False, lambda: verify._dominance_claims(1, 50, 6, 7)[2:]),
+        ("tail_counts_gf", lambda a, rho, side: None, lambda: [verify._crossval_claim(False, 7)]),
+    ], ids=["dim7", "comb-random", "pairing", "dominance-sound", "dominance-complete", "crossval"])
+    def test_sampled_claim_fails_when_its_checker_disagrees(self, monkeypatch, name, fake, claims):
+        monkeypatch.setattr(verify, name, fake)
+        assert {c.passed for c in claims()} == {False}
 
     def test_dim7_rule_failure_names_vector(self, monkeypatch):
         def no_witness(a, strict=False):
