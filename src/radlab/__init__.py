@@ -10,12 +10,8 @@ used anywhere.
 from .core import (
     CoeffVec,
     DyadicProb,
-    Ordering3,
-    Rational,
     SignAssignment,
     canonicalize,
-    cmp_abs_vs_norm,
-    cmp_sum_vs_scaled_norm,
     parse_vector,
     sign_sum,
 )
@@ -67,8 +63,7 @@ from .verify import verify_paper
 from . import errors
 
 __all__ = [
-    "CoeffVec", "DyadicProb", "Ordering3", "Rational", "SignAssignment",
-    "canonicalize", "cmp_abs_vs_norm", "cmp_sum_vs_scaled_norm",
+    "CoeffVec", "DyadicProb", "SignAssignment", "canonicalize",
     "parse_vector", "sign_sum",
     "ONE_SIDED", "TWO_SIDED", "SumDistribution", "TailCounts",
     "distribution", "tail_count_engine", "tail_counts", "tail_counts_gf",

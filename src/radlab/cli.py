@@ -114,7 +114,7 @@ def cmd_eval(args) -> int:
         "class": "B" if counts.at else "A",
         "engine": tail_count_engine(vec),
     }
-    if args.stats in ("dist", "all"):
+    if args.stats == "all":
         report["distribution"] = [[v, c] for v, c in distribution(vec).pairs]
     print(json.dumps(report, indent=2))
     _finish(canonical_json_bytes(report), args)
@@ -124,13 +124,12 @@ def cmd_eval(args) -> int:
 def _run_check(args) -> CheckReport:
     vec = parse_vector(args.vector)
     name = args.predicate
-    if name == "delta" and args.delta_sweep:
-        return CHECKERS["delta-sweep"](vec)
     if name not in ("delta", "delta-alt"):
+        if args.delta is not None:
+            raise RadlabError(f"predicate {name!r} takes no --delta")
         return CHECKERS[name](vec)
     if args.delta is None:
-        hint = " or --delta-sweep" if name == "delta" else ""
-        raise RadlabError(f"predicate {name!r} needs --delta P/Q{hint}")
+        raise RadlabError(f"predicate {name!r} needs --delta P/Q")
     return CHECKERS[name](vec, _parse_fraction(args.delta))
 
 
@@ -204,9 +203,7 @@ def cmd_search(args) -> int:
         elif mode == "random":
             if args.trials is None:
                 raise RadlabError("random mode needs --trials")
-            record = random_search(
-                n, target, args.trials, args.seed, args.entry_bound, workers=args.workers
-            )
+            record = random_search(n, target, args.trials, args.seed, args.entry_bound)
         elif mode == "descent":
             if not args.start:
                 raise RadlabError("descent mode needs --start VECTOR")
@@ -260,19 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="tail counts, probabilities and class of one vector")
     p.add_argument("--vector", required=True, help='e.g. "2,2,1,1,1" or "1/2,1/2,1/2,1/2"')
-    p.add_argument("--stats", choices=["tails", "dist", "all"], default="tails")
+    p.add_argument("--stats", choices=["tails", "all"], default="tails")
     common(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("check", help="run one predicate on one vector")
-    p.add_argument(
-        "predicate",
-        choices=[name for name in CHECKERS if name != "delta-sweep"],
-    )
+    p.add_argument("predicate", choices=list(CHECKERS))
     p.add_argument("--vector", required=True)
     p.add_argument("--delta", help="threshold ratio P/Q for the delta predicates")
-    p.add_argument("--delta-sweep", action="store_true",
-                   help="sweep the whole critical set instead of one delta")
     common(p)
     p.set_defaults(fn=cmd_check)
 
@@ -286,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry-bound", type=int, default=20)
     p.add_argument("--start", help="start vector for descent mode")
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--workers", type=int)
     p.add_argument("--resume", help="checkpoint file to resume from")
     p.add_argument("--checkpoint", help="checkpoint file to write")
     p.add_argument("--progress-every", type=int,

@@ -1,46 +1,24 @@
-"""Exact representations of coefficient vectors, sign assignments and the
-threshold comparators everything else is built on.
+"""Exact representations of coefficient vectors, sign assignments, dyadic
+probabilities and single sign sums.
 
 All arithmetic is integer or reduced-rational.  Norms are never
-materialized: every comparison against ``rho * ||a||`` is carried out on
-squares with explicit sign bookkeeping, so boundary cases (a sign sum
-exactly equal to the norm) are decided exactly.
+materialized: ``norm_sq`` carries ||a||^2, and every threshold
+``rho * ||a||`` is decided on squares by ``counting._threshold_boundary``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionError, InvalidCoefficient, InvalidThreshold, ZeroNorm
-
-# Reduced rational with positive denominator; the stdlib type already
-# maintains exactly the invariants we need.
-Rational = Fraction
+from .errors import DimensionError, InvalidCoefficient
 
 RationalLike = Union[int, Fraction]
 
 # Masks must fit comfortably in one machine word.
 MAX_DIMENSION = 63
-
-
-class Ordering3(enum.IntEnum):
-    """Exact three-way comparison outcome."""
-
-    BELOW = -1
-    AT = 0
-    ABOVE = 1
-
-
-def _cmp(lhs: int, rhs: int) -> Ordering3:
-    if lhs < rhs:
-        return Ordering3.BELOW
-    if lhs == rhs:
-        return Ordering3.AT
-    return Ordering3.ABOVE
 
 
 @dataclass(frozen=True)
@@ -203,28 +181,3 @@ def sign_sum(a: CoeffVec, s: SignAssignment) -> int:
         neg += a.entries[low.bit_length() - 1]
         m ^= low
     return a.total - 2 * neg
-
-
-def cmp_abs_vs_norm(a: CoeffVec, s: SignAssignment) -> Ordering3:
-    """Compare |a.s| with ||a|| exactly (via squares)."""
-    d = sign_sum(a, s)
-    return _cmp(d * d, a.norm_sq)
-
-
-def cmp_sum_vs_scaled_norm(a: CoeffVec, s: SignAssignment, rho: RationalLike) -> Ordering3:
-    """Compare the signed sum a.s with rho * ||a|| exactly.
-
-    rho must be a nonnegative exact rational and the vector must have a
-    positive norm.  The comparison squares both sides after the sign of
-    a.s has been dealt with, so no irrational value is ever formed.
-    """
-    rho = Fraction(rho)
-    if rho < 0:
-        raise InvalidThreshold(f"negative threshold multiplier {rho}")
-    if a.norm_sq == 0:
-        raise ZeroNorm("zero vector has no direction")
-    d = sign_sum(a, s)
-    if d < 0:
-        return Ordering3.BELOW
-    num, den = rho.numerator, rho.denominator
-    return _cmp(d * d * den * den, num * num * a.norm_sq)

@@ -58,7 +58,7 @@ from operator import lt, neg
 from typing import Iterator, Literal
 
 from .core import CoeffVec, DyadicProb, RationalLike
-from .errors import InvalidThreshold, TooLarge, UseMitm, ZeroNorm
+from .errors import InvalidThreshold, TooLarge, ZeroNorm
 
 ONE_SIDED = "one-sided"
 TWO_SIDED = "two-sided"
@@ -202,7 +202,7 @@ def tail_counts_gray(a: CoeffVec, rho: RationalLike, side: Side) -> TailCounts:
     rho * ||a|| by sweeping all 2^n sign vectors."""
     rho = _validated(a, rho, side)
     if a.n > GRAY_CAP:
-        raise UseMitm(f"n={a.n} exceeds the Gray sweep cap {GRAY_CAP}")
+        raise TooLarge(f"n={a.n} exceeds the Gray sweep cap {GRAY_CAP}")
     k0, exact = _threshold_boundary(a.norm_sq, rho)
     lo = k0 - 1 if exact else k0
     below = at = above = 0

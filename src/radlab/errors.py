@@ -29,10 +29,6 @@ class NonPositiveEntry(RadlabError):
     """Operation requires entries >= 1."""
 
 
-class UseMitm(RadlabError):
-    """The Gray-code reference sweep's cap was exceeded; use tail_counts."""
-
-
 class TooLarge(RadlabError):
     """Input dimension exceeds the hard cap of this operation."""
 

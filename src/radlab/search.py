@@ -18,11 +18,11 @@ how trials are partitioned across workers.  The substream keys are
 - ``"{seed}:xval:{n}:{i}"``: pair i of the engine cross-validation, which
   draws rho and the side from the same substream after the entries;
 - ``"{seed}:mitm:{n}"``: the one n-vector of the large meet-in-the-middle
-  claim.
+  claim;
+- ``"{seed}:comb:{i}"``: trial i of the random subset-count claim.
 
-The random subset-count claim (``"{seed}:comb:{i}"`` for trial i) and the
-sampled dominance pairs (one stream, ``"{seed}:dom"``) draw from their own
-``random.Random`` instead.
+The sampled dominance pairs (one stream, ``"{seed}:dom"``) draw from their
+own ``random.Random`` instead.
 
 Every search minimizes integer ``(count, entries)`` keys: n is fixed
 within a search, so the tail count orders like the probability, and the
@@ -185,12 +185,6 @@ def _state_vector(value: str | Sequence[int], n: int, what: str) -> tuple[int, .
     if vec.n != n or vec.is_zero():
         raise SearchInputError(f"checkpoint {what} {value!r} is not a canonical {n}-vector")
     return entries
-
-
-def evaluate_target(a: CoeffVec, target: SearchTarget) -> DyadicProb:
-    if a.norm_sq == 0:
-        raise ZeroNorm("cannot evaluate the zero vector")
-    return target.probability(tail_counts(a))
 
 
 def _floor(target: SearchTarget, n: int) -> Fraction:
@@ -520,14 +514,13 @@ def _random_chunk(args: tuple) -> tuple[_Key | None, int]:
     return best, examined
 
 
-def _resolve_workers(workers: int | None) -> int:
+def _resolve_workers() -> int:
     cpus = os.cpu_count() or 1
     cap = os.environ.get("RADLAB_THREADS") or cpus
     try:
-        limit = min(cpus, int(cap))
+        return max(1, min(cpus, int(cap)))
     except ValueError as exc:
         raise SearchInputError(f"RADLAB_THREADS={cap!r} is not an integer") from exc
-    return max(1, min(limit if workers is None else workers, limit))
 
 
 def random_search(
@@ -536,16 +529,16 @@ def random_search(
     trials: int,
     seed: int,
     entry_bound: int = DEFAULT_ENTRY_BOUND,
-    workers: int | None = None,
 ) -> SearchRecord:
     """Sample integer vectors with i.i.d. entries and track the minimum.
 
-    Trial i draws from the substream (seed, i); the merge is an
+    Runs on up to ``RADLAB_THREADS`` worker processes (default: the CPU
+    count).  Trial i draws from the substream (seed, i); the merge is an
     associative min with a lexicographic tie-break, so the outcome does
     not depend on the number of workers or the chunking.
     """
     _check_inputs([n], trials, entry_bound, target.min_entry)
-    workers = _resolve_workers(workers)
+    workers = _resolve_workers()
     chunks = []
     if workers == 1 or trials < 4 * workers:
         chunks.append((n, target.value, 0, trials, seed, entry_bound))

@@ -165,12 +165,11 @@ def _comb_exhaustive_claim() -> ClaimResult:
 
 
 def _comb_random_claim(trials: int, seed: int) -> ClaimResult:
-    ok = trials > 0
-    for i in range(trials):
-        rng = random.Random(f"{seed}:comb:{i}")
-        n = rng.randint(2, 12)
-        vec = canonicalize([rng.randint(1, 20) for _ in range(n)])
-        ok = ok and combinatorial_fraction_gray(vec).fraction == tail_counts(vec).p_le.fraction
+    keys = ((f"{seed}:comb:{i}", 2 + i % 11) for i in range(trials))
+    ok = trials > 0 and all(
+        combinatorial_fraction_gray(a).fraction == tail_counts(a).p_le.fraction
+        for a, _ in seeded_vectors(keys, 1, 20)
+    )
     return ClaimResult(
         "comb-equivalence-random",
         f"subset-count equivalence on {trials} random vectors with n <= 12",

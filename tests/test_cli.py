@@ -11,7 +11,7 @@ import pytest
 
 from radlab import cli, counting, search, verify
 from radlab.cli import EXIT_INTERNAL, EXIT_INTERRUPT, EXIT_USAGE, EXIT_VIOLATION, main, verify_ledger
-from radlab.conjectures import VIOLATED, CheckReport
+from radlab.conjectures import CHECKERS, VIOLATED, CheckReport
 from radlab.counting import TailCounts
 from radlab.errors import NoWitness
 
@@ -84,7 +84,7 @@ class TestEval:
         assert obj["distribution"] == [[-2, 1], [0, 2], [2, 1]]
 
     def test_distribution_beyond_n24(self, capsys):
-        code, out = run(capsys, "eval", "--vector", ",".join(["1"] * 30), "--stats", "dist")
+        code, out = run(capsys, "eval", "--vector", ",".join(["1"] * 30), "--stats", "all")
         assert code == 0
         assert json.loads(out)["distribution"] == [[30 - 2 * k, comb(30, k)] for k in range(30, -1, -1)]
 
@@ -124,10 +124,18 @@ class TestCheck:
     def test_delta_requires_value_or_sweep(self, capsys):
         assert main(["check", "delta", "--vector", "1,1"]) == 2
         assert main(["check", "delta", "--vector", "1,1", "--delta", "1"]) == 0
-        assert main(["check", "delta", "--vector", "1,1", "--delta-sweep"]) == 0
+        assert main(["check", "delta-sweep", "--vector", "1,1"]) == 0
+        # only the two delta predicates take a --delta
+        assert main(["check", "tomaszewski", "--vector", "1,1", "--delta", "1/2"]) == 2
+        assert main(["check", "delta-sweep", "--vector", "1,1", "--delta", "1"]) == 2
         assert main(["check", "delta", "--vector", "1,1", "--delta", "x"]) == 2
         assert main(["check", "delta-alt", "--vector", "1,1", "--delta", "1/0"]) == 2
         assert main(["check", "delta-alt", "--vector", "1,1"]) == 2
+
+    def test_predicates_are_the_checkers(self):
+        check = cli.build_parser()._subparsers._group_actions[0].choices["check"]
+        predicate = next(a for a in check._actions if a.dest == "predicate")
+        assert predicate.choices == list(CHECKERS)
 
     def test_pairing_too_large_exit_2(self, capsys):
         wide = ",".join(str((1 << 20) - 3 * i) for i in range(25))
@@ -152,11 +160,12 @@ class TestSearch:
         assert final["best_value"] == "7/32"
         assert final["witness"] == "1,1,1,1,1,1,0"
 
-    def test_random_mode(self, capsys, tmp_path):
+    def test_random_mode(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("RADLAB_THREADS", "1")
         code, out = run(
             capsys, "search", "--target", "T", "--n", "4",
             "--mode", "random", "--trials", "50", "--seed", "3",
-            "--workers", "1", "--checkpoint", str(tmp_path / "ck.json"),
+            "--checkpoint", str(tmp_path / "ck.json"),
         )
         assert code == 0
         final = json.loads(out.strip().splitlines()[-1])
@@ -196,7 +205,7 @@ class TestSearch:
         monkeypatch.setattr(search, "tail_counts", interrupt)
         ck = tmp_path / "ck.json"
         assert main(["search", "--target", "G", "--n", "5", "--mode", mode, "--bound", "10",
-                     "--trials", "5", "--workers", "1", "--start", "1,1,1,1,1",
+                     "--trials", "5", "--start", "1,1,1,1,1",
                      "--checkpoint", str(ck)]) == EXIT_INTERRUPT
         written = mode == "exhaustive"
         assert ck.exists() == written
@@ -359,8 +368,7 @@ class TestVerifyPaperCommand:
 
         monkeypatch.setattr(verify, "case_lemma_7", no_witness)
         rule = verify._dim7_sample_claims(3, 7)[2]
-        rng = verify.random.Random("7:dim7:0")
-        first = verify.canonicalize([rng.randint(0, 50) for _ in range(7)])
+        first, _ = next(search.seeded_vectors([("7:dim7:0", 7)], 0, 50))
         assert not rule.passed
         assert rule.to_json_dict()["details"]["first_failure"] == str(first)
 

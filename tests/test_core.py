@@ -1,4 +1,4 @@
-"""Core types and comparators."""
+"""Core types and single sign sums."""
 
 import random
 from fractions import Fraction
@@ -8,20 +8,12 @@ import pytest
 from radlab.core import (
     CoeffVec,
     DyadicProb,
-    Ordering3,
     SignAssignment,
     canonicalize,
-    cmp_abs_vs_norm,
-    cmp_sum_vs_scaled_norm,
     parse_vector,
     sign_sum,
 )
-from radlab.errors import (
-    DimensionError,
-    InvalidCoefficient,
-    InvalidThreshold,
-    ZeroNorm,
-)
+from radlab.errors import DimensionError, InvalidCoefficient
 
 
 class TestCanonicalize:
@@ -161,14 +153,16 @@ class TestSignSum:
 
 
 class TestCmpAbsVsNorm:
+    """|a.s| against ||a||, compared on squares: sign_sum(a, s)**2 vs norm_sq."""
+
     def test_zero_sum_below(self):
-        assert cmp_abs_vs_norm(CoeffVec((1, 1)), SignAssignment.from_indices((1,), 2)) == Ordering3.BELOW
+        assert sign_sum(CoeffVec((1, 1)), SignAssignment.from_indices((1,), 2)) ** 2 < 2
 
     def test_single_coordinate_at(self):
-        assert cmp_abs_vs_norm(CoeffVec((1,)), SignAssignment(0, 1)) == Ordering3.AT
+        assert sign_sum(CoeffVec((1,)), SignAssignment(0, 1)) ** 2 == 1
 
     def test_all_plus_above(self):
-        assert cmp_abs_vs_norm(CoeffVec((1, 1, 1)), SignAssignment(0, 3)) == Ordering3.ABOVE
+        assert sign_sum(CoeffVec((1, 1, 1)), SignAssignment(0, 3)) ** 2 > 3
 
     def test_complement_symmetry(self):
         rng = random.Random(22)
@@ -176,7 +170,7 @@ class TestCmpAbsVsNorm:
             n = rng.randint(1, 10)
             a = canonicalize([rng.randint(0, 9) for _ in range(n)])
             s = SignAssignment(rng.randrange(1 << n), n)
-            assert cmp_abs_vs_norm(a, s) == cmp_abs_vs_norm(a, s.complement())
+            assert sign_sum(a, s) ** 2 == sign_sum(a, s.complement()) ** 2
 
     def test_quadratic_equivalence(self):
         # |a.s| <= ||a||  iff  the sum of a_i a_j s_i s_j over ordered pairs
@@ -194,64 +188,7 @@ class TestCmpAbsVsNorm:
                     for j in range(n)
                     if i != j
                 )
-                assert (cmp_abs_vs_norm(a, s) <= Ordering3.AT) == (cross <= 0)
-
-
-class TestCmpSumVsScaledNorm:
-    def test_above_at_rho_one(self):
-        a = canonicalize([Fraction(1, 2)] * 4)
-        assert cmp_sum_vs_scaled_norm(a, SignAssignment(0, 4), 1) == Ordering3.ABOVE
-
-    def test_zero_sum_below(self):
-        a = CoeffVec((1, 1))
-        assert cmp_sum_vs_scaled_norm(a, SignAssignment.from_indices((1,), 2), 1) == Ordering3.BELOW
-
-    def test_six_masks_above(self):
-        # a=(2,1,1,1,1,1): flipping one unit entry gives 5 > 3 = ||a||,
-        # and exactly 6 of the 64 masks land above
-        a = CoeffVec((2, 1, 1, 1, 1, 1))
-        s = SignAssignment.from_indices((6,), 6)
-        assert cmp_sum_vs_scaled_norm(a, s, 1) == Ordering3.ABOVE
-        above = sum(
-            1
-            for m in range(64)
-            if cmp_sum_vs_scaled_norm(a, SignAssignment(m, 6), 1) == Ordering3.ABOVE
-        )
-        assert above == 6
-
-    def test_negative_rho_rejected(self):
-        with pytest.raises(InvalidThreshold):
-            cmp_sum_vs_scaled_norm(CoeffVec((1,)), SignAssignment(0, 1), Fraction(-1, 2))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroNorm):
-            cmp_sum_vs_scaled_norm(CoeffVec((0, 0)), SignAssignment(0, 2), 1)
-
-    def test_rho_zero_sign_only(self):
-        a = CoeffVec((1, 1))
-        assert cmp_sum_vs_scaled_norm(a, SignAssignment(0, 2), 0) == Ordering3.ABOVE
-        assert cmp_sum_vs_scaled_norm(a, SignAssignment.from_indices((1,), 2), 0) == Ordering3.AT
-        assert cmp_sum_vs_scaled_norm(a, SignAssignment.from_indices((1, 2), 2), 0) == Ordering3.BELOW
-
-    def test_matches_float_off_boundary(self):
-        # floats are good enough as an oracle away from exact ties
-        rng = random.Random(24)
-        for _ in range(500):
-            n = rng.randint(1, 8)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
-                continue
-            rho = Fraction(rng.randint(0, 12), rng.randint(1, 6))
-            s = SignAssignment(rng.randrange(1 << n), n)
-            got = cmp_sum_vs_scaled_norm(a, s, rho)
-            d = sign_sum(a, s)
-            approx = d - float(rho) * a.norm_sq ** 0.5
-            if abs(approx) > 1e-6:
-                assert got == (Ordering3.ABOVE if approx > 0 else Ordering3.BELOW)
-
-
-def test_ordering3_total_order():
-    assert Ordering3.BELOW < Ordering3.AT < Ordering3.ABOVE
+                assert (sign_sum(a, s) ** 2 <= a.norm_sq) == (cross <= 0)
 
 
 def test_dyadic_prob():

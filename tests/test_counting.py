@@ -25,7 +25,7 @@ from radlab.counting import (
     tail_counts_mitm,
     tail_counts_threshold,
 )
-from radlab.errors import InvalidThreshold, TooLarge, UseMitm, ZeroNorm
+from radlab.errors import InvalidThreshold, TooLarge, ZeroNorm
 
 
 def brute_counts(entries, rho, side):
@@ -84,7 +84,7 @@ class TestTailCountsNorm:
             tail_counts(CoeffVec((0, 0)))
 
     def test_cap_raises_use_mitm(self):
-        with pytest.raises(UseMitm):
+        with pytest.raises(TooLarge):
             tail_counts_gray(CoeffVec(tuple([1] * 31)), 1, TWO_SIDED)
 
 

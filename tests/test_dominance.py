@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from radlab.core import CoeffVec, SignAssignment, canonicalize, cmp_abs_vs_norm, sign_sum
-from radlab.core import Ordering3
+from radlab.core import CoeffVec, SignAssignment, canonicalize, sign_sum
 from radlab.dominance import (
     case_lemma_7,
     dominates,
@@ -149,7 +148,7 @@ class TestMembershipForm:
         a = CoeffVec((1, 1, 1, 1, 1, 1, 0))
         assert membership_form(a, J(5, 6, 7, n=7)) == -1
         assert not vsd_membership_quadratic(a, J(5, 6, 7, n=7))
-        assert cmp_abs_vs_norm(a, J(5, 6, 7, n=7)) == Ordering3.BELOW
+        assert sign_sum(a, J(5, 6, 7, n=7)) ** 2 < a.norm_sq
 
     def test_empty_flip_set_always_member(self):
         rng = random.Random(71)

@@ -144,13 +144,8 @@ class TestExhaustive:
 
     def test_best_is_true_minimum(self):
         r = exhaustive_integer_search(3, SearchTarget.T, 8)
-        from radlab.search import evaluate_target
-
-        values = [
-            evaluate_target(v, SearchTarget.T).fraction
-            for v in canonical_vectors(3, 8)
-        ]
-        assert r.best_value.fraction == min(values)
+        values = [_score(SearchTarget.T, v)[0] for v in canonical_vectors(3, 8)]
+        assert r.best_value.count == min(values)
         assert r.vectors_examined == len(values)
 
 
@@ -246,15 +241,24 @@ class TestResume:
 
 
 class TestRandomSearch:
-    def test_deterministic(self):
-        a = random_search(6, SearchTarget.G, 300, seed=42, workers=1)
-        b = random_search(6, SearchTarget.G, 300, seed=42, workers=1)
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setenv("RADLAB_THREADS", "1")
+        a = random_search(6, SearchTarget.G, 300, seed=42)
+        b = random_search(6, SearchTarget.G, 300, seed=42)
         assert a == b
 
-    def test_worker_count_does_not_change_result(self):
-        a = random_search(6, SearchTarget.G, 200, seed=7, workers=1)
-        b = random_search(6, SearchTarget.G, 200, seed=7, workers=2)
-        assert a == b
+    def test_worker_count_does_not_change_result(self, monkeypatch):
+        # a search runs serially below 4 trials per worker: 7 trials stay
+        # serial on two workers, 8 and 9 are the first pooled counts, and 9
+        # splits into uneven chunks
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        for target in SearchTarget:
+            for trials in (7, 8, 9):
+                records = []
+                for workers in ("1", "2"):
+                    monkeypatch.setenv("RADLAB_THREADS", workers)
+                    records.append(random_search(6, target, trials, seed=7))
+                assert records[0] == records[1]
 
     def test_single_trial(self):
         r = random_search(4, SearchTarget.T, 1, seed=5)
@@ -320,13 +324,11 @@ class TestDescent:
 
     def test_monotone_progress(self):
         rng = random.Random(91)
-        from radlab.search import evaluate_target
-
         for _ in range(20):
             n = rng.randint(2, 6)
             start = canonicalize([rng.randint(1, 9) for _ in range(n)])
             r = local_descent(start, SearchTarget.T, 30)
-            assert r.best_value.fraction <= evaluate_target(start, SearchTarget.T).fraction
+            assert r.best_value.count <= _score(SearchTarget.T, start)[0]
 
 
 class TestWorkers:
@@ -334,11 +336,11 @@ class TestWorkers:
         from radlab.search import _resolve_workers
 
         monkeypatch.setenv("RADLAB_THREADS", "1")
-        assert _resolve_workers(None) == 1
-        assert _resolve_workers(8) == 1
+        assert _resolve_workers() == 1
+        monkeypatch.setenv("RADLAB_THREADS", "1000000")
+        assert _resolve_workers() == (search.os.cpu_count() or 1)
         monkeypatch.delenv("RADLAB_THREADS")
-        assert _resolve_workers(1) == 1
-        assert _resolve_workers(None) >= 1
+        assert _resolve_workers() >= 1
 
     def test_bad_env_is_input_error(self, monkeypatch):
         monkeypatch.setenv("RADLAB_THREADS", "abc")
