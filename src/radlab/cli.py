@@ -23,7 +23,9 @@ from .core import parse_vector
 from .counting import distribution, tail_count_engine, tail_counts
 from .errors import ConjectureFalsified, RadlabError
 from .search import (
+    DEFAULT_ENTRY_BOUND,
     HUNT_PREDICATES,
+    SearchRecord,
     SearchState,
     SearchTarget,
     exhaustive_integer_search,
@@ -164,59 +166,40 @@ def _parse_n_range(text: str) -> list[int]:
 
 def cmd_search(args) -> int:
     lines: list[str] = []
-    resume_state = None
-    if args.resume:
-        try:
-            resume_state = SearchState.from_json_dict(json.loads(Path(args.resume).read_text()))
-        except (OSError, ValueError) as exc:
-            raise RadlabError(f"cannot read checkpoint {args.resume}: {exc}") from exc
-        target, n, mode = resume_state.target, resume_state.n, "exhaustive"
-        bound = resume_state.bound
-    else:
-        if not args.target or args.n is None:
-            raise RadlabError("--target and --n are required (or --resume)")
-        target = SearchTarget.parse(args.target)
-        n, mode, bound = args.n, args.mode, args.bound
+    saved = False  # only a sweep writes checkpoints
 
-    checkpoint_path = args.checkpoint or "radlab-checkpoint.json"
-    saved = False  # only the exhaustive sweep writes checkpoints
-
-    def save_checkpoint(state: SearchState) -> None:
+    def checkpoint(state: SearchState) -> None:
         nonlocal saved
-        Path(checkpoint_path).write_text(json.dumps(state.to_json_dict(), indent=2))
+        Path(args.checkpoint).write_text(json.dumps(state.to_json_dict(), indent=2))
         saved = True
+        if args.progress_every:
+            _emit_jsonl({"kind": "progress", **state.to_json_dict()}, lines)
 
-    def progress(state: SearchState) -> None:
-        save_checkpoint(state)
-        _emit_jsonl({"kind": "progress", **state.to_json_dict()}, lines)
+    def sweep(n: int, target: SearchTarget, bound: int, resume: SearchState | None = None) -> SearchRecord:
+        return exhaustive_integer_search(
+            n, target, bound,
+            resume=resume,
+            checkpoint_every=args.progress_every or 0,
+            on_checkpoint=checkpoint,
+        )
 
     try:
-        if mode == "exhaustive":
-            if bound is None:
-                raise RadlabError("exhaustive mode needs --bound")
-            record = exhaustive_integer_search(
-                n, target, bound,
-                resume=resume_state,
-                checkpoint_every=args.progress_every or 0,
-                on_checkpoint=progress if args.progress_every else save_checkpoint,
-            )
-        elif mode == "random":
-            if args.trials is None:
-                raise RadlabError("random mode needs --trials")
-            record = random_search(n, target, args.trials, args.seed, args.entry_bound)
-        elif mode == "descent":
-            if not args.start:
-                raise RadlabError("descent mode needs --start VECTOR")
-            record = local_descent(parse_vector(args.start), target, args.steps)
-        else:
-            raise RadlabError(f"unknown mode {mode!r}")
+        record = args.search(args, sweep)
     except KeyboardInterrupt:
-        print("interrupted" + (f"; checkpoint written to {checkpoint_path}" if saved else ""), file=sys.stderr)
+        print("interrupted" + (f"; checkpoint written to {args.checkpoint}" if saved else ""), file=sys.stderr)
         _finish(_jsonl_bytes(lines), args)
         return EXIT_INTERRUPT
     _emit_jsonl({"kind": "final", **record.to_json_dict()}, lines)
     _finish(_jsonl_bytes(lines), args)
     return EXIT_OK
+
+
+def _resume_sweep(args, sweep) -> SearchRecord:
+    try:
+        state = SearchState.from_json_dict(json.loads(Path(args.file).read_text()))
+    except (OSError, ValueError) as exc:
+        raise RadlabError(f"cannot read checkpoint {args.file}: {exc}") from exc
+    return sweep(state.n, state.target, state.bound, state)
 
 
 def cmd_hunt(args) -> int:
@@ -269,28 +252,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("search", help="minimize a tail probability over integer vectors")
-    p.add_argument("--target", help="T, G or Gprime")
-    p.add_argument("--n", type=int)
-    p.add_argument("--mode", choices=["exhaustive", "random", "descent"], default="exhaustive")
-    p.add_argument("--bound", type=int, help="entry-sum bound for exhaustive mode")
-    p.add_argument("--trials", type=int)
+    modes = p.add_subparsers(dest="mode", required=True)
+
+    def search_mode(name, help, search, checkpoints=False):
+        p = modes.add_parser(name, help=help)
+        if checkpoints:
+            p.add_argument("--checkpoint", default="radlab-checkpoint.json", help="checkpoint file to write")
+            p.add_argument("--progress-every", type=int, help="emit a progress record every N vectors")
+        common(p)
+        p.set_defaults(fn=cmd_search, search=search)
+        return p
+
+    p = search_mode("exhaustive", "every canonical vector, entry sum <= --bound", lambda a, sweep: sweep(
+        a.n, SearchTarget.parse(a.target), a.bound), checkpoints=True)
+    p.add_argument("--target", required=True, help="T, G or Gprime")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--bound", type=int, required=True, help="entry-sum bound")
+
+    p = search_mode("resume", "continue a sweep from its checkpoint", _resume_sweep, checkpoints=True)
+    p.add_argument("file", help="checkpoint file; it fixes target, n and bound")
+
+    p = search_mode("random", "seeded random vectors, entries <= --entry-bound", lambda a, _: random_search(
+        a.n, SearchTarget.parse(a.target), a.trials, a.seed, a.entry_bound))
+    p.add_argument("--target", required=True, help="T, G or Gprime")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--entry-bound", type=int, default=20)
-    p.add_argument("--start", help="start vector for descent mode")
+    p.add_argument("--entry-bound", type=int, default=DEFAULT_ENTRY_BOUND)
+
+    p = search_mode("descent", "greedy +-1 descent from --start", lambda a, _: local_descent(
+        parse_vector(a.start), SearchTarget.parse(a.target), a.steps))
+    p.add_argument("--target", required=True, help="T, G or Gprime")
+    p.add_argument("--start", required=True, help="start vector; its length is n")
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--resume", help="checkpoint file to resume from")
-    p.add_argument("--checkpoint", help="checkpoint file to write")
-    p.add_argument("--progress-every", type=int,
-                   help="emit a progress record every N vectors (exhaustive mode)")
-    common(p)
-    p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("hunt", help="random falsification sweep of a predicate")
     p.add_argument("--predicate", required=True, choices=list(HUNT_PREDICATES))
     p.add_argument("--n", required=True, help='dimension range, e.g. "2..9" or "7"')
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--entry-bound", type=int, default=20)
+    p.add_argument("--entry-bound", type=int, default=DEFAULT_ENTRY_BOUND)
     common(p)
     p.set_defaults(fn=cmd_hunt)
 

@@ -28,7 +28,6 @@ from .errors import (
     InvalidThreshold,
     NonPositiveEntry,
     TooLarge,
-    ZeroEntry,
     ZeroNorm,
 )
 
@@ -444,8 +443,8 @@ def check_gprime(a: CoeffVec) -> CheckReport:
     Defined only for vectors with no zero entry; equality identifies an
     extremal vector.
     """
-    if any(x == 0 for x in a.entries):
-        raise ZeroEntry("strict-tail floor requires all entries nonzero")
+    if any(x < 1 for x in a.entries):
+        raise NonPositiveEntry("strict-tail floor requires all entries >= 1")
     if a.n > HK_MAX_N:
         raise DimensionError(f"strict-tail floor table stops at n={HK_MAX_N}")
     c = tail_counts(a)

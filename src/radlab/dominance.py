@@ -83,7 +83,9 @@ def _closure_rows(n: int) -> list[int]:
 
 def verify_order_rules(n: int) -> bool:
     """Exhaustively instantiate the five closure rules of the order and
-    confirm each implied relation against the prefix-sum test.
+    confirm each implied relation against the ``upward_closure`` rows of
+    ``_closure_rows`` (tests match them to ``dominates``, the prefix-sum
+    test, for every mask at n <= 8).
 
     (i)   single flip moves right:        (i)_n < (j)_n for i < j
     (ii)  dropping flips improves:        J superset J' implies (J)_n < (J')_n

@@ -21,10 +21,6 @@ class ZeroNorm(RadlabError):
     """Operation requires a vector with positive norm."""
 
 
-class ZeroEntry(RadlabError):
-    """Operation requires strictly positive entries."""
-
-
 class NonPositiveEntry(RadlabError):
     """Operation requires entries >= 1."""
 

@@ -6,10 +6,10 @@ entry sum (exhaustive) or bounded entries (random).  Results report "best
 value found plus witness"; no global optimality is claimed outside
 exhausted regions.
 
-Every sampled vector here, and most in the claim suite, comes from
-``seeded_vectors``: each vector has its own substream
-``random.Random(key)``, so results are reproducible and independent of
-how trials are partitioned across workers.  The substream keys are
+Every sampled vector here, and in each sampled claim of the suite but
+the dominance pairs, comes from ``seeded_vectors``: each vector has its
+own substream ``random.Random(key)``, so results are reproducible and
+independent of how trials are split across workers.  The keys are
 
 - ``"{seed}:{i}"``: trial i of ``random_search``;
 - ``"{seed}:{n}:{i}"``: trial i in dimension n of ``hunt``;
@@ -57,7 +57,7 @@ from .errors import (
 )
 
 DEFAULT_ENTRY_BOUND = 20
-DEFAULT_MAX_VECTORS = 5_000_000
+MAX_SWEEP_VECTORS = 5_000_000
 
 
 class SearchTarget(enum.Enum):
@@ -394,7 +394,6 @@ def exhaustive_integer_search(
     target: SearchTarget,
     bound: int,
     *,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
     resume: SearchState | None = None,
     checkpoint_every: int = 0,
     on_checkpoint: Callable[[SearchState], None] | None = None,
@@ -420,8 +419,8 @@ def exhaustive_integer_search(
         raise SearchInputError(f"dimension must be >= 1, got {n}")
     min_entry = target.min_entry
     size = canonical_count(n, bound, min_entry)
-    if size > max_vectors:
-        raise BudgetExceeded(f"region holds {size} canonical vectors (cap {max_vectors})")
+    if size > MAX_SWEEP_VECTORS:
+        raise BudgetExceeded(f"region holds {size} canonical vectors (cap {MAX_SWEEP_VECTORS})")
     if not size:
         raise SearchInputError("empty search region")
     best: _Key | None = None
@@ -501,8 +500,7 @@ def exhaustive_integer_search(
 
 
 def _random_chunk(args: tuple) -> tuple[_Key | None, int]:
-    n, target_name, lo, hi, seed, entry_bound = args
-    target = SearchTarget.parse(target_name)
+    n, target, lo, hi, seed, entry_bound = args
     keys = ((f"{seed}:{i}", n) for i in range(lo, hi))
     best: _Key | None = None
     examined = 0
@@ -541,11 +539,11 @@ def random_search(
     workers = _resolve_workers()
     chunks = []
     if workers == 1 or trials < 4 * workers:
-        chunks.append((n, target.value, 0, trials, seed, entry_bound))
+        chunks.append((n, target, 0, trials, seed, entry_bound))
     else:
         step = (trials + workers - 1) // workers
         for lo in range(0, trials, step):
-            chunks.append((n, target.value, lo, min(lo + step, trials), seed, entry_bound))
+            chunks.append((n, target, lo, min(lo + step, trials), seed, entry_bound))
     if len(chunks) == 1:
         results = [_random_chunk(chunks[0])]
     else:
@@ -578,7 +576,7 @@ def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRe
     """
     if start.norm_sq == 0:
         raise ZeroNorm("descent needs a nonzero start")
-    if target.min_entry == 1 and any(x == 0 for x in start.entries):
+    if any(x < target.min_entry for x in start.entries):
         raise NonPositiveEntry("this target requires strictly positive entries")
     current = _score(target, start)
     examined = 1

@@ -249,10 +249,10 @@ def _hunt_claims(tomaszewski_budget: int, delta_budget: int, seed: int) -> list[
     ]
 
 
-def _crossval_claim(full: bool, seed: int) -> ClaimResult:
+def _crossval_claim(per_n_to_14: int, per_n_15_to_20: int, seed: int) -> ClaimResult:
     ok = True
-    schedule = [n for n in range(2, 15) for _ in range(70 if full else 8)]
-    schedule += [n for n in range(15, 21) for _ in range(15)] if full else []
+    schedule = [n for n in range(2, 15) for _ in range(per_n_to_14)]
+    schedule += [n for n in range(15, 21) for _ in range(per_n_15_to_20)]
     keys = ((f"{seed}:xval:{n}:{i}", n) for i, n in enumerate(schedule))
     for a, rng in seeded_vectors(keys, 0, 20):
         rho = Fraction(rng.randint(0, 3 * 8), rng.randint(1, 8))
@@ -270,8 +270,7 @@ def _crossval_claim(full: bool, seed: int) -> ClaimResult:
     )
 
 
-def _mitm_large_claim(full: bool, seed: int) -> ClaimResult:
-    n = 40 if full else 32
+def _mitm_large_claim(n: int, seed: int) -> ClaimResult:
     a, _ = next(seeded_vectors([(f"{seed}:mitm:{n}", n)], 1, 50))
     t0 = time.monotonic()
     counts = tail_counts_mitm(a, 1, TWO_SIDED)
@@ -288,7 +287,7 @@ def _mitm_large_claim(full: bool, seed: int) -> ClaimResult:
 
 
 def _claims(full: bool, seed: int) -> Iterator[ClaimResult]:
-    """Every claim in report order, each computed when it is reached."""
+    """Every claim in report order with its budget, each computed when it is reached."""
     yield _witness_claims(
         "g-witnesses", "norm-reaching witnesses evaluate to the table values",
         G_WITNESSES, G_TABLE, lambda a: tail_counts(a).p_ge)
@@ -318,8 +317,8 @@ def _claims(full: bool, seed: int) -> Iterator[ClaimResult]:
     yield _pairing_claim(10_000 if full else 250, seed)
     yield from _dominance_claims(8 if full else 6, 10_000 if full else 2000, 12 if full else 10, seed)
     yield from _hunt_claims(100_000 if full else 4000, 700 if full else 140, seed)
-    yield _crossval_claim(full, seed)
-    yield _mitm_large_claim(full, seed)
+    yield _crossval_claim(70 if full else 8, 15 if full else 0, seed)
+    yield _mitm_large_claim(40 if full else 32, seed)
 
 
 def verify_paper(full: bool = False, log: Callable[[str], None] | None = None, seed: int = 7) -> dict:

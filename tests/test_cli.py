@@ -150,8 +150,7 @@ class TestCheck:
 class TestSearch:
     def test_exhaustive_stream(self, capsys, tmp_path):
         code, out = run(
-            capsys, "search", "--target", "G", "--n", "7",
-            "--mode", "exhaustive", "--bound", "12",
+            capsys, "search", "exhaustive", "--target", "G", "--n", "7", "--bound", "12",
             "--checkpoint", str(tmp_path / "ck.json"),
         )
         assert code == 0
@@ -160,30 +159,26 @@ class TestSearch:
         assert final["best_value"] == "7/32"
         assert final["witness"] == "1,1,1,1,1,1,0"
 
-    def test_random_mode(self, capsys, tmp_path, monkeypatch):
+    def test_random_mode(self, capsys, monkeypatch):
         monkeypatch.setenv("RADLAB_THREADS", "1")
-        code, out = run(
-            capsys, "search", "--target", "T", "--n", "4",
-            "--mode", "random", "--trials", "50", "--seed", "3",
-            "--checkpoint", str(tmp_path / "ck.json"),
-        )
+        code, out = run(capsys, "search", "random", "--target", "T", "--n", "4",
+                        "--trials", "50", "--seed", "3")
         assert code == 0
         final = json.loads(out.strip().splitlines()[-1])
         assert final["mode"] == "random" and final["seed"] == 3
 
-    def test_descent_mode(self, capsys, tmp_path):
-        code, out = run(
-            capsys, "search", "--target", "G", "--n", "7",
-            "--mode", "descent", "--start", "1,1,1,1,1,1,0", "--steps", "5",
-            "--checkpoint", str(tmp_path / "ck.json"),
-        )
+    def test_descent_mode(self, capsys):
+        # the target is read in any case; n is the start vector's length
+        code, out = run(capsys, "search", "descent", "--target", "g",
+                        "--start", "1,1,1,1,1,1,0", "--steps", "5")
+        assert code == 0
         final = json.loads(out.strip().splitlines()[-1])
-        assert final["best_value"] == "7/32"
+        assert final["best_value"] == "7/32" and final["target"] == "G" and final["n"] == 7
 
     def test_resume_from_checkpoint_file(self, capsys, tmp_path):
         # a progress line every 25 vectors, each also written as the checkpoint
         ck = tmp_path / "ck.json"
-        code, out = run(capsys, "search", "--target", "G", "--n", "5", "--bound", "10",
+        code, out = run(capsys, "search", "exhaustive", "--target", "G", "--n", "5", "--bound", "10",
                         "--progress-every", "25", "--checkpoint", str(ck))
         assert code == 0
         *progress, final = map(json.loads, out.strip().splitlines())
@@ -191,55 +186,82 @@ class TestSearch:
         assert [p["examined"] for p in progress] == [25, 50, 75]
         assert final["vectors_examined"] == 86
         assert json.loads(ck.read_text()) == progress[-1]
-        code, out = run(capsys, "search", "--resume", str(ck), "--checkpoint", str(tmp_path / "ck2.json"))
+        code, out = run(capsys, "search", "resume", str(ck), "--checkpoint", str(tmp_path / "ck2.json"))
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1]) == final
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "random", "descent"])
-    def test_interrupt_names_only_a_written_checkpoint(self, capsys, tmp_path, monkeypatch, mode):
+    @pytest.mark.parametrize("mode, argv", [
+        ("exhaustive", ["--target", "G", "--n", "5", "--bound", "10"]),
+        ("random", ["--target", "G", "--n", "5", "--trials", "5"]),
+        ("descent", ["--target", "G", "--start", "1,1,1,1,1"]),
+    ], ids=["exhaustive", "random", "descent"])
+    def test_interrupt_names_only_a_written_checkpoint(self, capsys, tmp_path, monkeypatch, mode, argv):
         def interrupt(*args):
             raise KeyboardInterrupt
 
         # the sweep's count reader, and the scorer of random and descent
         monkeypatch.setattr(search, "_packed_counts", interrupt)
         monkeypatch.setattr(search, "tail_counts", interrupt)
-        ck = tmp_path / "ck.json"
-        assert main(["search", "--target", "G", "--n", "5", "--mode", mode, "--bound", "10",
-                     "--trials", "5", "--start", "1,1,1,1,1",
-                     "--checkpoint", str(ck)]) == EXIT_INTERRUPT
+        monkeypatch.chdir(tmp_path)  # where a sweep writes its default checkpoint
+        assert main(["search", mode, *argv]) == EXIT_INTERRUPT
         written = mode == "exhaustive"
-        assert ck.exists() == written
-        assert ("checkpoint written to" in capsys.readouterr().err) == written
+        assert (tmp_path / "radlab-checkpoint.json").exists() == written
+        assert ("checkpoint written to radlab-checkpoint.json" in capsys.readouterr().err) == written
 
     def test_falsified_exit_1(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(search, "_floor", lambda target, n: Fraction(1))
-        assert main(["search", "--target", "G", "--n", "3", "--bound", "5",
+        assert main(["search", "exhaustive", "--target", "G", "--n", "3", "--bound", "5",
                      "--checkpoint", str(tmp_path / "ck.json")]) == EXIT_VIOLATION
         assert json.loads(capsys.readouterr().err)["kind"] == "falsified"
 
+    @pytest.mark.parametrize("argv", [
+        # the three combinations the single search namespace ran with flags dropped
+        ["descent", "--target", "G", "--n", "9", "--start", "2,1,1"],
+        ["resume", "ck.json", "--target", "T", "--n", "9", "--trials", "3"],
+        ["random", "--target", "G", "--n", "5", "--trials", "5", "--bound", "3",
+         "--start", "9,9", "--progress-every", "2"],
+        # each flag that only another mode reads
+        ["random", "--target", "G", "--n", "5", "--trials", "5", "--bound", "3"],
+        ["random", "--target", "G", "--n", "5", "--trials", "5", "--start", "9,9"],
+        ["random", "--target", "G", "--n", "5", "--trials", "5", "--progress-every", "2"],
+        ["exhaustive", "--target", "G", "--n", "5", "--bound", "6", "--trials", "3"],
+        ["exhaustive", "--target", "G", "--n", "5", "--bound", "6", "--entry-bound", "2"],
+        ["descent", "--target", "G", "--start", "2,1,1", "--n", "9"],
+        ["resume", "ck.json", "--target", "T"],
+    ], ids=["descent-n-9", "resume-n-trials", "random-all", "random-bound", "random-start",
+            "random-progress", "exhaustive-trials", "exhaustive-entry-bound", "descent-n", "resume-target"])
+    def test_flags_of_another_mode_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", *argv])
+        assert exc.value.code == 2
+
     def test_missing_flags_exit_2(self, capsys):
-        assert main(["search", "--target", "G"]) == 2
+        for argv in (["--target", "G"], ["exhaustive", "--target", "G", "--n", "5"],
+                     ["random", "--target", "G", "--n", "5"], ["descent", "--target", "G"], ["resume"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["search", *argv])
+            assert exc.value.code == 2, argv
 
     def test_bad_search_input_exit_2(self, capsys, tmp_path):
         ck = str(tmp_path / "ck.json")
-        assert main(["search", "--target", "X", "--n", "3", "--bound", "4"]) == 2
-        assert main(["search", "--target", "T", "--n", "3", "--mode", "random",
-                     "--trials", "0", "--checkpoint", ck]) == 2
+        assert main(["search", "exhaustive", "--target", "X", "--n", "3", "--bound", "4"]) == 2
+        assert main(["search", "random", "--target", "T", "--n", "3", "--trials", "0"]) == 2
+        assert main(["search", "descent", "--target", "G", "--start", "1,x"]) == 2
         bad = tmp_path / "bad.json"
         bad.write_text("{")
-        assert main(["search", "--resume", str(bad), "--checkpoint", ck]) == 2
+        assert main(["search", "resume", str(bad), "--checkpoint", ck]) == 2
         # a best value that is no count over 2^5, and a 2-vector witness
         bad.write_text(json.dumps({"target": "G", "n": 5, "bound": 10, "cursor": [9, 1, 0, 0, 0],
                                    "best_value": "1/3", "witness": "1,1", "examined": 3}))
-        assert main(["search", "--resume", str(bad), "--checkpoint", ck]) == 2
+        assert main(["search", "resume", str(bad), "--checkpoint", ck]) == 2
         # a target that is no string, and a checkpoint that is no object
         for checkpoint in ({"target": 5, "n": 3, "bound": 5, "examined": 0}, [1]):
             bad.write_text(json.dumps(checkpoint))
-            assert main(["search", "--resume", str(bad), "--checkpoint", ck]) == 2
+            assert main(["search", "resume", str(bad), "--checkpoint", ck]) == 2
 
     def test_bad_thread_cap_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("RADLAB_THREADS", "abc")
-        assert main(["search", "--target", "G", "--n", "3", "--mode", "random", "--trials", "5"]) == 2
+        assert main(["search", "random", "--target", "G", "--n", "3", "--trials", "5"]) == 2
         assert "RADLAB_THREADS" in capsys.readouterr().err
 
 
@@ -356,7 +378,7 @@ class TestVerifyPaperCommand:
         # every pair dominates: soundness fails; none does: completeness fails
         ("dominates", lambda s, t: True, lambda: verify._dominance_claims(1, 50, 6, 7)[2:]),
         ("dominates", lambda s, t: False, lambda: verify._dominance_claims(1, 50, 6, 7)[2:]),
-        ("tail_counts_gf", lambda a, rho, side: None, lambda: [verify._crossval_claim(False, 7)]),
+        ("tail_counts_gf", lambda a, rho, side: None, lambda: [verify._crossval_claim(8, 0, 7)]),
     ], ids=["dim7", "comb-random", "pairing", "dominance-sound", "dominance-complete", "crossval"])
     def test_sampled_claim_fails_when_its_checker_disagrees(self, monkeypatch, name, fake, claims):
         monkeypatch.setattr(verify, name, fake)

@@ -30,7 +30,6 @@ from radlab.errors import (
     DimensionError,
     InvalidThreshold,
     NonPositiveEntry,
-    ZeroEntry,
     ZeroNorm,
 )
 
@@ -345,7 +344,7 @@ class TestGprime:
         assert r.values["equality"] is True
 
     def test_zero_entry_rejected(self):
-        with pytest.raises(ZeroEntry):
+        with pytest.raises(NonPositiveEntry):
             check_gprime(CoeffVec((1, 1, 0)))
 
     def test_dimension_cap(self):

@@ -6,6 +6,7 @@ import pytest
 
 from radlab.core import CoeffVec, SignAssignment, canonicalize, sign_sum
 from radlab.dominance import (
+    _closure_rows,
     case_lemma_7,
     dominates,
     in_vsd,
@@ -116,6 +117,12 @@ class TestUpwardClosure:
         assert len(closure) == 14
 
     def test_matches_exhaustive_scan(self):
+        # every seed at every n the full order-rule claim runs, as the rows it reads
+        for n in range(1, 9):
+            rows = _closure_rows(n)
+            for m in range(1 << n):
+                seed = SignAssignment(m, n)
+                assert rows[m] == sum(1 << t for t in range(1 << n) if dominates(seed, SignAssignment(t, n)))
         rng = random.Random(64)
         for _ in range(60):
             n = rng.randint(1, 10)

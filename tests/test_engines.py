@@ -54,7 +54,7 @@ from radlab.counting import (
     _packed_product,
     _threshold_boundary,
 )
-from radlab.errors import DimensionError, NonPositiveEntry, TooLarge, ZeroEntry
+from radlab.errors import DimensionError, NonPositiveEntry, TooLarge
 from radlab.search import seeded_vectors
 
 SIDES = st.sampled_from([ONE_SIDED, TWO_SIDED])
@@ -435,7 +435,7 @@ def _checker_args(name):
 
 
 # the typed errors each checker documents for inputs outside its domain
-DOMAIN_ERRORS = {"gprime": (ZeroEntry, DimensionError), "comb": (NonPositiveEntry,)}
+DOMAIN_ERRORS = {"gprime": (NonPositiveEntry, DimensionError), "comb": (NonPositiveEntry,)}
 
 
 @pytest.mark.parametrize("name", sorted(CHECKERS))
