@@ -237,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="write the report artifact to this path")
         p.add_argument("--ledger", help="append a run entry to this ledger file")
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("eval", help="tail counts, probabilities and class of one vector")
     p.add_argument("--vector", required=True, help='e.g. "2,2,1,1,1" or "1/2,1/2,1/2,1/2"')
@@ -306,7 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # leftovers after the command name belong to the command's own parser
+        owner = args.parser if argv.index(extra[0]) > argv.index(args.command) else parser
+        owner.error(f"unrecognized arguments: {' '.join(extra)}")
     args.argv = argv  # what the ledger records
     try:
         return args.fn(args)

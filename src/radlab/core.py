@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import ge, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionError, InvalidCoefficient
@@ -20,19 +21,22 @@ RationalLike = Union[int, Fraction]
 # Masks must fit comfortably in one machine word.
 MAX_DIMENSION = 63
 
+_INT, _EXACT = {int}, {int, Fraction}
+
 
 @dataclass(frozen=True)
 class CoeffVec:
     """Canonical nonnegative integer coefficient vector.
 
     Invariants: entries sorted non-increasing, gcd of the nonzero entries
-    is 1 (all-zero is allowed), and ``norm_sq`` equals the sum of squares.
-    Probabilistic statements about sign sums are scale invariant, so the
-    integer scaling loses nothing.
+    is 1 (all-zero is allowed), ``norm_sq`` equals the sum of squares and
+    ``total`` the sum.  Probabilistic statements about sign sums are scale
+    invariant, so the integer scaling loses nothing.
     """
 
     entries: tuple[int, ...]
     norm_sq: int = field(init=False, compare=False)
+    total: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         e = self.entries
@@ -42,25 +46,24 @@ class CoeffVec:
             raise InvalidCoefficient("empty coefficient vector")
         if len(e) > MAX_DIMENSION:
             raise DimensionError(f"dimension {len(e)} exceeds cap {MAX_DIMENSION}")
-        for x in e:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InvalidCoefficient(f"entry {x!r} is not an integer")
-            if x < 0:
-                raise InvalidCoefficient(f"negative entry {x}")
-        if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
+        # here and in canonicalize, the loop names the first bad entry
+        if not set(map(type, e)) <= _INT or min(e) < 0:
+            for x in e:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InvalidCoefficient(f"entry {x!r} is not an integer")
+                if x < 0:
+                    raise InvalidCoefficient(f"negative entry {x}")
+        if not all(map(ge, e, e[1:])):
             raise InvalidCoefficient("entries must be sorted non-increasing")
         g = gcd(*e)
         if g > 1:
             raise InvalidCoefficient(f"entries share common factor {g}; canonicalize first")
-        object.__setattr__(self, "norm_sq", sum(x * x for x in e))
+        object.__setattr__(self, "norm_sq", sum(map(mul, e, e)))
+        object.__setattr__(self, "total", sum(e))
 
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries)
 
     def is_zero(self) -> bool:
         return self.norm_sq == 0
@@ -140,16 +143,19 @@ def canonicalize(raw: Sequence[RationalLike]) -> CoeffVec:
     """
     if len(raw) == 0:
         raise InvalidCoefficient("empty coefficient vector")
-    for x in raw:
-        if isinstance(x, float):
-            raise InvalidCoefficient(f"float entry {x!r}; use int or Fraction")
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise InvalidCoefficient(f"entry {x!r} is not an exact number")
-        if x < 0:
-            raise InvalidCoefficient(f"negative entry {x}")
-    # ints and Fractions both carry numerator and denominator
-    scale = lcm(*(x.denominator for x in raw))
-    ints = sorted((x.numerator * (scale // x.denominator) for x in raw), reverse=True)
+    kinds = set(map(type, raw))
+    if not kinds <= _EXACT or min(raw) < 0:
+        for x in raw:
+            if isinstance(x, float):
+                raise InvalidCoefficient(f"float entry {x!r}; use int or Fraction")
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise InvalidCoefficient(f"entry {x!r} is not an exact number")
+            if x < 0:
+                raise InvalidCoefficient(f"negative entry {x}")
+    if kinds != _INT:  # ints and Fractions both carry numerator and denominator
+        scale = lcm(*(x.denominator for x in raw))
+        raw = [x.numerator * (scale // x.denominator) for x in raw]
+    ints = sorted(raw, reverse=True)
     g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]

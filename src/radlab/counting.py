@@ -142,7 +142,7 @@ class SumDistribution:
             raise ValueError("distribution must be symmetric")
 
 
-def _threshold_boundary(norm_sq: int, rho: Fraction) -> tuple[int, bool]:
+def _threshold_boundary(norm_sq: int, rho: RationalLike) -> tuple[int, bool]:
     """floor(rho * sqrt(norm_sq)) and whether the product is an exact integer."""
     num, den = rho.numerator, rho.denominator
     t2num = num * num * norm_sq
@@ -186,8 +186,8 @@ def _classify(n: int, below: int, at: int, k0: int, exact: bool, side: Side) -> 
     return TailCounts(n, below, at, everything - below - at)
 
 
-def _validated(a: CoeffVec, rho: RationalLike, side: Side) -> Fraction:
-    rho = Fraction(rho)
+def _validated(a: CoeffVec, rho: RationalLike, side: Side) -> RationalLike:
+    rho = rho if isinstance(rho, int) else Fraction(rho)  # an int has numerator and denominator
     if rho < 0:
         raise InvalidThreshold(f"negative threshold multiplier {rho}")
     if a.norm_sq == 0:

@@ -249,7 +249,7 @@ def pair_lemma_select(
     )
 
 
-_CASE7_CANDIDATES = ((2,), (3, 4), (5, 6, 7))
+_CASE7_CANDIDATES = tuple(SignAssignment.from_indices(idx, 7) for idx in ((2,), (3, 4), (5, 6, 7)))
 
 
 def case_lemma_7(a: CoeffVec, strict: bool = False) -> SignAssignment:
@@ -262,8 +262,7 @@ def case_lemma_7(a: CoeffVec, strict: bool = False) -> SignAssignment:
         raise DimensionError(f"expected dimension 7, got {a.n}")
     if strict and a.entries[6] == 0:
         raise LemmaPreconditionViolated("strict variant requires all entries positive")
-    for idx in _CASE7_CANDIDATES:
-        cand = SignAssignment.from_indices(idx, 7)
+    for cand in _CASE7_CANDIDATES:
         if vsd_membership_quadratic(a, cand, strict):
             return cand
     raise NoWitness(f"no candidate reaches the norm for a={a}; rule falsified")

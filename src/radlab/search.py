@@ -9,7 +9,8 @@ exhausted regions.
 Every sampled vector here, and in each sampled claim of the suite but
 the dominance pairs, comes from ``seeded_vectors``: each vector has its
 own substream ``random.Random(key)``, so results are reproducible and
-independent of how trials are split across workers.  The keys are
+independent of how trials are split across workers, and its entries are
+those ``randint`` would draw, draw for draw.  The keys are
 
 - ``"{seed}:{i}"``: trial i of ``random_search``;
 - ``"{seed}:{n}:{i}"``: trial i in dimension n of ``hunt``;
@@ -41,6 +42,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import ceil, gcd, isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -224,11 +226,23 @@ def seeded_vectors(
 ) -> Iterator[tuple[CoeffVec, random.Random]]:
     """For each (key, n), draw n entries in [lo, hi] from
     random.Random(key); yield the canonical vector of every draw that is
-    not all zero, together with its substream for any further draws."""
+    not all zero, together with its substream for any further draws.
+
+    An entry is lo plus the first ``getrandbits(k)`` below the width
+    hi - lo + 1, k its bit length, as CPython's ``randint`` draws it."""
+    if (width := hi - lo + 1) < 1:
+        raise ValueError(f"empty entry range [{lo}, {hi}]")
+    k = width.bit_length()
     for key, n in keys:
         # string seeding is stable across runs and hash randomization
         rng = random.Random(key)
-        entries = [rng.randint(lo, hi) for _ in range(n)]
+        bits = rng.getrandbits
+        # n entries take at least n draws; each rejected one is redrawn after them
+        entries = [lo + r for r in map(bits, repeat(k, n)) if r < width]
+        while len(entries) < n:
+            r = bits(k)
+            if r < width:
+                entries.append(lo + r)
         if any(entries):
             yield canonicalize(entries), rng
 

@@ -102,6 +102,18 @@ class TestEval:
 
         walk(json.loads(out))
 
+    @pytest.mark.parametrize("argv, prog", [
+        (["eval", "--vector", "1,1", "--bogus"], "radlab eval"),
+        (["--bogus", "eval", "--vector", "1,1"], "radlab"),
+    ], ids=["after-command", "before-command"])
+    def test_unknown_flag_names_the_parser_it_reached(self, capsys, argv, prog):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: {prog} [-h]")
+        assert err[-1] == f"{prog}: error: unrecognized arguments: --bogus"
+
 
 class TestCheck:
     def test_pairing(self, capsys):
@@ -234,6 +246,10 @@ class TestSearch:
         with pytest.raises(SystemExit) as exc:
             main(["search", *argv])
         assert exc.value.code == 2
+        # the message shows the usage of the mode that refused the flag
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: radlab search {argv[0]} [-h]")
+        assert err[-1].startswith(f"radlab search {argv[0]}: error: unrecognized arguments: --")
 
     def test_missing_flags_exit_2(self, capsys):
         for argv in (["--target", "G"], ["exhaustive", "--target", "G", "--n", "5"],

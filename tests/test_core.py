@@ -1,9 +1,12 @@
 """Core types and single sign sums."""
 
+import enum
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radlab.core import (
     CoeffVec,
@@ -14,6 +17,8 @@ from radlab.core import (
     sign_sum,
 )
 from radlab.errors import DimensionError, InvalidCoefficient
+
+entry_lists = st.lists(st.integers(0, 60), min_size=1, max_size=12)
 
 
 class TestCanonicalize:
@@ -44,20 +49,27 @@ class TestCanonicalize:
             once = canonicalize(raw)
             assert canonicalize(list(once.entries)).entries == once.entries
 
-    def test_permutation_independent(self):
-        rng = random.Random(12)
-        for _ in range(200):
-            raw = [rng.randint(0, 9) for _ in range(6)]
-            shuffled = raw[:]
-            rng.shuffle(shuffled)
-            assert canonicalize(raw).entries == canonicalize(shuffled).entries
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(entry_lists, st.randoms(use_true_random=False))
+    def test_permutation_independent(self, raw, rng):
+        shuffled = raw[:]
+        rng.shuffle(shuffled)
+        assert canonicalize(shuffled) == canonicalize(raw)
 
-    def test_scale_invariant(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            raw = [rng.randint(0, 9) for _ in range(5)]
-            c = rng.randint(1, 7)
-            assert canonicalize(raw).entries == canonicalize([c * x for x in raw]).entries
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(entry_lists, st.integers(1, 10**6), st.integers(1, 10**6))
+    def test_scale_invariant(self, raw, factor, divisor):
+        a = canonicalize(raw)
+        assert canonicalize([factor * x for x in raw]) == a
+        assert canonicalize([Fraction(x, divisor) for x in raw]) == a
+        assert canonicalize([Fraction(factor * x, divisor) for x in raw]) == a
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(entry_lists)
+    def test_ints_equal_fractions(self, raw):
+        a, b = canonicalize(raw), canonicalize([Fraction(x) for x in raw])
+        assert (a, a.norm_sq, a.total) == (b, b.norm_sq, b.total)
+        assert a.norm_sq == sum(x * x for x in a.entries) and a.total == sum(a.entries)
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidCoefficient):
@@ -70,6 +82,48 @@ class TestCanonicalize:
     def test_empty_rejected(self):
         with pytest.raises(InvalidCoefficient):
             canonicalize([])
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+# entries, then what canonicalize and CoeffVec each raise (type, message
+# start) or, for a valid input, return; a loop names the first bad entry
+BAD_INPUTS = {
+    "bool": ((True, False), (InvalidCoefficient, "entry True is not an exact number"),
+             (InvalidCoefficient, "entry True is not an integer")),
+    "float": ((2, 1.5), (InvalidCoefficient, "float entry 1.5; use int or Fraction"),
+              (InvalidCoefficient, "entry 1.5 is not an integer")),
+    "string": ((1, "1"), (InvalidCoefficient, "entry '1' is not an exact number"),
+               (InvalidCoefficient, "entry '1' is not an integer")),
+    "negative": ((1, -1), (InvalidCoefficient, "negative entry -1"),
+                 (InvalidCoefficient, "negative entry -1")),
+    "negative-before-float": ((3, -2, -5, 0.5), (InvalidCoefficient, "negative entry -2"),
+                              (InvalidCoefficient, "negative entry -2")),
+    "negative-fraction": ((Fraction(-1, 2), 1), (InvalidCoefficient, "negative entry -1/2"),
+                          (InvalidCoefficient, "entry Fraction(-1, 2) is not an integer")),
+    "unsorted": ((1, 2), (2, 1), (InvalidCoefficient, "entries must be sorted non-increasing")),
+    "common-factor": ((4, 2), (2, 1), (InvalidCoefficient, "entries share common factor 2")),
+    "empty": ((), (InvalidCoefficient, "empty coefficient vector"),
+              (InvalidCoefficient, "empty coefficient vector")),
+    "n-64": ((1,) * 64, (DimensionError, "dimension 64 exceeds cap 63"),
+             (DimensionError, "dimension 64 exceeds cap 63")),
+    "int-subclass": ((Small.TWO, Small.ONE), (2, 1), (2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_inputs_raise_typed_errors(name):
+    entries, canon, vec = BAD_INPUTS[name]
+    for build, expect in ((lambda: canonicalize(list(entries)), canon), (lambda: CoeffVec(entries), vec)):
+        if isinstance(expect[0], type):
+            with pytest.raises(expect[0]) as exc:
+                build()
+            assert str(exc.value).startswith(expect[1])
+        else:
+            assert build().entries == expect
 
 
 class TestCoeffVec:

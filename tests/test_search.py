@@ -366,20 +366,30 @@ class TestHunt:
 def test_sampler_matches_literal_draws_for_every_key_shape():
     # the substream key shapes of random_search, hunt and the claim suite
     shapes = ["7:{i}", "7:3:{i}", "7:dim7:{i}", "7:pair:3:{i}", "7:xval:3:{i}"]
-    skipped = 0
-    for shape in shapes:
-        keys = [(shape.format(i=i), 3) for i in range(200)]
+    # the ranges the code draws from, lo == hi, widths 32 and 33 on either
+    # side of a power of two, and a width of more than 32 bits
+    ranges = [(0, 2), (0, 20), (0, 50), (1, 20), (1, 50), (0, 0), (3, 3),
+              (0, 31), (0, 32), (1, 32), (1, 33), (0, 2**40)]
+    for shape, (lo, hi) in product(shapes, ranges):
+        keys = [(shape.format(i=i), 1 + i % 9) for i in range(90)]
         expected = []
         for key, n in keys:
             rng = random.Random(key)
-            entries = [rng.randint(0, 2) for _ in range(n)]
+            entries = [rng.randint(lo, hi) for _ in range(n)]
             if any(entries):
                 expected.append((canonicalize(entries), rng.random()))
         # the yielded substream continues where the entry draws stopped
-        got = [(a, rng.random()) for a, rng in seeded_vectors(keys, 0, 2)]
-        assert got == expected
-        skipped += len(keys) - len(got)
-    assert skipped > 0  # all-zero draws occurred and were skipped
+        got = [(a, rng.random()) for a, rng in seeded_vectors(keys, lo, hi)]
+        assert got == expected, (shape, lo, hi)
+        if (lo, hi) == (0, 2):
+            assert len(got) < len(keys)  # all-zero draws occurred and were skipped
+
+
+def test_sampler_rejects_an_empty_range():
+    with pytest.raises(ValueError):
+        random.Random("7:0").randint(3, 2)
+    with pytest.raises(ValueError, match="empty entry range"):
+        list(seeded_vectors([("7:0", 3)], 3, 2))
 
 
 def test_input_errors_are_typed():
