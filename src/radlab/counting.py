@@ -18,22 +18,29 @@ the sign sums S, and ``_classify`` makes the classes of either side.
 ``tail_counts`` picks one by a fixed cost rule, ``tail_count_engine``:
 the packed polynomial when the n*T*(n+1) bits its shift-adds touch
 (T = sum of entries) stay within GF_WORK_PER_HALF_SUM per half sum of
-meet-in-the-middle and the integer fits GF_BIT_BUDGET; otherwise
-meet-in-the-middle up to MITM_CAP; otherwise TooLarge, raised before
-anything is allocated.  ``tail_counts_gray``, a direct Gray-code sweep
-over all 2^n sign vectors, is kept only as the reference oracle that
-tests and the claim suite compare against.  All three decide every
+meet-in-the-middle and it fits; otherwise meet-in-the-middle if its half
+sums fit; otherwise TooLarge.  ``tail_counts_gray``, a direct Gray-code
+sweep over all 2^n sign vectors, is kept only as the reference oracle
+that tests and the claim suite compare against.  All three decide every
 comparison against ``rho * ||a||`` in integers.
 
-``distribution`` reads the 2^n sign sums from the smaller table: the same
-product with T+1 64-bit slots (T < 2^n, within GF_BIT_BUDGET), else the
-2^n sums listed (n <= _LISTED_SUMS_CAP, within 1 GiB), else TooLarge
-before allocating.  A one-slot memo keyed by the entries hands the same
-immutable table to consecutive calls on one vector, so ``delta_sweep``
-and ``check_pairing`` after ``distribution`` build it once.  Any other
-call empties the slot before it builds, so the slot never holds two
-tables at once; it retains the last vector's entries and table (hundreds
-of MB for a wide vector at n = 22) until a call on another vector.
+``distribution`` reads the 2^n sign sums from the smaller table that
+fits: the same product with T+1 64-bit slots (when T < 2^n), else the
+2^n sums listed, else TooLarge.  A one-slot memo keyed by the entries
+hands the same immutable table to consecutive calls on one vector, so
+``delta_sweep`` and ``check_pairing`` after ``distribution`` build it
+once.  Any other call empties the slot before it builds, so the slot
+never holds two tables at once; it retains the last vector's table (up
+to hundreds of MB) until a call on another vector.
+
+One size rule admits every table from n and T, before anything is
+allocated: T+1 packed slots must fit GF_BIT_BUDGET bits (``_packed_fits``),
+and listed sums, Python ints no wider than T, LISTED_BUDGET bytes at a
+fixed cost per sum plus 8 B per 30-bit digit of T (``_listed_fits``).
+tracemalloc peaks (CPython 3.11, 64-bit, entries of 20 to 8,000 bits) are
+54.5 B per half sum of meet-in-the-middle at one digit, +5 B per digit,
+and 175 B per sum listed by ``distribution``, +8 B per digit.  Entries
+below 2^21 thus admit meet-in-the-middle to n = 46, listed sums to n = 22.
 
 The key trick: for integer sums S and rational rho >= 0, let
 ``k0 = floor(rho * ||a||)`` (computed from squares with isqrt) and let
@@ -66,18 +73,25 @@ Side = Literal["one-sided", "two-sided"]
 
 # The Gray-code reference sweep refuses dimensions above this n.
 GRAY_CAP = 30
-# Meet-in-the-middle peaks at about 55 bytes per half sum (tracemalloc,
-# entries near 2^20, n = 32..40), so it stops at the largest n whose
-# 2^ceil(n/2) + 2^floor(n/2) half sums fit 1 GiB: 46.
-MITM_CAP = max(n for n in range(64) if ((1 << (n + 1) // 2) + (1 << n // 2)) * 55 <= 1 << 30)
 # The packed generating function is used while n*T*(n+1), the bits its n
 # shift-adds touch, stays within this many per meet-in-the-middle half sum
 # (2^ceil(n/2) of them) and the packed integer within the bit budget.
 GF_WORK_PER_HALF_SUM = 10_000
 GF_BIT_BUDGET = 1 << 26
-# Listing the 2^n sign sums peaks at about 170 bytes per sum (tracemalloc,
-# n = 14..18), so the listed table stops at the largest n within 1 GiB: 22.
-_LISTED_SUMS_CAP = ((1 << 30) // 170).bit_length() - 1
+# The listed-sums byte budget and its cost model (see the module docstring).
+LISTED_BUDGET = 1 << 30
+_HALF_SUM_BYTES, _SUM_BYTES, _DIGIT_BYTES = 48, 170, 8
+
+
+def _packed_fits(width: int, total: int) -> bool:
+    """Whether T+1 packed slots of width bits fit GF_BIT_BUDGET."""
+    return (total + 1) * width <= GF_BIT_BUDGET
+
+
+def _listed_fits(sums: int, base: int, total: int) -> bool:
+    """Whether sums ints no wider than T, at base bytes each plus
+    _DIGIT_BYTES per 30-bit digit of T, fit LISTED_BUDGET."""
+    return sums * (base + _DIGIT_BYTES * -(-total.bit_length() // 30)) <= LISTED_BUDGET
 
 
 @dataclass(frozen=True)
@@ -238,16 +252,15 @@ def distribution(a: CoeffVec) -> SumDistribution:
         return last[1]
     _last_table = None
     n, total = a.n, a.total
-    if total < 1 << n and 64 * (total + 1) <= GF_BIT_BUDGET:
+    if total < 1 << n and _packed_fits(64, total):
         poly = _packed_product(a.entries, 64)
         counts = memoryview(poly.to_bytes(8 * (total + 1), sys.byteorder)).cast("Q").tolist()
         pairs = tuple(zip(compress(range(-total, total + 1, 2), counts), filter(None, counts)))
-    elif n <= _LISTED_SUMS_CAP:
+    elif _listed_fits(1 << n, _SUM_BYTES, total):
         # a Counter keeps first-seen order: counting sorted sums encodes runs
         pairs = tuple(Counter(_half_sums(a.entries)).items())
     else:
-        raise TooLarge(f"n={n} with entry sum {total} exceeds the packed budget "
-                       f"({GF_BIT_BUDGET} bits) and the listed-sums cap n <= {_LISTED_SUMS_CAP}")
+        raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: neither sum table fits")
     dist = SumDistribution(n, pairs)
     _last_table = (a.entries, dist)
     return dist
@@ -279,11 +292,6 @@ def _gf_width(n: int) -> int:
     return n + 1
 
 
-def _gf_bits(n: int, total: int) -> int:
-    """Size of the packed generating function: T+1 slots of n+1 bits."""
-    return (total + 1) * _gf_width(n)
-
-
 def _packed_counts(poly: int, width: int, total: int, k0: int, exact: bool) -> tuple[int, int]:
     """The counts _classify takes, read off the packed product poly of a
     nonnegative vector with entry sum total and width > n bits per slot.
@@ -310,17 +318,11 @@ def tail_count_engine(a: CoeffVec) -> str:
     Raises TooLarge, before anything is allocated, when neither fits.
     """
     n, total = a.n, a.total
-    if (
-        _gf_bits(n, total) <= GF_BIT_BUDGET
-        and n * total * (n + 1) <= GF_WORK_PER_HALF_SUM << ((n + 1) // 2)
-    ):
+    if _packed_fits(_gf_width(n), total) and n * total * (n + 1) <= GF_WORK_PER_HALF_SUM << (n + 1) // 2:
         return "gf"
-    if n <= MITM_CAP:
+    if _listed_fits((1 << (n + 1) // 2) + (1 << n // 2), _HALF_SUM_BYTES, total):
         return "mitm"
-    raise TooLarge(
-        f"n={n} with entry sum {total} exceeds both the packed generating "
-        f"function budget ({GF_BIT_BUDGET} bits) and the meet-in-the-middle cap {MITM_CAP}"
-    )
+    raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: neither engine's table fits")
 
 
 def tail_counts(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
@@ -343,10 +345,9 @@ def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -
     ``_packed_counts``."""
     rho = _validated(a, rho, side)
     n, total = a.n, a.total
-    if _gf_bits(n, total) > GF_BIT_BUDGET:
-        raise TooLarge(f"packed generating function of {_gf_bits(n, total)} bits "
-                       f"exceeds the budget of {GF_BIT_BUDGET}")
     width = _gf_width(n)
+    if not _packed_fits(width, total):
+        raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: the packed product does not fit")
     k0, exact = _threshold_boundary(a.norm_sq, rho)
     below, at = _packed_counts(_packed_product(a.entries, width), width, total, k0, exact)
     return _classify(n, below, at, k0, exact, side)
@@ -360,9 +361,9 @@ def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED)
     moves down: #(S <= v) costs one linear pass, and an exact threshold,
     #(S == k0) = #(S <= k0) - #(S <= k0 - 1), two."""
     rho = _validated(a, rho, side)
-    if a.n > MITM_CAP:
-        raise TooLarge(f"n={a.n} exceeds meet-in-the-middle cap {MITM_CAP}")
     split = (a.n + 1) // 2
+    if not _listed_fits((1 << split) + (1 << a.n - split), _HALF_SUM_BYTES, a.total):
+        raise TooLarge(f"n={a.n} with a {a.total.bit_length()}-bit entry sum: the half sums do not fit")
     left = _half_sums(a.entries[:split])
     right = _half_sums(a.entries[split:])
 

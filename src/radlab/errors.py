@@ -26,7 +26,7 @@ class NonPositiveEntry(RadlabError):
 
 
 class TooLarge(RadlabError):
-    """Input dimension exceeds the hard cap of this operation."""
+    """Input past a size rule: a dimension cap, a table budget or a sweep cap."""
 
 
 class LemmaPreconditionViolated(RadlabError):
@@ -56,6 +56,3 @@ class SearchInputError(RadlabError, ValueError):
     Also a ValueError, which is what these inputs raised before.
     """
 
-
-class BudgetExceeded(RadlabError):
-    """Requested enumeration is larger than the configured budget."""

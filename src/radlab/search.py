@@ -50,11 +50,11 @@ from .conjectures import CHECKERS, GPRIME_TABLE, CheckReport, HK_BOUND, HK_MAX_N
 from .core import CoeffVec, DyadicProb, canonicalize
 from .counting import TailCounts, _gf_width, _packed_counts, tail_counts
 from .errors import (
-    BudgetExceeded,
     ConjectureFalsified,
     NonPositiveEntry,
     RadlabError,
     SearchInputError,
+    TooLarge,
     ZeroNorm,
 )
 
@@ -434,7 +434,7 @@ def exhaustive_integer_search(
     min_entry = target.min_entry
     size = canonical_count(n, bound, min_entry)
     if size > MAX_SWEEP_VECTORS:
-        raise BudgetExceeded(f"region holds {size} canonical vectors (cap {MAX_SWEEP_VECTORS})")
+        raise TooLarge(f"region holds {size} canonical vectors (cap {MAX_SWEEP_VECTORS})")
     if not size:
         raise SearchInputError("empty search region")
     best: _Key | None = None

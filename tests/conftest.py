@@ -11,15 +11,17 @@ from radlab.errors import TooLarge
 
 @pytest.fixture
 def too_large_before_allocating():
-    """Assert that call raises TooLarge on wide vectors with n = 23, the
-    first n past the listed-sums cap, and n = 25, within 1 MiB of traced
-    allocation each: their entry sums T are far above the 2^n packed
-    slots, and their 2^n sign sums exceed the listed-sums cap."""
+    """Assert that call raises TooLarge on each vector, within 1 MiB of
+    traced allocation each.  By default the vectors are wide ones with
+    n = 23, the first n past the listed-sums rule for entries below 2^21,
+    and n = 25: their entry sums T are far above the 2^n packed slots, and
+    their 2^n sign sums do not fit the listed-sums budget."""
 
-    def check(call):
-        rng = random.Random(64)
-        for n in (23, 25):
-            wide = canonicalize([rng.randint(1 << 19, 1 << 20) for _ in range(n)])
+    def check(call, vectors=None):
+        if vectors is None:
+            rng = random.Random(64)
+            vectors = [canonicalize([rng.randint(1 << 19, 1 << 20) for _ in range(n)]) for n in (23, 25)]
+        for wide in vectors:
             tracemalloc.start()
             try:
                 with pytest.raises(TooLarge):
@@ -30,3 +32,20 @@ def too_large_before_allocating():
             assert peak < 1 << 20
 
     return check
+
+
+@pytest.fixture(scope="session")
+def prime_reciprocals_46():
+    """1/2, 1/3, ..., 1/199 over the first 46 primes, as radlab eval takes
+    it: scaled by the lcm of the denominators, each entry has ~270 bits."""
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    assert len(primes) == 46
+    return ",".join(f"1/{p}" for p in primes)
+
+
+@pytest.fixture(scope="session")
+def wide_8000_bit_20():
+    """One 20-vector of 8,000-bit entries: its 2^20 listed sums would need
+    ~2.4 GB, and its entry sum is far above 2^20 packed slots."""
+    rng = random.Random(66)
+    return [canonicalize([rng.randint(1 << 7999, 1 << 8000) for _ in range(20)])]

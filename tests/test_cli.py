@@ -75,6 +75,11 @@ class TestEval:
     def test_zero_vector_exit_2(self, capsys):
         assert main(["eval", "--vector", "0,0"]) == 2
 
+    def test_wide_rational_input_exit_2(self, capsys, prime_reciprocals_46):
+        # lcm scaling makes ~270-bit entries whose tables fit no budget
+        assert main(["eval", "--vector", prime_reciprocals_46]) == 2
+        assert capsys.readouterr().err.startswith("error: n=46 with a 274-bit entry sum")
+
     def test_parse_failure_exit_2(self, capsys):
         assert main(["eval", "--vector", "1,x"]) == 2
 

@@ -184,6 +184,9 @@ class TestDeltaSweep:
             )
             assert lhs == r.values["max_lhs"]
 
+    def test_wide_entries_refused(self, too_large_before_allocating, wide_8000_bit_20):
+        too_large_before_allocating(delta_sweep, wide_8000_bit_20)
+
 
 class TestPairing:
     def test_pair(self):
@@ -221,6 +224,9 @@ class TestPairing:
         r = check_pairing(CoeffVec((1,) * 25))
         assert r.holds and r.values["max_product"] == 25 == r.values["norm_sq"]
         too_large_before_allocating(check_pairing)
+
+    def test_wide_entries_refused(self, too_large_before_allocating, wide_8000_bit_20):
+        too_large_before_allocating(check_pairing, wide_8000_bit_20)
 
 
 def literal_subset_fraction(entries):

@@ -10,12 +10,17 @@ from math import comb, isqrt
 
 import pytest
 
-from radlab.core import CoeffVec, canonicalize
+from radlab.core import CoeffVec, canonicalize, parse_vector
 from radlab.counting import (
+    _DIGIT_BYTES,
+    _HALF_SUM_BYTES,
+    _SUM_BYTES,
     ONE_SIDED,
     TWO_SIDED,
     SumDistribution,
     TailCounts,
+    _listed_fits,
+    _packed_fits,
     distribution,
     iter_sign_sums,
     tail_count_engine,
@@ -310,6 +315,66 @@ class TestDispatch:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+
+def half_sum_count(n):
+    return (1 << (n + 1) // 2) + (1 << n // 2)
+
+
+class TestSizeRule:
+    """Every table is admitted by _packed_fits or _listed_fits, from n and
+    the entry sum T alone, before anything is allocated."""
+
+    @pytest.mark.parametrize("width", [1, 20, 21])
+    def test_narrow_entries_keep_the_caps(self, width):
+        # entries below 2^width <= 2^21: T stays one 30-bit digit
+        top = (1 << width) - 1
+        for total in (46, 46 * top):
+            assert _listed_fits(half_sum_count(46), _HALF_SUM_BYTES, total)
+        for total in (47, 47 * top):
+            assert not _listed_fits(half_sum_count(47), _HALF_SUM_BYTES, total)
+        for total in (22, 22 * top):
+            assert _listed_fits(1 << 22, _SUM_BYTES, total)
+        for total in (23, 23 * top):
+            assert not _listed_fits(1 << 23, _SUM_BYTES, total)
+
+    def test_packed_boundary(self):
+        # T+1 slots of 64 bits within 2^26 bits
+        assert _packed_fits(64, (1 << 20) - 1)
+        assert not _packed_fits(64, 1 << 20)
+
+    @pytest.mark.parametrize("width", [20, 1000])
+    def test_model_bounds_the_measured_peak(self, width):
+        rng = random.Random(65)
+        a = canonicalize([rng.randint(1 << (width - 1), 1 << width) for _ in range(16)])
+        per_digit = _DIGIT_BYTES * -(-a.total.bit_length() // 30)
+        for call, bound in (
+            (lambda: tail_counts_mitm(a, 1, TWO_SIDED), half_sum_count(16) * (_HALF_SUM_BYTES + per_digit)),
+            (lambda: distribution(a), (1 << 16) * (_SUM_BYTES + per_digit)),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
+    def test_wide_rationals_are_refused_before_allocating(
+            self, too_large_before_allocating, prime_reciprocals_46):
+        # the lcm of 46 prime denominators makes ~270-bit entries, whose
+        # half sums would need ~1.7 GB: a cap on n alone admits them
+        a = parse_vector(prime_reciprocals_46)
+        assert (a.n, a.total.bit_length()) == (46, 274)
+        for call in (tail_count_engine, tail_counts, lambda v: tail_counts_mitm(v, 1, TWO_SIDED)):
+            too_large_before_allocating(call, [a])
+        with pytest.raises(TooLarge, match=r"^n=46 with a 274-bit entry sum: neither engine's table fits$"):
+            tail_counts(a)
+
+    def test_wide_distribution_is_refused_before_allocating(
+            self, too_large_before_allocating, wide_8000_bit_20):
+        too_large_before_allocating(distribution, wide_8000_bit_20)
 
 
 def test_probability_accessors_sum_to_one():

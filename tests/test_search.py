@@ -12,11 +12,11 @@ import pytest
 from radlab import search
 from radlab.core import CoeffVec, canonicalize
 from radlab.errors import (
-    BudgetExceeded,
     ConjectureFalsified,
     NonPositiveEntry,
     RadlabError,
     SearchInputError,
+    TooLarge,
 )
 from radlab.search import (
     SearchRecord,
@@ -135,7 +135,7 @@ class TestExhaustive:
 
     def test_budget_refusal_of_a_huge_region(self):
         # the region is sized in closed form: 78,392,880 vectors, no walk
-        with pytest.raises(BudgetExceeded, match=r"78392880 canonical vectors \(cap 5000000\)"):
+        with pytest.raises(TooLarge, match=r"78392880 canonical vectors \(cap 5000000\)"):
             exhaustive_integer_search(3, SearchTarget.G, 1500)
 
     def test_best_is_true_minimum(self):
