@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import isqrt
-from operator import lt, neg
+from operator import add, lt
 from typing import Iterator, Literal
 
 from .core import CoeffVec, DyadicProb, RationalLike
@@ -152,7 +152,7 @@ class SumDistribution:
             raise ValueError("values must be strictly increasing")
         if sum(counts) != (1 << self.n):
             raise ValueError("multiplicities must sum to 2^n")
-        if min(counts) <= 0 or counts != counts[::-1] or vals[::-1] != tuple(map(neg, vals)):
+        if min(counts) <= 0 or counts != counts[::-1] or any(map(add, vals, reversed(vals))):
             raise ValueError("distribution must be symmetric")
 
 

@@ -33,6 +33,8 @@ sweep reads its counts off a packed product carried down its walk with
 ``tail_counts_gf``'s reader, ``counting._packed_counts``, and, because the
 walk ascends lexicographically, keeps a new best only on a strictly smaller
 count; ``canonical_vectors`` with ``_score`` is kept as its test oracle.
+The oracle walks its whole region plainly; only the sweep seeks, straight
+past a resume cursor.
 """
 
 from __future__ import annotations
@@ -259,34 +261,26 @@ def _check_inputs(n_values: Sequence[int], trials: int, entry_bound: int, min_en
         raise SearchInputError(f"entry bound must be >= {max(min_entry, 1)}, got {entry_bound}")
 
 
-def canonical_vectors(
-    n: int, bound: int, min_entry: int = 0, after: tuple[int, ...] | None = None
-) -> Iterator[CoeffVec]:
+def canonical_vectors(n: int, bound: int, min_entry: int = 0) -> Iterator[CoeffVec]:
     """All canonical vectors of dimension n with entry sum <= bound, in
-    ascending lexicographic order of their entry tuples; with ``after``, a
-    canonical n-vector of the region, only those that come after it.
+    ascending lexicographic order of their entry tuples: the plain walk
+    that tests hold the exhaustive sweep to.
 
-    The walk seeks: while the prefix still equals ``after``, each level
-    starts at the cursor's own entry.  The running gcd is carried down,
-    and the all-zero vector fails the gcd test like any other multiple.
+    The running gcd is carried down, and the all-zero vector fails the gcd
+    test like any other multiple.
     """
     last = n - 1
     prefix = [0] * n
 
-    def rec(d: int, max_val: int, budget: int, g: int, on_cursor: bool) -> Iterator[CoeffVec]:
-        lo = after[d] if on_cursor else min_entry
-        hi = min(max_val, budget - (last - d) * min_entry)
-        if d == last:
-            for v in range(lo + on_cursor, hi + 1):  # the cursor itself is done
-                if gcd(g, v) == 1:
-                    prefix[d] = v
-                    yield CoeffVec(tuple(prefix))
-            return
-        for v in range(lo, hi + 1):
+    def rec(d: int, max_val: int, budget: int, g: int) -> Iterator[CoeffVec]:
+        for v in range(min_entry, min(max_val, budget - (last - d) * min_entry) + 1):
             prefix[d] = v
-            yield from rec(d + 1, v, budget - v, gcd(g, v), on_cursor and v == lo)
+            if d < last:
+                yield from rec(d + 1, v, budget - v, gcd(g, v))
+            elif gcd(g, v) == 1:
+                yield CoeffVec(tuple(prefix))
 
-    return rec(0, bound, bound, 0, after is not None)
+    yield from rec(0, bound, bound, 0)
 
 
 def _count_sequences(slots: int, max_val: int, budget: int, min_entry: int) -> int:
@@ -414,8 +408,8 @@ def exhaustive_integer_search(
 ) -> SearchRecord:
     """Evaluate the target on every canonical vector with entry sum <= bound.
 
-    The walk is ``canonical_vectors``' own: fixed lexicographic order,
-    seeking straight past a resume cursor (checked first, by
+    The walk goes in ``canonical_vectors``' order and is the only walk that
+    seeks: it starts straight past a resume cursor (checked first, by
     ``_resume_key``), so a run interrupted at a checkpoint and resumed from
     it produces the identical final record.  Each level carries its
     prefix's gcd, entry sum, squared norm and packed product
@@ -551,15 +545,12 @@ def random_search(
     """
     _check_inputs([n], trials, entry_bound, target.min_entry)
     workers = _resolve_workers()
-    chunks = []
-    if workers == 1 or trials < 4 * workers:
-        chunks.append((n, target, 0, trials, seed, entry_bound))
-    else:
-        step = (trials + workers - 1) // workers
-        for lo in range(0, trials, step):
-            chunks.append((n, target, lo, min(lo + step, trials), seed, entry_bound))
-    if len(chunks) == 1:
-        results = [_random_chunk(chunks[0])]
+    if trials < 4 * workers:
+        workers = 1
+    step = -(-trials // workers)
+    chunks = [(n, target, lo, min(lo + step, trials), seed, entry_bound) for lo in range(0, trials, step)]
+    if workers == 1:
+        results = list(map(_random_chunk, chunks))
     else:
         # imported here: it loads multiprocessing on every import of radlab
         from concurrent.futures import ProcessPoolExecutor

@@ -387,8 +387,9 @@ class TestVerifyPaperCommand:
     def test_empty_samples_fail(self):
         # a sampled claim that evaluated nothing is not a clean pass
         claims = [*verify._dim7_sample_claims(0, 7), verify._comb_random_claim(0, 7),
-                  verify._pairing_claim(0, 7), verify._dominance_claims(1, 0, 10, 7)[2]]
-        assert [c.passed for c in claims] == [False] * 6
+                  verify._pairing_claim(0, 7), verify._dominance_claims(1, 0, 10, 7)[2],
+                  verify._crossval_claim(0, 0, 7)]
+        assert [c.passed for c in claims] == [False] * 7
 
     @pytest.mark.parametrize("name, fake, claims", [
         ("tail_counts", lambda a, rho, side: TailCounts(7, 115, 0, 13),
@@ -412,6 +413,25 @@ class TestVerifyPaperCommand:
         monkeypatch.setattr(verify, "case_lemma_7", no_witness)
         rule = verify._dim7_sample_claims(3, 7)[2]
         first, _ = next(search.seeded_vectors([("7:dim7:0", 7)], 0, 50))
+        assert not rule.passed
+        assert rule.to_json_dict()["details"]["first_failure"] == str(first)
+
+    def test_dim7_rule_is_one_call_per_sample(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "case_lemma_7", lambda a, strict=False: calls.append(a))
+        verify._dim7_sample_claims(300, 7)
+        keys = ((f"7:dim7:{i}", 7) for i in range(300))
+        assert calls == [a for a, _ in search.seeded_vectors(keys, 0, 50)]
+
+    def test_dim7_strict_failure_names_first_positive_sample(self, monkeypatch):
+        def strict_fails(a, strict=False):
+            if strict:
+                raise NoWitness(str(a))
+
+        monkeypatch.setattr(verify, "case_lemma_7", strict_fails)
+        rule = verify._dim7_sample_claims(50, 7)[2]
+        keys = ((f"7:dim7:{i}", 7) for i in range(50))
+        first = next(a for a, _ in search.seeded_vectors(keys, 0, 50) if a.entries[6] > 0)
         assert not rule.passed
         assert rule.to_json_dict()["details"]["first_failure"] == str(first)
 
