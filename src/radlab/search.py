@@ -25,6 +25,14 @@ those ``randint`` would draw, draw for draw.  The keys are
 The sampled dominance pairs (one stream, ``"{seed}:dom"``) draw from their
 own ``random.Random`` instead.
 
+Each of these samples but the meet-in-the-middle vector is a
+``KeySchedule``, and ``run_sharded`` is the one path that evaluates one:
+it deals the key indices into strided shards, runs them on one process
+pool of up to ``RADLAB_THREADS`` workers (in this process when the
+sample's estimated time is too small to pay for a pool) and merges what
+they found in global key order, so every result is the same at any
+worker count.
+
 Every search minimizes integer ``(count, entries)`` keys: n is fixed
 within a search, so the tail count orders like the probability, and the
 entries break ties lexicographically.  Random search, descent and
@@ -46,6 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import ceil, gcd, isqrt
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .conjectures import CHECKERS, GPRIME_TABLE, CheckReport, HK_BOUND, HK_MAX_N, T_FLOOR
@@ -62,6 +71,15 @@ from .errors import (
 
 DEFAULT_ENTRY_BOUND = 20
 MAX_SWEEP_VECTORS = 5_000_000
+# the least work, in estimated seconds, that a sharded sample gives each
+# worker: a pool of two forked workers takes ~12 ms to start, and samples
+# estimated at 2 * 50 ms ran on one in 0.67-1.08 of their time in this
+# process, at 2 * 25 ms in 0.82-1.43 (2-core machine, CPython 3.11)
+MIN_SHARD_S = 0.05
+# what one key of random_search takes, in microseconds at dimension n:
+# (base, per entry, per sign), as ``sample_seconds`` reads them, measured
+# with entries <= 20 at n = 1..42 (2-core machine, CPython 3.11)
+RANDOM_KEY_US = (25, 1.5, 0)
 
 
 class SearchTarget(enum.Enum):
@@ -232,10 +250,19 @@ def seeded_vectors(
 
     An entry is lo plus the first ``getrandbits(k)`` below the width
     hi - lo + 1, k its bit length, as CPython's ``randint`` draws it."""
+    for _, vec, rng in _draws(((None, key, n) for key, n in keys), lo, hi):
+        yield vec, rng
+
+
+def _draws(
+    keys: Iterable[tuple[int | None, str, int]], lo: int, hi: int
+) -> Iterator[tuple[int | None, CoeffVec, random.Random]]:
+    """``seeded_vectors`` for (index, key, n) triples: each draw comes
+    with the index of its key."""
     if (width := hi - lo + 1) < 1:
         raise ValueError(f"empty entry range [{lo}, {hi}]")
     k = width.bit_length()
-    for key, n in keys:
+    for index, key, n in keys:
         # string seeding is stable across runs and hash randomization
         rng = random.Random(key)
         bits = rng.getrandbits
@@ -246,7 +273,123 @@ def seeded_vectors(
             if r < width:
                 entries.append(lo + r)
         if any(entries):
-            yield canonicalize(entries), rng
+            yield index, canonicalize(entries), rng
+
+
+class KeySchedule:
+    """A seeded sample in a fixed global order, small enough to send to a
+    worker.  Its keys come in ``runs`` of (n, count): key k, for
+    k = 0, 1, ..., ``size`` - 1, is ``template`` filled with the seed, the
+    run's dimension n and an index that ends the template, either i, which
+    counts within the run, or k itself.  Each draws n entries in
+    [lo, hi].  A plain class: building a frozen dataclass would add ~1 ms,
+    and a named tuple ~0.3 ms, to the ~11 ms that importing radlab takes
+    (CPython 3.11, 2-core machine)."""
+
+    __slots__ = ("seed", "template", "runs", "lo", "hi", "reached")
+
+    def __init__(self, seed: int, template: str, runs: tuple[tuple[int, int], ...], lo: int, hi: int) -> None:
+        self.seed, self.template, self.runs, self.lo, self.hi = seed, template, runs, lo, hi
+        # the index of the key ``keys`` dealt last, which locates an error
+        self.reached = -1
+
+    @property
+    def size(self) -> int:
+        return sum(count for _, count in self.runs)
+
+    def keys(self, shard: int = 0, shards: int = 1) -> Iterator[tuple[int, str, int]]:
+        """(k, key, n) for every key index k equal to shard modulo
+        shards, ascending."""
+        head, index = self.template[:-3], self.template[-3:]
+        if index not in ("{i}", "{k}"):
+            raise ValueError(f"key template {self.template!r} does not end in {{i}} or {{k}}")
+        start = 0
+        for n, count in self.runs:
+            prefix = head.format(seed=self.seed, n=n)
+            offset = start if index == "{i}" else 0
+            for k in range(start + (shard - start) % shards, start + count, shards):
+                self.reached = k
+                yield k, f"{prefix}{k - offset}", n
+            start += count
+
+    def draws(self, shard: int = 0, shards: int = 1) -> Iterator[tuple[int, CoeffVec, random.Random]]:
+        """(k, vector, substream) for the shard's keys whose draw is not
+        all zero, ascending in k."""
+        return _draws(self.keys(shard, shards), self.lo, self.hi)
+
+
+# what one shard of a sample returns: tallies summed over the shards, the
+# first of them the vectors evaluated, and (key index, item) records
+_Shard = tuple[tuple[int, ...], list[tuple[int, object]]]
+
+
+def sample_seconds(schedule: KeySchedule, key_us: tuple[float, float, float]) -> float:
+    """The estimated time to evaluate a sample in one process, from what
+    one key of its kind of work takes at dimension n, in microseconds:
+    ``base + per_entry * n + per_sign * 2**n`` for ``key_us`` = (base,
+    per_entry, per_sign)."""
+    base, per_entry, per_sign = key_us
+    return sum(
+        count * (base + per_entry * n + (per_sign * 2**n if per_sign else 0)) for n, count in schedule.runs
+    ) / 1e6
+
+
+def _run_shard(work: Callable[..., _Shard], schedule: KeySchedule, shard: int, shards: int, args: tuple):
+    """``work`` on one shard: (its result, None), or (None, (k, error))
+    when it raised an error at key index k."""
+    try:
+        return work(schedule, shard, shards, *args), None
+    except Exception as error:
+        return None, (schedule.reached, error)
+
+
+def run_sharded(
+    work: Callable[..., _Shard], schedule: KeySchedule, *args: object, key_us: tuple[float, float, float]
+) -> _Shard:
+    """Evaluate a sample shard by shard: ``work(schedule, shard, shards,
+    *args)`` evaluates the keys with index k equal to shard modulo shards,
+    as it deals them, and returns its tallies and its records ascending in
+    k.  Returns the tallies summed and every record in global key order,
+    the same at any number of shards.
+
+    Strided shards balance the schedules, which run from cheap keys to
+    costly ones.  There is one shard per worker, up to
+    ``_resolve_workers()`` of them and one per ``MIN_SHARD_S`` of the
+    sample's ``sample_seconds`` at ``key_us``, the measured cost of one
+    key of this work; a single shard runs in this process, more run on one
+    process pool that is shut down before this returns, also on an error.
+    ``work`` is a module-level function, so that any start method can send
+    it.  An error a shard raises reaches the caller as itself, and when
+    several shards raise, the one raised at the lowest key index does, as
+    in one process.
+    """
+    shards = min(_resolve_workers(), int(sample_seconds(schedule, key_us) / MIN_SHARD_S))
+    if shards < 2:
+        results = [work(schedule, 0, 1, *args)]
+    else:
+        # imported here: it loads multiprocessing on every import of radlab
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the default start method: where that is fork, two workers start in
+        # ~12 ms, and with spawn in ~150 ms, more than a shard saves (2-core
+        # machine, CPython 3.11); shards need only their arguments, so any
+        # start method works
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            outcomes = list(pool.map(
+                _run_shard, repeat(work), repeat(schedule), range(shards), repeat(shards), repeat(args)
+            ))
+        errors = [error for _, error in outcomes if error]
+        if errors:
+            raise min(errors, key=itemgetter(0))[1]
+        results = [result for result, _ in outcomes]
+    tallies = tuple(map(sum, zip(*(t for t, _ in results))))
+    return tallies, sorted((r for _, records in results for r in records), key=itemgetter(0))
+
+
+def _require_sample(evaluated: int) -> None:
+    """A search or hunt that evaluated nothing is not a clean pass."""
+    if not evaluated:
+        raise SearchInputError("no nonzero vector sampled; increase trials")
 
 
 def _check_inputs(n_values: Sequence[int], trials: int, entry_bound: int, min_entry: int) -> None:
@@ -507,21 +650,25 @@ def exhaustive_integer_search(
     )
 
 
-def _random_chunk(args: tuple) -> tuple[_Key | None, int]:
-    n, target, lo, hi, seed, entry_bound = args
-    keys = ((f"{seed}:{i}", n) for i in range(lo, hi))
-    best: _Key | None = None
+def _random_shard(schedule: KeySchedule, shard: int, shards: int, target: SearchTarget) -> _Shard:
+    """The shard's evaluated count and its best (count, entries) key."""
+    best: tuple[int, _Key] | None = None
     examined = 0
-    for vec, _ in seeded_vectors(keys, target.min_entry, entry_bound):
+    for k, vec, _ in schedule.draws(shard, shards):
         cand = _score(target, vec)
         examined += 1
-        if best is None or cand < best:
-            best = cand
-    return best, examined
+        if best is None or cand < best[1]:
+            best = k, cand
+    return (examined,), [best] if best else []
 
 
 def _resolve_workers() -> int:
-    cpus = os.cpu_count() or 1
+    """RADLAB_THREADS, capped at (and by default) the number of CPUs this
+    process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     cap = os.environ.get("RADLAB_THREADS") or cpus
     try:
         return max(1, min(cpus, int(cap)))
@@ -538,34 +685,22 @@ def random_search(
 ) -> SearchRecord:
     """Sample integer vectors with i.i.d. entries and track the minimum.
 
-    Runs on up to ``RADLAB_THREADS`` worker processes (default: the CPU
-    count).  Trial i draws from the substream (seed, i); the merge is an
-    associative min with a lexicographic tie-break, so the outcome does
-    not depend on the number of workers or the chunking.
+    Runs through ``run_sharded``, on up to ``RADLAB_THREADS`` worker
+    processes (default: the CPUs this process may use).  Trial i draws
+    from the substream (seed, i); the merge is a min over (count, entries)
+    keys, so the outcome does not depend on the number of workers.
     """
     _check_inputs([n], trials, entry_bound, target.min_entry)
-    workers = _resolve_workers()
-    if trials < 4 * workers:
-        workers = 1
-    step = -(-trials // workers)
-    chunks = [(n, target, lo, min(lo + step, trials), seed, entry_bound) for lo in range(0, trials, step)]
-    if workers == 1:
-        results = list(map(_random_chunk, chunks))
-    else:
-        # imported here: it loads multiprocessing on every import of radlab
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_random_chunk, chunks))
-    best = min((b for b, _ in results if b is not None), default=None)
-    if best is None:
-        raise SearchInputError("no nonzero vector sampled; increase trials")
+    schedule = KeySchedule(seed, "{seed}:{k}", ((n, trials),), target.min_entry, entry_bound)
+    (examined,), bests = run_sharded(_random_shard, schedule, target, key_us=RANDOM_KEY_US)
+    _require_sample(examined)
+    count, entries = min(best for _, best in bests)
     return SearchRecord(
         target=target,
         n=n,
-        best_value=DyadicProb(best[0], n),
-        witness=CoeffVec(best[1]),
-        vectors_examined=sum(seen for _, seen in results),
+        best_value=DyadicProb(count, n),
+        witness=CoeffVec(entries),
+        vectors_examined=examined,
         mode="random",
         seed=seed,
         bound=entry_bound,
@@ -614,6 +749,22 @@ def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRe
 # hunt's predicate names and the checkers they run; "delta" sweeps every
 # threshold pair
 HUNT_PREDICATES = {"tomaszewski": "tomaszewski", "pairing": "pairing", "delta": "delta-sweep"}
+# what one hunted vector takes, as RANDOM_KEY_US, measured with entries <= 20
+# at n = 1..42 (tomaszewski), 1..18 (pairing) and 1..14 (delta)
+HUNT_KEY_US = {"tomaszewski": (23, 1.5, 0), "pairing": (22, 7, 0), "delta": (25, 9, 0)}
+
+
+def _hunt_shard(schedule: KeySchedule, shard: int, shards: int, predicate: str) -> _Shard:
+    """The shard's evaluated count and its violation reports."""
+    checker = CHECKERS[HUNT_PREDICATES[predicate]]
+    evaluated = 0
+    violations = []
+    for k, vec, _ in schedule.draws(shard, shards):
+        evaluated += 1
+        report = checker(vec)
+        if report.violated:
+            violations.append((k, report))
+    return (evaluated,), violations
 
 
 def hunt(
@@ -623,33 +774,24 @@ def hunt(
     seed: int,
     entry_bound: int = DEFAULT_ENTRY_BOUND,
 ) -> list[CheckReport]:
-    """Drive random vectors through a checker; return every violation.
+    """Drive random vectors through a checker; return every violation, in
+    the order of the keys that drew them.
 
     The budget is the total number of vectors, split evenly across the
-    dimensions (earlier dimensions absorb the remainder).  An empty result
-    is the expected outcome; any violation is independently re-checkable
-    from its report.  Raises SearchInputError on inputs _check_inputs
-    rejects and when every draw was the zero vector, because a hunt that
-    evaluated nothing is not a clean pass.
+    dimensions (earlier dimensions absorb the remainder), and evaluated by
+    ``run_sharded``.  An empty result is the expected outcome; any
+    violation is independently re-checkable from its report.  Raises
+    SearchInputError on inputs _check_inputs rejects and when every draw
+    was the zero vector, because a hunt that evaluated nothing is not a
+    clean pass.
     """
     if predicate not in HUNT_PREDICATES:
         raise SearchInputError(f"unknown predicate {predicate!r}")
-    checker = CHECKERS[HUNT_PREDICATES[predicate]]
     n_values = list(n_values)
     _check_inputs(n_values, budget, entry_bound, 0)
     base, rem = divmod(budget, len(n_values))
-    keys = (
-        (f"{seed}:{n}:{i}", n)
-        for pos, n in enumerate(n_values)
-        for i in range(base + (1 if pos < rem else 0))
-    )
-    violations: list[CheckReport] = []
-    evaluated = 0
-    for vec, _ in seeded_vectors(keys, 0, entry_bound):
-        evaluated += 1
-        report = checker(vec)
-        if report.violated:
-            violations.append(report)
-    if not evaluated:
-        raise SearchInputError("no nonzero vector sampled; increase trials")
-    return violations
+    runs = tuple((n, base + (pos < rem)) for pos, n in enumerate(n_values))
+    schedule = KeySchedule(seed, "{seed}:{n}:{i}", runs, 0, entry_bound)
+    (evaluated,), violations = run_sharded(_hunt_shard, schedule, predicate, key_us=HUNT_KEY_US[predicate])
+    _require_sample(evaluated)
+    return [report for _, report in violations]

@@ -7,8 +7,11 @@ dimension-7 floor and witness rules, the subset-count equivalence, the
 sorted pairing, the falsification hunts, and the engine cross-validation.
 
 ``full=True`` runs the acceptance-scale budgets, which the acceptance
-tests check (under 30 s in one process on a 2-core machine with CPython
-3.11); the default budgets finish in seconds and exercise the same claims.
+tests check; the default budgets finish in seconds and exercise the same
+claims.  The claims run one after another, and each sampled claim, the
+hunts included, evaluates its sample through ``search.run_sharded`` on up
+to ``RADLAB_THREADS`` worker processes; the report is the same at any
+worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .conjectures import (
     GPRIME_TABLE,
@@ -38,7 +41,14 @@ from .counting import (
 )
 from .dominance import case_lemma_7, dominates, upward_closure, verify_order_rules
 from .errors import NoWitness
-from .search import SearchTarget, exhaustive_integer_search, hunt, seeded_vectors
+from .search import (
+    KeySchedule,
+    SearchTarget,
+    exhaustive_integer_search,
+    hunt,
+    run_sharded,
+    seeded_vectors,
+)
 
 G_TABLE = {
     1: Fraction(1),
@@ -101,6 +111,32 @@ def _exhaustive_claims(claim_id: str, desc: str, target: SearchTarget, table: di
     return ClaimResult(claim_id, desc, ok, details)
 
 
+def _dim7_shard(schedule: KeySchedule, shard: int, shards: int):
+    """The shard's evaluated and all-positive counts, and a record
+    (k, (|V_sd(a)|, a or None)) at each new minimum of |V_sd(a)| and at
+    each sample a whose case-rule call found no witness."""
+    evaluated = strict_checked = 0
+    min_vsd = None
+    records = []
+    for k, a, _ in schedule.draws(shard, shards):
+        evaluated += 1
+        one = tail_counts(a, 1, ONE_SIDED)
+        vsd_size = one.at + one.above
+        strict = a.entries[6] > 0
+        strict_checked += strict
+        try:
+            case_lemma_7(a, strict=strict)
+            failure = None
+        except NoWitness:
+            failure = a
+        new_min = min_vsd is None or vsd_size < min_vsd
+        if new_min:
+            min_vsd = vsd_size
+        if new_min or failure is not None:
+            records.append((k, (vsd_size, failure)))
+    return (evaluated, strict_checked), records
+
+
 def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
     """One pass over seeded random canonical 7-vectors, entries <= 50:
     the two-sided floor, the norm-reaching set size, and the three-flip
@@ -110,23 +146,11 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
     Each sample is counted on one side only: S and -S are equally
     frequent and ||a|| > 0, so |a.s| >= ||a|| holds for twice as many of
     the 2^7 signs as a.s >= ||a||, the members of V_sd(a)."""
-    min_vsd = None
-    strict_checked = 0
-    first_failure = None
-    keys = ((f"{seed}:dim7:{i}", 7) for i in range(trials))
-    for a, _ in seeded_vectors(keys, 0, 50):
-        one = tail_counts(a, 1, ONE_SIDED)
-        vsd_size = one.at + one.above
-        if min_vsd is None or vsd_size < min_vsd:
-            min_vsd = vsd_size
-        strict = a.entries[6] > 0
-        strict_checked += strict
-        try:
-            case_lemma_7(a, strict=strict)
-        except NoWitness:
-            if first_failure is None:
-                first_failure = a
-    sampled = min_vsd is not None
+    schedule = KeySchedule(seed, "{seed}:dim7:{k}", ((7, trials),), 0, 50)
+    (evaluated, strict_checked), records = run_sharded(_dim7_shard, schedule, key_us=DIM7_KEY_US)
+    min_vsd = min((vsd_size for _, (vsd_size, _) in records), default=None)
+    first_failure = next((a for _, (_, a) in records if a is not None), None)
+    sampled = evaluated > 0
     min_p = Fraction(2 * min_vsd, 2**7) if sampled else None
     rule_details = {"strict_checked": strict_checked}
     if first_failure is not None:
@@ -153,14 +177,40 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
     ]
 
 
-def _tally(outcomes: Iterable[bool]) -> tuple[bool, int]:
+# what one key of each sampled claim takes, in microseconds at dimension n:
+# (base, per entry, per sign), as ``search.sample_seconds`` reads them,
+# measured at the claims' entry ranges and dimensions (2-core machine,
+# CPython 3.11); the Gray oracles visit all 2^n signs
+DIM7_KEY_US = (37, 0, 0)
+PAIRING_KEY_US = (25, 5, 0)
+COMB_KEY_US = (30, 0, 0.37)
+CROSSVAL_KEY_US = (60, 0, 0.255)
+
+
+def _failures_shard(schedule: KeySchedule, shard: int, shards: int, holds: Callable):
+    """The shard's evaluated count and a record (k, a) for each sample on
+    which ``holds(a, substream)`` is false."""
+    evaluated = 0
+    failures = []
+    for k, a, rng in schedule.draws(shard, shards):
+        evaluated += 1
+        if not holds(a, rng):
+            failures.append((k, a))
+    return (evaluated,), failures
+
+
+def _sampled_claim(
+    holds: Callable, schedule: KeySchedule, key_us: tuple[float, float, float]
+) -> tuple[bool, int]:
     """A sampled claim passes when it evaluated at least one vector and
-    every outcome held; returns that and the number evaluated."""
-    held = list(outcomes)
-    return bool(held) and all(held), len(held)
+    ``holds`` was true on every one; returns that and the number
+    evaluated.  ``key_us`` is the measured cost of one key, as
+    ``search.sample_seconds`` reads it."""
+    (evaluated,), failures = run_sharded(_failures_shard, schedule, holds, key_us=key_us)
+    return evaluated > 0 and not failures, evaluated
 
 
-def _comb_agrees(a: CoeffVec) -> bool:
+def _comb_agrees(a: CoeffVec, rng: random.Random | None = None) -> bool:
     return combinatorial_fraction_gray(a).fraction == tail_counts(a).p_le.fraction
 
 
@@ -175,8 +225,9 @@ def _comb_exhaustive_claim() -> ClaimResult:
 
 
 def _comb_random_claim(trials: int, seed: int) -> ClaimResult:
-    keys = ((f"{seed}:comb:{i}", 2 + i % 11) for i in range(trials))
-    passed, evaluated = _tally(_comb_agrees(a) for a, _ in seeded_vectors(keys, 1, 20))
+    runs = tuple((2 + i % 11, 1) for i in range(trials))
+    schedule = KeySchedule(seed, "{seed}:comb:{k}", runs, 1, 20)
+    passed, evaluated = _sampled_claim(_comb_agrees, schedule, COMB_KEY_US)
     return ClaimResult(
         "comb-equivalence-random",
         f"subset-count equivalence on {trials} random vectors with n <= 12",
@@ -185,9 +236,14 @@ def _comb_random_claim(trials: int, seed: int) -> ClaimResult:
     )
 
 
+def _pairing_holds(a: CoeffVec, rng: random.Random) -> bool:
+    return check_pairing(a).holds
+
+
 def _pairing_claim(trials_per_n: int, seed: int) -> ClaimResult:
-    keys = ((f"{seed}:pair:{n}:{i}", n) for n in range(2, 9) for i in range(trials_per_n))
-    passed, checked = _tally(check_pairing(a).holds for a, _ in seeded_vectors(keys, 0, 20))
+    runs = tuple((n, trials_per_n) for n in range(2, 9))
+    schedule = KeySchedule(seed, "{seed}:pair:{n}:{i}", runs, 0, 20)
+    passed, checked = _sampled_claim(_pairing_holds, schedule, PAIRING_KEY_US)
     return ClaimResult(
         "pairing-sample",
         f"sorted pairing products stay within norm_sq, {trials_per_n} vectors per n in [2,8]",
@@ -256,22 +312,21 @@ def _hunt_claims(tomaszewski_budget: int, delta_budget: int, seed: int) -> list[
     ]
 
 
+def _engines_agree(a: CoeffVec, rng: random.Random) -> bool:
+    rho = min(Fraction(rng.randint(0, 3 * 8), rng.randint(1, 8)), Fraction(3))
+    side = rng.choice([ONE_SIDED, TWO_SIDED])
+    oracle = tail_counts_gray(a, rho, side)
+    return tail_counts_gf(a, rho, side) == oracle == tail_counts_mitm(a, rho, side)
+
+
 def _crossval_claim(per_n_to_14: int, per_n_15_to_20: int, seed: int) -> ClaimResult:
-    schedule = [n for n in range(2, 15) for _ in range(per_n_to_14)]
-    schedule += [n for n in range(15, 21) for _ in range(per_n_15_to_20)]
-    keys = ((f"{seed}:xval:{n}:{i}", n) for i, n in enumerate(schedule))
-
-    def agrees(a: CoeffVec, rng: random.Random) -> bool:
-        rho = min(Fraction(rng.randint(0, 3 * 8), rng.randint(1, 8)), Fraction(3))
-        side = rng.choice([ONE_SIDED, TWO_SIDED])
-        oracle = tail_counts_gray(a, rho, side)
-        return tail_counts_gf(a, rho, side) == oracle == tail_counts_mitm(a, rho, side)
-
-    passed, evaluated = _tally(agrees(a, rng) for a, rng in seeded_vectors(keys, 0, 20))
+    runs = tuple((n, per_n_to_14) for n in range(2, 15)) + tuple((n, per_n_15_to_20) for n in range(15, 21))
+    schedule = KeySchedule(seed, "{seed}:xval:{n}:{k}", runs, 0, 20)
+    passed, evaluated = _sampled_claim(_engines_agree, schedule, CROSSVAL_KEY_US)
     return ClaimResult(
         "engine-crossval",
         "packed generating function and meet-in-the-middle equal direct Gray-code "
-        f"counts on {len(schedule)} random (a, rho)",
+        f"counts on {schedule.size} random (a, rho)",
         passed,
         {"trials": evaluated},
     )

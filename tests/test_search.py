@@ -1,15 +1,21 @@
 """Search modes: exhaustive sweeps, random probes, descent, hunts, resume."""
 
+import concurrent.futures
 import dataclasses
+import functools
+import hashlib
 import json
+import multiprocessing
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import ceil
 
 import pytest
 
-from radlab import search
+from radlab import cli, search, verify
+from radlab.conjectures import HOLDS, VIOLATED, CheckReport
 from radlab.core import CoeffVec, canonicalize
 from radlab.errors import (
     ConjectureFalsified,
@@ -19,6 +25,7 @@ from radlab.errors import (
     TooLarge,
 )
 from radlab.search import (
+    KeySchedule,
     SearchRecord,
     SearchState,
     SearchTarget,
@@ -31,6 +38,7 @@ from radlab.search import (
     hunt,
     local_descent,
     random_search,
+    run_sharded,
     seeded_vectors,
 )
 
@@ -234,16 +242,15 @@ class TestRandomSearch:
         b = random_search(6, SearchTarget.G, 300, seed=42)
         assert a == b
 
-    def test_worker_count_does_not_change_result(self, monkeypatch):
-        # a search runs serially below 4 trials per worker: 7 trials stay
-        # serial on two workers, 8 and 9 are the first pooled counts, and 9
-        # splits into uneven chunks
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    def test_worker_count_does_not_change_result(self, two_cpus):
+        # at 1 ms a key and 4 ms a shard, a search runs serially below 8
+        # trials: 7 trials stay serial on two workers, 8 and 9 are the
+        # first pooled counts, and 9 splits into uneven shards
         for target in SearchTarget:
             for trials in (7, 8, 9):
                 records = []
                 for workers in ("1", "2"):
-                    monkeypatch.setenv("RADLAB_THREADS", workers)
+                    two_cpus.setenv("RADLAB_THREADS", workers)
                     records.append(random_search(6, target, trials, seed=7))
                 assert records[0] == records[1]
 
@@ -325,9 +332,25 @@ class TestWorkers:
         monkeypatch.setenv("RADLAB_THREADS", "1")
         assert _resolve_workers() == 1
         monkeypatch.setenv("RADLAB_THREADS", "1000000")
-        assert _resolve_workers() == (search.os.cpu_count() or 1)
+        if hasattr(search.os, "sched_getaffinity"):
+            assert _resolve_workers() == len(search.os.sched_getaffinity(0))
+        else:
+            assert _resolve_workers() == (search.os.cpu_count() or 1)
         monkeypatch.delenv("RADLAB_THREADS")
         assert _resolve_workers() >= 1
+
+    def test_workers_count_the_cpus_this_process_may_use(self, monkeypatch):
+        # a process pinned to 2 of 64 CPUs starts at most 2 workers
+        from radlab.search import _resolve_workers
+
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {3, 17}, raising=False)
+        monkeypatch.delenv("RADLAB_THREADS", raising=False)
+        assert _resolve_workers() == 2
+        monkeypatch.setenv("RADLAB_THREADS", "8")
+        assert _resolve_workers() == 2
+        monkeypatch.delattr(search.os, "sched_getaffinity")
+        assert _resolve_workers() == 8
 
     def test_bad_env_is_input_error(self, monkeypatch):
         monkeypatch.setenv("RADLAB_THREADS", "abc")
@@ -457,3 +480,170 @@ def test_input_errors_are_typed():
 
 def _zero_draw_seed() -> int:
     return next(s for s in range(100) if random.Random(f"{s}:1:0").randint(0, 1) == 0)
+
+
+def _flag_shard(schedule, shard, shards, flagged):
+    """Records (k, key) for the flagged key indices of one shard, whether
+    or not their draw is all zero."""
+    keys = list(schedule.keys(shard, shards))
+    return (len(keys),), [(k, key) for k, key, _ in keys if k in flagged]
+
+
+def _raise_shard(schedule, shard, shards, error, at):
+    """Raises at the shard's first key index in ``at``."""
+    for k, _, _ in schedule.keys(shard, shards):
+        if k in at:
+            raise error(f"raised at key {k}")
+    return (0,), []
+
+
+def _shards_seen(schedule, shard, shards):
+    return (1,), [(shard, shards)]
+
+
+def _odd_total_violates(a):
+    """A stand-in checker that reports every vector of odd entry sum."""
+    return CheckReport("tomaszewski", a, VIOLATED if a.total % 2 else HOLDS)
+
+
+class TestSharded:
+    # dimensions 1 and 2 with entries in {0, 1}: many draws are all zero
+    SCHEDULE = KeySchedule(7, "{seed}:{n}:{i}", ((1, 9), (2, 4), (1, 8)), 0, 1)
+    # 1 ms a key, as the two_cpus fixture estimates every key
+    KEY_US = (1000, 0, 0)
+
+    def zero_keys(self) -> set[int]:
+        return {k for k, key, n in self.SCHEDULE.keys()
+                if not any(random.Random(key).randint(0, 1) for _ in range(n))}
+
+    def test_keys_are_the_written_out_schedules(self):
+        keys = [(key, n) for _, key, n in self.SCHEDULE.keys()]
+        assert keys == ([(f"7:1:{i}", 1) for i in range(9)] + [(f"7:2:{i}", 2) for i in range(4)]
+                        + [(f"7:1:{i}", 1) for i in range(8)])
+        by_k = KeySchedule(5, "{seed}:xval:{n}:{k}", ((2, 3), (3, 2)), 0, 20)
+        assert [key for _, key, _ in by_k.keys()] == [
+            "5:xval:2:0", "5:xval:2:1", "5:xval:2:2", "5:xval:3:3", "5:xval:3:4"]
+        with pytest.raises(ValueError, match="does not end in"):
+            list(KeySchedule(5, "{seed}:{n}", ((2, 3),), 0, 20).keys())
+        # shard s of S deals exactly the indices k = s mod S, ascending
+        size = self.SCHEDULE.size
+        for shards in (1, 2, 3, 5, size + 2):
+            for shard in range(shards):
+                dealt = [k for k, _, _ in self.SCHEDULE.keys(shard, shards)]
+                assert dealt == list(range(shard, size, shards))
+        zeros = self.zero_keys()
+        assert [k for k, _, _ in self.SCHEDULE.draws()] == [k for k in range(size) if k not in zeros]
+
+    def test_records_come_back_in_key_order(self, two_cpus):
+        zeros = self.zero_keys()
+        assert zeros and len(zeros) < self.SCHEDULE.size
+        flagged = frozenset({0, 3, 8, 9, 12, 20} | set(sorted(zeros)[:3]))
+        expected = ((self.SCHEDULE.size,), [(k, key) for k, key, _ in self.SCHEDULE.keys() if k in flagged])
+        for workers in ("1", "2"):
+            two_cpus.setenv("RADLAB_THREADS", workers)
+            assert run_sharded(_flag_shard, self.SCHEDULE, flagged, key_us=self.KEY_US) == expected
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("error", [SearchInputError, TooLarge])
+    @pytest.mark.parametrize("at, first", [(frozenset(range(21)), 0), (frozenset({3, 4, 9}), 3)],
+                             ids=["every-key", "odd-shard-first"])
+    def test_errors_cross_the_pool_unchanged(self, two_cpus, error, at, first):
+        # both shards raise; the caller sees the error at the lowest key
+        # index, as one process raises it, also when that is shard 1's
+        # (key 3) and shard 0 raises later (key 4)
+        for workers in ("1", "2"):
+            two_cpus.setenv("RADLAB_THREADS", workers)
+            with pytest.raises(error) as info:
+                run_sharded(_raise_shard, self.SCHEDULE, error, at, key_us=self.KEY_US)
+            assert type(info.value) is error and str(info.value) == f"raised at key {first}"
+        assert not multiprocessing.active_children()
+
+    def test_a_pool_starts_from_two_shards_of_estimated_work(self, monkeypatch):
+        # the measured costs, not the two_cpus stand-in: 2 * MIN_SHARD_S of
+        # estimated work is the least that runs on two workers
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("RADLAB_THREADS", "2")
+        key_us = search.HUNT_KEY_US["tomaszewski"]
+        per_key = search.sample_seconds(KeySchedule(7, "{seed}:{n}:{i}", ((4, 1),), 0, 20), key_us)
+        least = ceil(2 * search.MIN_SHARD_S / per_key)
+        for trials, seen in ((least - 1, [(0, 1)]), (least, [(0, 2), (1, 2)])):
+            schedule = KeySchedule(7, "{seed}:{n}:{i}", ((4, trials),), 0, 20)
+            assert run_sharded(_shards_seen, schedule, key_us=key_us) == ((len(seen),), seen)
+
+    def test_a_refused_hunt_raises_the_same_error_from_a_worker(self, two_cpus):
+        # 30-bit entries at n = 60: no sum table fits, refused per vector
+        raised = []
+        for workers in ("1", "2"):
+            two_cpus.setenv("RADLAB_THREADS", workers)
+            with pytest.raises(TooLarge) as info:
+                hunt("tomaszewski", [60], 8, seed=1, entry_bound=2**30)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] and raised[0][0] is TooLarge
+
+    def test_a_shard_of_zero_draws_is_no_error(self, two_cpus):
+        def zero(seed, i):
+            return random.Random(f"{seed}:{i}").randint(0, 1) == 0
+
+        # shard 1 of 2 draws keys 1, 3, 5, 7: all zero, while shard 0 is not
+        seed = next(s for s in range(1000)
+                    if all(zero(s, i) for i in (1, 3, 5, 7)) and not all(zero(s, i) for i in (0, 2, 4, 6)))
+        records = []
+        for workers in ("1", "2"):
+            two_cpus.setenv("RADLAB_THREADS", workers)
+            records.append(random_search(1, SearchTarget.T, 8, seed=seed, entry_bound=1))
+        assert records[0] == records[1]
+        assert records[0].vectors_examined == sum(not zero(seed, i) for i in (0, 2, 4, 6))
+        # the check runs once, on the merged count
+        seed = next(s for s in range(5000) if all(zero(s, i) for i in range(8)))
+        for workers in ("1", "2"):
+            two_cpus.setenv("RADLAB_THREADS", workers)
+            with pytest.raises(SearchInputError, match="no nonzero vector sampled"):
+                random_search(1, SearchTarget.T, 8, seed=seed, entry_bound=1)
+
+    @pytest.mark.parametrize("seed", [7, 11, 20261017])
+    def test_searches_and_hunts_do_not_depend_on_the_worker_count(self, two_cpus, seed):
+        # 7 trials run serially, 8 and 9 on two workers, 9 in uneven shards
+        for trials in (7, 8, 9):
+            runs = []
+            for workers in ("1", "2"):
+                two_cpus.setenv("RADLAB_THREADS", workers)
+                runs.append([random_search(5, target, trials, seed=seed) for target in SearchTarget]
+                            + [hunt(p, range(2, 6), trials, seed=seed) for p in search.HUNT_PREDICATES])
+            assert runs[0] == runs[1]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stand-in checker reaches workers only through fork")
+    def test_hunt_violations_come_back_in_key_order(self, two_cpus):
+        two_cpus.setitem(search.CHECKERS, "tomaszewski", _odd_total_violates)
+        # entries in {0, 1} at n = 1, 2: many draws are all zero and skipped
+        keys = [(f"3:{n}:{i}", n) for n, count in ((1, 6), (2, 5)) for i in range(count)]
+        expected = [_odd_total_violates(a) for a, _ in seeded_vectors(keys, 0, 1)]
+        expected = [r for r in expected if r.violated]
+        assert expected
+        for workers in ("1", "2"):
+            two_cpus.setenv("RADLAB_THREADS", workers)
+            assert hunt("tomaszewski", [1, 2], 11, seed=3, entry_bound=1) == expected
+
+    def test_shards_run_under_spawn(self, two_cpus):
+        # a spawned worker starts from a fresh import: everything it needs
+        # travels in its arguments
+        two_cpus.setenv("RADLAB_THREADS", "1")
+        serial = random_search(5, SearchTarget.G, 9, seed=7)
+        two_cpus.setenv("RADLAB_THREADS", "2")
+        spawn = multiprocessing.get_context("spawn")
+        two_cpus.setattr(concurrent.futures, "ProcessPoolExecutor",
+                         functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=spawn))
+        assert random_search(5, SearchTarget.G, 9, seed=7) == serial
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("seed, digest", [
+        (7, "9d12138116218ae7964b2a98a17e5ccefe65a0da3ee8fdbd0046d0bb2037cbf6"),
+        (20261017, "fe9ebe3915f24c1a90263f1c67dd4d47451781aaf1ad27a08f7576ac6fc3c48c"),
+    ], ids=["7", "20261017"])
+    def test_quick_report_does_not_depend_on_the_worker_count(self, two_cpus, seed, digest):
+        # at 1 ms a key and 4 ms a shard, every sampled claim runs on two
+        # workers, and the report bytes are the ones CI pins for a run on
+        # one worker
+        two_cpus.setenv("RADLAB_THREADS", "2")
+        report = verify.verify_paper(seed=seed)
+        assert hashlib.sha256(cli.canonical_json_bytes(report)).hexdigest() == digest
