@@ -8,9 +8,11 @@ Two engines produce identical counts:
   which the exhaustive sweep shares, reads each count as one shift plus
   one reduction modulo 2^(n+1) - 1.
 - ``tail_counts_mitm``, meet-in-the-middle (Horowitz-Sahni), builds the
-  2^(n/2) sums of each half in ascending order by merging, one merge of
-  two sorted runs per entry, and counts the pair sums at or below a
-  value in one linear pass with a pointer that only moves down.
+  2^(n/2) sums of each half in ascending order, one add per sum and one
+  merge of two sorted runs per entry, and counts the pair sums at or
+  below a value by two bisections, which find the left sums that pair
+  with every right sum and those that pair with none, and one walk over
+  the left sums between them with a pointer that only moves down.
 
 Each engine counts #(S <= k0 - 1 if exact else k0) and #(S == k0) over
 the sign sums S, and ``_classify`` makes the classes of either side.
@@ -37,10 +39,11 @@ One size rule admits every table from n and T, before anything is
 allocated: T+1 packed slots must fit GF_BIT_BUDGET bits (``_packed_fits``),
 and listed sums, Python ints no wider than T, LISTED_BUDGET bytes at a
 fixed cost per sum plus 8 B per 30-bit digit of T (``_listed_fits``).
-tracemalloc peaks (CPython 3.11, 64-bit, entries of 20 to 8,000 bits) are
-54.5 B per half sum of meet-in-the-middle at one digit, +5 B per digit,
-and 175 B per sum listed by ``distribution``, +8 B per digit.  Entries
-below 2^21 thus admit meet-in-the-middle to n = 46, listed sums to n = 22.
+tracemalloc peaks (CPython 3.11, 64-bit, n = 14 to 20, entries of 20 to
+8,000 bits) are 43-46 B per half sum of meet-in-the-middle at one digit
+and 175 B per sum listed by ``distribution``, each +4 B per digit.
+Entries below 2^21 thus admit meet-in-the-middle to n = 46, listed sums
+to n = 22.
 
 The key trick: for integer sums S and rational rho >= 0, let
 ``k0 = floor(rho * ||a||)`` (computed from squares with isqrt) and let
@@ -56,10 +59,11 @@ which turns the whole count into machine-integer comparisons.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice, repeat
 from math import isqrt
 from operator import add, lt
 from typing import Iterator, Literal
@@ -267,12 +271,13 @@ def distribution(a: CoeffVec) -> SumDistribution:
 
 
 def _half_sums(entries: tuple[int, ...]) -> list[int]:
-    """The 2^k sign sums of k entries, ascending.  Both shifted
-    copies of an ascending list are ascending, so each sort is Timsort's
-    linear merge of two runs."""
-    sums = [0]
+    """The 2^k sign sums of k entries, ascending.  Starting from minus the
+    entries' sum, each entry appends a copy of the sums shifted up by twice
+    the entry, one add per sum; both runs are ascending, so each sort is
+    Timsort's linear merge of two runs."""
+    sums = [-sum(entries)]
     for e in entries:
-        sums = [s - e for s in sums] + [s + e for s in sums]
+        sums += list(map(add, sums, repeat(2 * e)))
         sums.sort()
     return sums
 
@@ -314,7 +319,8 @@ def tail_count_engine(a: CoeffVec) -> str:
     """The engine tail_counts uses for a: "gf" or "mitm".
 
     The packed generating function costs about n shift-adds of n*T*(n+1)
-    bits in total; meet-in-the-middle costs about 2^(n/2) pointer steps.
+    bits in total; meet-in-the-middle costs about 2^(n/2) adds to build
+    its half sums and at most as many pointer steps to count them.
     Raises TooLarge, before anything is allocated, when neither fits.
     """
     n, total = a.n, a.total
@@ -355,11 +361,14 @@ def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -
 
 def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
     """Meet-in-the-middle (Horowitz-Sahni): split the coordinates into two
-    halves and build the 2^(n/2) sums of each in ascending order.  As x
-    ascends through the left sums, v - x descends, so the number of right
-    sums <= v - x is read by one pointer into the right list that only
-    moves down: #(S <= v) costs one linear pass, and an exact threshold,
-    #(S == k0) = #(S <= k0) - #(S <= k0 - 1), two."""
+    halves and build the 2^(n/2) sums of each in ascending order, one add
+    per sum.  #(S <= v) bisects the left list twice: left sums x with
+    x + right[-1] <= v pair with every right sum, those with
+    x + right[0] > v with none.  As x ascends through the left sums in
+    between, v - x descends, so the number of right sums <= v - x is read
+    by one pointer into the right list that only moves down and never
+    reaches either end.  #(S <= v) costs one bounded walk, and an exact
+    threshold, #(S == k0) = #(S <= k0) - #(S <= k0 - 1), two."""
     rho = _validated(a, rho, side)
     split = (a.n + 1) // 2
     if not _listed_fits((1 << split) + (1 << a.n - split), _HALF_SUM_BYTES, a.total):
@@ -368,15 +377,18 @@ def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED)
     right = _half_sums(a.entries[split:])
 
     def count_le(v: int) -> int:
-        j = len(right)
-        total = 0
-        for x in left:
-            t = v - x
-            while j and right[j - 1] > t:
-                j -= 1
-            if not j:
-                break
-            total += j
+        # right[0] <= v - x < right[-1] for the left sums x walked, so the
+        # pointer j stays within 1..len(right) - 1 without a bounds test
+        lo = bisect_right(left, v - right[-1])
+        hi = bisect_right(left, v - right[0])
+        total = lo * len(right)
+        if lo < hi:
+            j = bisect_right(right, v - left[lo])
+            for x in islice(left, lo, hi):
+                t = v - x
+                while right[j - 1] > t:
+                    j -= 1
+                total += j
         return total
 
     k0, exact = _threshold_boundary(a.norm_sq, rho)

@@ -4,11 +4,14 @@ the sum distribution."""
 
 import random
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 from math import comb, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radlab.core import CoeffVec, canonicalize, parse_vector
 from radlab.counting import (
@@ -19,8 +22,10 @@ from radlab.counting import (
     TWO_SIDED,
     SumDistribution,
     TailCounts,
+    _half_sums,
     _listed_fits,
     _packed_fits,
+    _threshold_boundary,
     distribution,
     iter_sign_sums,
     tail_count_engine,
@@ -247,15 +252,73 @@ class TestMitm:
         root = isqrt(a.norm_sq)
         # rho = 0 and rho*||a|| = T are realized thresholds when the norm
         # is an integer; rho*||a|| just past T leaves nothing above
-        rhos = [Fraction(0), Fraction(1), Fraction(a.total, root), Fraction(a.total + 1, root)]
-        for rho in rhos:
-            for side in (ONE_SIDED, TWO_SIDED):
-                assert tail_counts_mitm(a, rho, side) == tail_counts_gray(a, rho, side), (rho, side)
+        for rho in (Fraction(0), Fraction(1), Fraction(a.total, root), Fraction(a.total + 1, root)):
+            self.assert_matches_gray(a, rho)
         if root * root == a.norm_sq:
             # S = T needs every nonzero entry signed +
             assert tail_counts_mitm(a, Fraction(a.total, root), ONE_SIDED).at == 1 << entries.count(0)
             top = tail_counts_mitm(a, Fraction(a.total + 1, root), TWO_SIDED)
             assert (top.below, top.above) == (1 << a.n, 0)
+
+    @staticmethod
+    def walk_bounds(a, v):
+        """The left and right half sums of a and the bounds lo, hi of the
+        left sums that count_le(v) walks."""
+        split = (a.n + 1) // 2
+        left, right = _half_sums(a.entries[:split]), _half_sums(a.entries[split:])
+        return left, right, bisect_right(left, v - right[-1]), bisect_right(left, v - right[0])
+
+    def assert_matches_gray(self, a, rho):
+        for side in (ONE_SIDED, TWO_SIDED):
+            assert tail_counts_mitm(a, rho, side) == tail_counts_gray(a, rho, side), (rho, side)
+
+    def test_nothing_walked(self):
+        # every left sum pairs with all right sums or with none
+        a = CoeffVec((1 << 20, 1 << 20, 1, 1))
+        k0, exact = _threshold_boundary(a.norm_sq, 1)
+        left, _, lo, hi = self.walk_bounds(a, k0)
+        assert not exact and 0 < lo == hi < len(left)
+        self.assert_matches_gray(a, Fraction(1))
+
+    def test_every_pair_counted(self):
+        # rho*||a|| >= T: the first bisection takes every left sum
+        a = CoeffVec((9, 7, 4, 4, 1))
+        rho = Fraction(a.total, isqrt(a.norm_sq))
+        k0, _ = _threshold_boundary(a.norm_sq, rho)
+        left, _, lo, hi = self.walk_bounds(a, k0)
+        assert lo == hi == len(left)
+        assert tail_counts_mitm(a, rho, ONE_SIDED).above == 0
+        self.assert_matches_gray(a, rho)
+
+    def test_runs_of_equal_left_sums_straddle_a_cut(self):
+        # the left half sums of six equal entries come in binomial runs; at
+        # some realized sums v, a run of equal left sums ends at the cut lo
+        a = CoeffVec((1 << 20,) * 11 + (1,))
+        root = isqrt(a.norm_sq)
+        straddled = 0
+        for v in sorted({abs(s) for s in iter_sign_sums(a.entries)}):
+            if v >= root:  # floor(v / root * ||a||) = v needs v < isqrt(||a||^2)
+                continue
+            rho = Fraction(v, root)
+            assert _threshold_boundary(a.norm_sq, rho) == (v, False)
+            left, right, lo, _ = self.walk_bounds(a, v)
+            straddled += bisect_left(left, v - right[-1]) < lo - 1
+            self.assert_matches_gray(a, rho)
+        assert straddled
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_gray(self, data):
+        # entries up to 2^20, zeros allowed; rho from 0 to just past T / ||a||
+        entries = data.draw(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=14))
+        if not any(entries):
+            entries[0] = 1
+        a = canonicalize(entries)
+        root = isqrt(a.norm_sq)
+        rho = data.draw(st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(a.total, root), Fraction(a.total + 1, root)]),
+            st.fractions(0, Fraction(a.total + 1, root), max_denominator=root)))
+        self.assert_matches_gray(a, rho)
 
 
 def test_auto_dispatch():
@@ -364,7 +427,7 @@ class TestSizeRule:
     def test_wide_rationals_are_refused_before_allocating(
             self, too_large_before_allocating, prime_reciprocals_46):
         # the lcm of 46 prime denominators makes ~270-bit entries, whose
-        # half sums would need ~1.7 GB: a cap on n alone admits them
+        # half sums would need ~1.3 GB: a cap on n alone admits them
         a = parse_vector(prime_reciprocals_46)
         assert (a.n, a.total.bit_length()) == (46, 274)
         for call in (tail_count_engine, tail_counts, lambda v: tail_counts_mitm(v, 1, TWO_SIDED)):

@@ -174,6 +174,29 @@ def test_distribution_matches_sign_sums(a):
     assert distribution(a).pairs == sign_sum_table(a)
 
 
+@st.composite
+def packed_vectors(draw):
+    """Canonical vectors with n <= 14 and entry sum T < 2^n, where both the
+    packed slots and the listed sums of distribution fit."""
+    n = draw(st.integers(1, 14))
+    entries = draw(st.lists(st.integers(0, ((1 << n) - 1) // n), min_size=n, max_size=n))
+    if not any(entries):
+        entries[0] = 1
+    return canonicalize(entries)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(packed_vectors())
+def test_packed_and_listed_tables_agree(a):
+    # distribution reads T < 2^n from the packed slots; the listed sums
+    # give the same table, symmetric about 0
+    pairs = distribution(a).pairs
+    assert pairs == tuple(Counter(_half_sums(a.entries)).items())
+    values, counts = zip(*pairs)
+    assert values == tuple(-v for v in reversed(values))
+    assert counts == counts[::-1]
+
+
 # distribution's one-slot memo: consecutive calls on one vector share a
 # table, and a call on another vector lets the previous table go.
 
