@@ -2,9 +2,10 @@
 hunts, the claim suite, and the append-only run ledger.
 
 Exit codes: 0 all checks hold, 1 a violation was found (report written),
-2 usage or input error, 3 internal error (traceback printed).  All
-serialized rationals are exact "p/q" strings; no floating point appears
-in any report.
+2 usage or input error, 3 internal error (traceback printed), 141
+(128 + SIGPIPE) the reader of a pipe on standard output closed it early,
+as ``| head`` does.  All serialized rationals are exact "p/q" strings;
+no floating point appears in any report.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import argparse
 import datetime
 import hashlib
 import json
+import os
+import select
 import sys
 import traceback
 from fractions import Fraction
@@ -21,7 +24,7 @@ from pathlib import Path
 from .conjectures import CHECKERS, CheckReport
 from .core import parse_vector
 from .counting import distribution, tail_count_engine, tail_counts
-from .errors import ConjectureFalsified, RadlabError
+from .errors import ConjectureFalsified, RadlabError, SearchInputError
 from .search import (
     DEFAULT_ENTRY_BOUND,
     HUNT_PREDICATES,
@@ -176,6 +179,8 @@ def cmd_search(args) -> int:
             _emit_jsonl({"kind": "progress", **state.to_json_dict()}, lines)
 
     def sweep(n: int, target: SearchTarget, bound: int, resume: SearchState | None = None) -> SearchRecord:
+        if args.progress_every is not None and args.progress_every < 1:
+            raise SearchInputError(f"--progress-every must be >= 1, got {args.progress_every}")
         return exhaustive_integer_search(
             n, target, bound,
             resume=resume,
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = modes.add_parser(name, help=help)
         if checkpoints:
             p.add_argument("--checkpoint", default="radlab-checkpoint.json", help="checkpoint file to write")
-            p.add_argument("--progress-every", type=int, help="emit a progress record every N vectors")
+            p.add_argument("--progress-every", type=int, help="emit a progress record every N >= 1 vectors")
         common(p)
         p.set_defaults(fn=cmd_search, search=search)
         return p
@@ -321,10 +326,27 @@ def main(argv: list[str] | None = None) -> int:
     except RadlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception:
+    except Exception as exc:
+        if isinstance(exc, BrokenPipeError) and _stdout_closed():
+            return 141  # 128 + SIGPIPE, as a shell reports a reader's early exit
         # anything else is a bug, not a usage error
         traceback.print_exc()
         return EXIT_INTERNAL
+
+
+def _stdout_closed() -> bool:
+    """Whether stdout is a pipe its reader closed, as ``| head`` does; if
+    so, it now writes to devnull, so that the flush at exit cannot fail."""
+    try:
+        poll = select.poll()
+        poll.register(sys.stdout, select.POLLOUT)
+    except (AttributeError, OSError, TypeError, ValueError):  # no descriptor, or no poll here
+        return False
+    closed = any(events & select.POLLERR for _, events in poll.poll(0))
+    if closed:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return closed
 
 
 if __name__ == "__main__":

@@ -26,12 +26,9 @@ The sampled dominance pairs (one stream, ``"{seed}:dom"``) draw from their
 own ``random.Random`` instead.
 
 Each of these samples but the meet-in-the-middle vector is a
-``KeySchedule``, and ``run_sharded`` is the one path that evaluates one:
-it deals the key indices into strided shards, runs them on one process
-pool of up to ``RADLAB_THREADS`` workers (in this process when the
-sample's estimated time is too small to pay for a pool) and merges what
-they found in global key order, so every result is the same at any
-worker count.
+``KeySchedule``, and ``run_sharded`` is the one path that evaluates one,
+here or on up to ``RADLAB_THREADS`` worker processes; every result is the
+same at any worker count.
 
 Every search minimizes integer ``(count, entries)`` keys: n is fixed
 within a search, so the tail count orders like the probability, and the
@@ -52,9 +49,11 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from math import ceil, gcd, isqrt
 from operator import itemgetter
+from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .conjectures import CHECKERS, GPRIME_TABLE, CheckReport, HK_BOUND, HK_MAX_N, T_FLOOR
@@ -71,15 +70,15 @@ from .errors import (
 
 DEFAULT_ENTRY_BOUND = 20
 MAX_SWEEP_VECTORS = 5_000_000
-# the least work, in estimated seconds, that a sharded sample gives each
-# worker: a pool of two forked workers takes ~12 ms to start, and samples
-# estimated at 2 * 50 ms ran on one in 0.67-1.08 of their time in this
-# process, at 2 * 25 ms in 0.82-1.43 (2-core machine, CPython 3.11)
+# the least work a pooled sample gives each worker, in seconds of the
+# probe's estimate: two forked workers start in ~12 ms, and samples of
+# 2 * 50 ms ran on them in 0.67-1.08 of their time in one process, at
+# 2 * 25 ms in 0.82-1.43 (2-core machine, CPython 3.11)
 MIN_SHARD_S = 0.05
-# what one key of random_search takes, in microseconds at dimension n:
-# (base, per entry, per sign), as ``sample_seconds`` reads them, measured
-# with entries <= 20 at n = 1..42 (2-core machine, CPython 3.11)
-RANDOM_KEY_US = (25, 1.5, 0)
+# run_sharded times shard 0 of at most this many strided shards per
+# worker; a probe of 1/64 on two workers, not 1/256, made hunt-small-n
+# ~4% slower, since the pool starts after it (2-core machine, CPython 3.11)
+PROBE_SHARDS_PER_WORKER = 128
 
 
 class SearchTarget(enum.Enum):
@@ -282,14 +281,18 @@ class KeySchedule:
     k = 0, 1, ..., ``size`` - 1, is ``template`` filled with the seed, the
     run's dimension n and an index that ends the template, either i, which
     counts within the run, or k itself.  Each draws n entries in
-    [lo, hi].  A plain class: building a frozen dataclass would add ~1 ms,
-    and a named tuple ~0.3 ms, to the ~11 ms that importing radlab takes
-    (CPython 3.11, 2-core machine)."""
+    [lo, hi].  Left out are the keys a probe evaluated, of index 0 modulo
+    ``probed`` > 0, and those from ``stop`` on, past its error.  A plain
+    class: building a frozen dataclass would add ~1 ms, and a named tuple
+    ~0.3 ms, to the ~11 ms that importing radlab takes (CPython 3.11,
+    2-core machine)."""
 
-    __slots__ = ("seed", "template", "runs", "lo", "hi", "reached")
+    __slots__ = ("seed", "template", "runs", "lo", "hi", "probed", "stop", "reached")
 
-    def __init__(self, seed: int, template: str, runs: tuple[tuple[int, int], ...], lo: int, hi: int) -> None:
-        self.seed, self.template, self.runs, self.lo, self.hi = seed, template, runs, lo, hi
+    def __init__(self, seed: int, template: str, runs: tuple[tuple[int, int], ...], lo: int, hi: int,
+                 probed: int = 0, stop: int | None = None) -> None:
+        self.seed, self.template, self.runs, self.lo, self.hi, self.probed = seed, template, runs, lo, hi, probed
+        self.stop = self.size if stop is None else stop
         # the index of the key ``keys`` dealt last, which locates an error
         self.reached = -1
 
@@ -299,15 +302,18 @@ class KeySchedule:
 
     def keys(self, shard: int = 0, shards: int = 1) -> Iterator[tuple[int, str, int]]:
         """(k, key, n) for every key index k equal to shard modulo
-        shards, ascending."""
+        shards and not left out by ``probed`` or ``stop``, ascending."""
         head, index = self.template[:-3], self.template[-3:]
         if index not in ("{i}", "{k}"):
             raise ValueError(f"key template {self.template!r} does not end in {{i}} or {{k}}")
+        probed, stop = self.probed, self.stop
         start = 0
         for n, count in self.runs:
             prefix = head.format(seed=self.seed, n=n)
             offset = start if index == "{i}" else 0
-            for k in range(start + (shard - start) % shards, start + count, shards):
+            for k in range(start + (shard - start) % shards, min(start + count, stop), shards):
+                if probed and not k % probed:
+                    continue
                 self.reached = k
                 yield k, f"{prefix}{k - offset}", n
             start += count
@@ -323,17 +329,6 @@ class KeySchedule:
 _Shard = tuple[tuple[int, ...], list[tuple[int, object]]]
 
 
-def sample_seconds(schedule: KeySchedule, key_us: tuple[float, float, float]) -> float:
-    """The estimated time to evaluate a sample in one process, from what
-    one key of its kind of work takes at dimension n, in microseconds:
-    ``base + per_entry * n + per_sign * 2**n`` for ``key_us`` = (base,
-    per_entry, per_sign)."""
-    base, per_entry, per_sign = key_us
-    return sum(
-        count * (base + per_entry * n + (per_sign * 2**n if per_sign else 0)) for n, count in schedule.runs
-    ) / 1e6
-
-
 def _run_shard(work: Callable[..., _Shard], schedule: KeySchedule, shard: int, shards: int, args: tuple):
     """``work`` on one shard: (its result, None), or (None, (k, error))
     when it raised an error at key index k."""
@@ -343,47 +338,63 @@ def _run_shard(work: Callable[..., _Shard], schedule: KeySchedule, shard: int, s
         return None, (schedule.reached, error)
 
 
-def run_sharded(
-    work: Callable[..., _Shard], schedule: KeySchedule, *args: object, key_us: tuple[float, float, float]
-) -> _Shard:
+def run_sharded(work: Callable[..., _Shard], schedule: KeySchedule, *args: object) -> _Shard:
     """Evaluate a sample shard by shard: ``work(schedule, shard, shards,
     *args)`` evaluates the keys with index k equal to shard modulo shards,
     as it deals them, and returns its tallies and its records ascending in
     k.  Returns the tallies summed and every record in global key order,
     the same at any number of shards.
 
-    Strided shards balance the schedules, which run from cheap keys to
-    costly ones.  There is one shard per worker, up to
-    ``_resolve_workers()`` of them and one per ``MIN_SHARD_S`` of the
-    sample's ``sample_seconds`` at ``key_us``, the measured cost of one
-    key of this work; a single shard runs in this process, more run on one
-    process pool that is shut down before this returns, also on an error.
-    ``work`` is a module-level function, so that any start method can send
-    it.  An error a shard raises reaches the caller as itself, and when
-    several shards raise, the one raised at the lowest key index does, as
-    in one process.
+    On W = ``_resolve_workers()`` >= 2 workers, this process first times a
+    probe, shard 0 of ``PROBE_SHARDS_PER_WORKER`` * W strided shards, or
+    of fewer, down to W, so that it deals 16 keys or more.  The other keys,
+    or if the probe raised, those below its error, which alone can raise
+    one that wins, run as W strided shards on a pool of one worker per
+    ``MIN_SHARD_S`` of the probe's time scaled to them, up to W, or here
+    when that is under two.  Strided shards balance schedules that run
+    from cheap keys to costly ones; ``work`` is module-level, so that any
+    start method can send it.  An error reaches the caller as itself, and
+    when several shards raise, the one raised at the lowest key index does.
     """
-    shards = min(_resolve_workers(), int(sample_seconds(schedule, key_us) / MIN_SHARD_S))
-    if shards < 2:
-        results = [work(schedule, 0, 1, *args)]
+    workers = _resolve_workers()
+    if workers < 2:
+        return work(schedule, 0, 1, *args)
+    # a sample's costly keys often come last: key 0 alone would misjudge it
+    probes = workers * max(1, min(PROBE_SHARDS_PER_WORKER, schedule.size // (16 * workers)))
+    began = perf_counter()
+    probe = _run_shard(work, schedule, 0, probes, args)
+    stop = probe[1][0] + 1 if probe[1] else schedule.size
+    seconds = (perf_counter() - began) * stop / max(1, -(-stop // probes))
+    pooled = min(workers, int(seconds / MIN_SHARD_S))
+    rest = KeySchedule(schedule.seed, schedule.template, schedule.runs, schedule.lo, schedule.hi, probes, stop)
+    if pooled < 2:
+        outcomes = [probe, _run_shard(work, rest, 0, 1, args)]
     else:
-        # imported here: it loads multiprocessing on every import of radlab
+        # imported here: it loads multiprocessing on every import of radlab;
+        # the default start method: two workers start in ~12 ms with fork,
+        # in ~150 ms with spawn, more than a shard saves (2-core machine, CPython 3.11)
         from concurrent.futures import ProcessPoolExecutor
-
-        # the default start method: where that is fork, two workers start in
-        # ~12 ms, and with spawn in ~150 ms, more than a shard saves (2-core
-        # machine, CPython 3.11); shards need only their arguments, so any
-        # start method works
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            outcomes = list(pool.map(
-                _run_shard, repeat(work), repeat(schedule), range(shards), repeat(shards), repeat(args)
-            ))
-        errors = [error for _, error in outcomes if error]
-        if errors:
-            raise min(errors, key=itemgetter(0))[1]
-        results = [result for result, _ in outcomes]
+        with ProcessPoolExecutor(max_workers=pooled) as pool:
+            outcomes = [probe, *pool.map(_run_shard, repeat(work), repeat(rest), range(workers),
+                                         repeat(workers), repeat(args))]
+    errors = [error for _, error in outcomes if error]
+    if errors:
+        raise min(errors, key=itemgetter(0))[1]
+    results = [result for result, _ in outcomes]
     tallies = tuple(map(sum, zip(*(t for t, _ in results))))
     return tallies, sorted((r for _, records in results for r in records), key=itemgetter(0))
+
+
+def failures_shard(schedule: KeySchedule, shard: int, shards: int, holds: Callable) -> _Shard:
+    """The shard's evaluated count and a record (k, a) for each sample on
+    which ``holds(a, substream)`` is false."""
+    evaluated = 0
+    failures = []
+    for k, a, rng in schedule.draws(shard, shards):
+        evaluated += 1
+        if not holds(a, rng):
+            failures.append((k, a))
+    return (evaluated,), failures
 
 
 def _require_sample(evaluated: int) -> None:
@@ -558,9 +569,10 @@ def exhaustive_integer_search(
     prefix's gcd, entry sum, squared norm and packed product
     prod (1 + x^a_i), so a vector costs one shift-add, one isqrt and one
     ``_packed_counts`` read; a CoeffVec is built only for a floor violation
-    and for the witness.  An interrupt checkpoints the state as of the last
-    checkpoint or the last finished run of final entries, so that its
-    cursor, best and examined agree.
+    and for the witness.  ``on_checkpoint`` gets the state every
+    ``checkpoint_every`` >= 0 vectors (0: never), and an interrupt
+    checkpoints the state as of the last checkpoint or the last finished
+    run of final entries, so that its cursor, best and examined agree.
 
     ``canonical_count`` sizes the region exactly before the walk: it sets
     the budget, rejects an empty region, and must equal the vectors
@@ -568,6 +580,8 @@ def exhaustive_integer_search(
     """
     if n < 1:
         raise SearchInputError(f"dimension must be >= 1, got {n}")
+    if checkpoint_every < 0:
+        raise SearchInputError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     min_entry = target.min_entry
     size = canonical_count(n, bound, min_entry)
     if size > MAX_SWEEP_VECTORS:
@@ -665,10 +679,7 @@ def _random_shard(schedule: KeySchedule, shard: int, shards: int, target: Search
 def _resolve_workers() -> int:
     """RADLAB_THREADS, capped at (and by default) the number of CPUs this
     process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cap = os.environ.get("RADLAB_THREADS") or cpus
     try:
         return max(1, min(cpus, int(cap)))
@@ -692,7 +703,7 @@ def random_search(
     """
     _check_inputs([n], trials, entry_bound, target.min_entry)
     schedule = KeySchedule(seed, "{seed}:{k}", ((n, trials),), target.min_entry, entry_bound)
-    (examined,), bests = run_sharded(_random_shard, schedule, target, key_us=RANDOM_KEY_US)
+    (examined,), bests = run_sharded(_random_shard, schedule, target)
     _require_sample(examined)
     count, entries = min(best for _, best in bests)
     return SearchRecord(
@@ -749,22 +760,10 @@ def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRe
 # hunt's predicate names and the checkers they run; "delta" sweeps every
 # threshold pair
 HUNT_PREDICATES = {"tomaszewski": "tomaszewski", "pairing": "pairing", "delta": "delta-sweep"}
-# what one hunted vector takes, as RANDOM_KEY_US, measured with entries <= 20
-# at n = 1..42 (tomaszewski), 1..18 (pairing) and 1..14 (delta)
-HUNT_KEY_US = {"tomaszewski": (23, 1.5, 0), "pairing": (22, 7, 0), "delta": (25, 9, 0)}
 
 
-def _hunt_shard(schedule: KeySchedule, shard: int, shards: int, predicate: str) -> _Shard:
-    """The shard's evaluated count and its violation reports."""
-    checker = CHECKERS[HUNT_PREDICATES[predicate]]
-    evaluated = 0
-    violations = []
-    for k, vec, _ in schedule.draws(shard, shards):
-        evaluated += 1
-        report = checker(vec)
-        if report.violated:
-            violations.append((k, report))
-    return (evaluated,), violations
+def _passes(checker: str, a: CoeffVec, rng: random.Random) -> bool:
+    return not CHECKERS[checker](a).violated
 
 
 def hunt(
@@ -792,6 +791,8 @@ def hunt(
     base, rem = divmod(budget, len(n_values))
     runs = tuple((n, base + (pos < rem)) for pos, n in enumerate(n_values))
     schedule = KeySchedule(seed, "{seed}:{n}:{i}", runs, 0, entry_bound)
-    (evaluated,), violations = run_sharded(_hunt_shard, schedule, predicate, key_us=HUNT_KEY_US[predicate])
+    checker = HUNT_PREDICATES[predicate]
+    (evaluated,), failures = run_sharded(failures_shard, schedule, partial(_passes, checker))
     _require_sample(evaluated)
-    return [report for _, report in violations]
+    # a checker's report is a function of the vector: rerun, it is the same
+    return [CHECKERS[checker](a) for _, a in failures]

@@ -9,9 +9,9 @@ sorted pairing, the falsification hunts, and the engine cross-validation.
 ``full=True`` runs the acceptance-scale budgets, which the acceptance
 tests check; the default budgets finish in seconds and exercise the same
 claims.  The claims run one after another, and each sampled claim, the
-hunts included, evaluates its sample through ``search.run_sharded`` on up
-to ``RADLAB_THREADS`` worker processes; the report is the same at any
-worker count.
+hunts included, evaluates its sample through ``search.run_sharded``, in
+this process or on up to ``RADLAB_THREADS`` worker processes; the report
+is the same at any worker count.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .search import (
     KeySchedule,
     SearchTarget,
     exhaustive_integer_search,
+    failures_shard,
     hunt,
     run_sharded,
     seeded_vectors,
@@ -147,7 +148,7 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
     frequent and ||a|| > 0, so |a.s| >= ||a|| holds for twice as many of
     the 2^7 signs as a.s >= ||a||, the members of V_sd(a)."""
     schedule = KeySchedule(seed, "{seed}:dim7:{k}", ((7, trials),), 0, 50)
-    (evaluated, strict_checked), records = run_sharded(_dim7_shard, schedule, key_us=DIM7_KEY_US)
+    (evaluated, strict_checked), records = run_sharded(_dim7_shard, schedule)
     min_vsd = min((vsd_size for _, (vsd_size, _) in records), default=None)
     first_failure = next((a for _, (_, a) in records if a is not None), None)
     sampled = evaluated > 0
@@ -177,36 +178,11 @@ def _dim7_sample_claims(trials: int, seed: int) -> list[ClaimResult]:
     ]
 
 
-# what one key of each sampled claim takes, in microseconds at dimension n:
-# (base, per entry, per sign), as ``search.sample_seconds`` reads them,
-# measured at the claims' entry ranges and dimensions (2-core machine,
-# CPython 3.11); the Gray oracles visit all 2^n signs
-DIM7_KEY_US = (37, 0, 0)
-PAIRING_KEY_US = (25, 5, 0)
-COMB_KEY_US = (30, 0, 0.37)
-CROSSVAL_KEY_US = (60, 0, 0.255)
-
-
-def _failures_shard(schedule: KeySchedule, shard: int, shards: int, holds: Callable):
-    """The shard's evaluated count and a record (k, a) for each sample on
-    which ``holds(a, substream)`` is false."""
-    evaluated = 0
-    failures = []
-    for k, a, rng in schedule.draws(shard, shards):
-        evaluated += 1
-        if not holds(a, rng):
-            failures.append((k, a))
-    return (evaluated,), failures
-
-
-def _sampled_claim(
-    holds: Callable, schedule: KeySchedule, key_us: tuple[float, float, float]
-) -> tuple[bool, int]:
+def _sampled_claim(holds: Callable, schedule: KeySchedule) -> tuple[bool, int]:
     """A sampled claim passes when it evaluated at least one vector and
     ``holds`` was true on every one; returns that and the number
-    evaluated.  ``key_us`` is the measured cost of one key, as
-    ``search.sample_seconds`` reads it."""
-    (evaluated,), failures = run_sharded(_failures_shard, schedule, holds, key_us=key_us)
+    evaluated."""
+    (evaluated,), failures = run_sharded(failures_shard, schedule, holds)
     return evaluated > 0 and not failures, evaluated
 
 
@@ -227,7 +203,7 @@ def _comb_exhaustive_claim() -> ClaimResult:
 def _comb_random_claim(trials: int, seed: int) -> ClaimResult:
     runs = tuple((2 + i % 11, 1) for i in range(trials))
     schedule = KeySchedule(seed, "{seed}:comb:{k}", runs, 1, 20)
-    passed, evaluated = _sampled_claim(_comb_agrees, schedule, COMB_KEY_US)
+    passed, evaluated = _sampled_claim(_comb_agrees, schedule)
     return ClaimResult(
         "comb-equivalence-random",
         f"subset-count equivalence on {trials} random vectors with n <= 12",
@@ -243,7 +219,7 @@ def _pairing_holds(a: CoeffVec, rng: random.Random) -> bool:
 def _pairing_claim(trials_per_n: int, seed: int) -> ClaimResult:
     runs = tuple((n, trials_per_n) for n in range(2, 9))
     schedule = KeySchedule(seed, "{seed}:pair:{n}:{i}", runs, 0, 20)
-    passed, checked = _sampled_claim(_pairing_holds, schedule, PAIRING_KEY_US)
+    passed, checked = _sampled_claim(_pairing_holds, schedule)
     return ClaimResult(
         "pairing-sample",
         f"sorted pairing products stay within norm_sq, {trials_per_n} vectors per n in [2,8]",
@@ -322,7 +298,7 @@ def _engines_agree(a: CoeffVec, rng: random.Random) -> bool:
 def _crossval_claim(per_n_to_14: int, per_n_15_to_20: int, seed: int) -> ClaimResult:
     runs = tuple((n, per_n_to_14) for n in range(2, 15)) + tuple((n, per_n_15_to_20) for n in range(15, 21))
     schedule = KeySchedule(seed, "{seed}:xval:{n}:{k}", runs, 0, 20)
-    passed, evaluated = _sampled_claim(_engines_agree, schedule, CROSSVAL_KEY_US)
+    passed, evaluated = _sampled_claim(_engines_agree, schedule)
     return ClaimResult(
         "engine-crossval",
         "packed generating function and meet-in-the-middle equal direct Gray-code "

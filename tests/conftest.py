@@ -53,13 +53,12 @@ def wide_8000_bit_20():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs this process may use, every key of every sample estimated
-    at 1 ms and ``search.MIN_SHARD_S`` at 4 ms, so that samples of 8 keys
-    and more run on a pool of two workers, also on a one-CPU machine;
-    returns the monkeypatch, for RADLAB_THREADS."""
+    """Two CPUs this process may use and ``search.MIN_SHARD_S`` at 1 ns,
+    below what any probe takes, so that at RADLAB_THREADS=2 every sample
+    runs on a pool of two workers, also on a one-CPU machine; returns the
+    monkeypatch, for RADLAB_THREADS."""
     from radlab import search
 
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(search, "sample_seconds", lambda schedule, key_us: schedule.size / 1000)
-    monkeypatch.setattr(search, "MIN_SHARD_S", 0.004)
+    monkeypatch.setattr(search, "MIN_SHARD_S", 1e-9)
     return monkeypatch

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
+import select
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -280,6 +283,50 @@ class TestSearch:
             bad.write_text(json.dumps(checkpoint))
             assert main(["search", "resume", str(bad), "--checkpoint", ck]) == 2
 
+    @pytest.mark.parametrize("every", ["-3", "0"])
+    def test_progress_every_below_one_exits_2(self, capsys, tmp_path, every):
+        ck = tmp_path / "ck.json"
+        argv = ["--progress-every", every, "--checkpoint", str(ck)]
+        assert main(["search", "exhaustive", "--target", "G", "--n", "4", "--bound", "6", *argv]) == 2
+        ck.write_text(json.dumps({"target": "G", "n": 4, "bound": 6, "examined": 0}))  # a fresh sweep
+        assert main(["search", "resume", str(ck), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --progress-every must be >= 1, got {every}"] * 2
+
+    @pytest.mark.skipif(not hasattr(select, "poll"), reason="a closed pipe is told by poll")
+    def test_closed_stdout_exits_141_without_traceback(self, capsys, tmp_path, monkeypatch):
+        # what `radlab search ... | head -3` meets once head has exited: a
+        # pipe with no reader, whose writes raise BrokenPipeError
+        reader, writer = os.pipe()
+        os.close(reader)
+        with open(writer, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            code = main(["search", "exhaustive", "--target", "G", "--n", "4", "--bound", "6",
+                         "--progress-every", "3", "--checkpoint", str(tmp_path / "ck.json")])
+            # now devnull, so that the flush at exit does not raise again
+            assert os.path.samestat(os.fstat(writer), os.stat(os.devnull))
+            monkeypatch.undo()
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+    def test_a_broken_pipe_elsewhere_is_a_bug(self, capsys, monkeypatch):
+        # stdout is an open pipe, or has no descriptor: a BrokenPipeError
+        # from anything else is an internal error, with its traceback
+        def broken(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "hunt", broken)
+        argv = ["hunt", "--predicate", "delta", "--n", "3", "--trials", "5"]
+        assert main(argv) == EXIT_INTERNAL
+        assert "BrokenPipeError" in capsys.readouterr().err
+        reader, writer = os.pipe()
+        with open(reader) as _, open(writer, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            assert main(argv) == EXIT_INTERNAL
+            monkeypatch.undo()
+        assert "BrokenPipeError" in capsys.readouterr().err
+
     def test_bad_thread_cap_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("RADLAB_THREADS", "abc")
         assert main(["search", "random", "--target", "G", "--n", "3", "--trials", "5"]) == 2
@@ -417,11 +464,16 @@ class TestVerifyPaperCommand:
         assert rule.to_json_dict()["details"]["first_failure"] == str(first)
 
     def test_dim7_rule_is_one_call_per_sample(self, monkeypatch):
+        # in this process on two CPUs: the probe's samples come first, then
+        # the rest, so each sampled vector is one call, in no fixed order
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("RADLAB_THREADS", "2")
+        monkeypatch.setattr(search, "MIN_SHARD_S", float("inf"))
         calls = []
         monkeypatch.setattr(verify, "case_lemma_7", lambda a, strict=False: calls.append(a))
         verify._dim7_sample_claims(300, 7)
         keys = ((f"7:dim7:{i}", 7) for i in range(300))
-        assert calls == [a for a, _ in search.seeded_vectors(keys, 0, 50)]
+        assert Counter(calls) == Counter(a for a, _ in search.seeded_vectors(keys, 0, 50))
 
     def test_dim7_strict_failure_names_first_positive_sample(self, monkeypatch):
         def strict_fails(a, strict=False):

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import ceil
+from math import nextafter
 
 import pytest
 
@@ -234,6 +234,11 @@ class TestResume:
         with pytest.raises(ValueError):
             exhaustive_integer_search(5, SearchTarget.T, 10, resume=state)
 
+    def test_negative_checkpoint_interval_rejected(self):
+        # a negative interval used to be no error: the walk never reached it
+        with pytest.raises(SearchInputError, match="checkpoint_every must be >= 0, got -3"):
+            exhaustive_integer_search(4, SearchTarget.G, 6, checkpoint_every=-3, on_checkpoint=print)
+
 
 class TestRandomSearch:
     def test_deterministic(self, monkeypatch):
@@ -243,9 +248,8 @@ class TestRandomSearch:
         assert a == b
 
     def test_worker_count_does_not_change_result(self, two_cpus):
-        # at 1 ms a key and 4 ms a shard, a search runs serially below 8
-        # trials: 7 trials stay serial on two workers, 8 and 9 are the
-        # first pooled counts, and 9 splits into uneven shards
+        # every sample pools on two workers: the probe takes key 0, and 7,
+        # 8 and 9 trials leave the two shards of the rest even and uneven
         for target in SearchTarget:
             for trials in (7, 8, 9):
                 records = []
@@ -501,6 +505,49 @@ def _shards_seen(schedule, shard, shards):
     return (1,), [(shard, shards)]
 
 
+# the first key index past 0 that the probe deals on two workers, in a
+# sample of at least 16 * PROBED keys
+PROBED = 2 * search.PROBE_SHARDS_PER_WORKER
+
+
+def _costed_shard(schedule, shard, shards, clock, seen):
+    """Advances ``clock`` by a cross-check-like cost per key, 60 us +
+    0.255 us * 2^n, and records the key indices it deals in ``seen``."""
+    for k, _, n in schedule.keys(shard, shards):
+        clock[0] += (60 + 0.255 * 2**n) / 1e6
+        seen.append(k)
+    return (1,), []
+
+
+def _seen_shard(schedule, shard, shards, seen, at):
+    """Records the key indices it deals in ``seen``, and raises at key
+    index ``at``."""
+    for k, _, _ in schedule.keys(shard, shards):
+        seen.append(k)
+        if k == at:
+            raise SearchInputError(f"raised at key {k}")
+    return (1,), []
+
+
+class _InlinePool:
+    """A stand-in ProcessPoolExecutor that maps in this process and
+    records its size in ``sizes``."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
 def _odd_total_violates(a):
     """A stand-in checker that reports every vector of odd entry sum."""
     return CheckReport("tomaszewski", a, VIOLATED if a.total % 2 else HOLDS)
@@ -509,8 +556,6 @@ def _odd_total_violates(a):
 class TestSharded:
     # dimensions 1 and 2 with entries in {0, 1}: many draws are all zero
     SCHEDULE = KeySchedule(7, "{seed}:{n}:{i}", ((1, 9), (2, 4), (1, 8)), 0, 1)
-    # 1 ms a key, as the two_cpus fixture estimates every key
-    KEY_US = (1000, 0, 0)
 
     def zero_keys(self) -> set[int]:
         return {k for k, key, n in self.SCHEDULE.keys()
@@ -533,6 +578,10 @@ class TestSharded:
                 assert dealt == list(range(shard, size, shards))
         zeros = self.zero_keys()
         assert [k for k, _, _ in self.SCHEDULE.draws()] == [k for k in range(size) if k not in zeros]
+        # a probed schedule leaves out the indices 0 modulo its stride
+        probed = KeySchedule(7, "{seed}:{n}:{i}", ((1, 9), (2, 4), (1, 8)), 0, 1, probed=4)
+        assert [k for k, _, _ in probed.keys(0, 2)] == [2, 6, 10, 14, 18]
+        assert [k for k, _, _ in probed.keys(1, 2)] == list(range(1, size, 2))
 
     def test_records_come_back_in_key_order(self, two_cpus):
         zeros = self.zero_keys()
@@ -541,8 +590,18 @@ class TestSharded:
         expected = ((self.SCHEDULE.size,), [(k, key) for k, key, _ in self.SCHEDULE.keys() if k in flagged])
         for workers in ("1", "2"):
             two_cpus.setenv("RADLAB_THREADS", workers)
-            assert run_sharded(_flag_shard, self.SCHEDULE, flagged, key_us=self.KEY_US) == expected
+            assert run_sharded(_flag_shard, self.SCHEDULE, flagged) == expected
         assert not multiprocessing.active_children()
+
+    def test_probed_keys_are_dealt_once(self, two_cpus):
+        # on two workers the probe deals 0, PROBED, 2 * PROBED, ..., and
+        # shard 0 of the rest the other even keys: every key is counted once
+        schedule = KeySchedule(5, "{seed}:{n}:{i}", ((1, 8 * PROBED + 44), (2, 8 * PROBED)), 0, 1)
+        flagged = frozenset({0, 1, PROBED - 2, PROBED - 1, PROBED, PROBED + 1, 2 * PROBED, schedule.size - 1})
+        expected = ((schedule.size,), [(k, key) for k, key, _ in schedule.keys() if k in flagged])
+        for workers in ("1", "2"):
+            two_cpus.setenv("RADLAB_THREADS", workers)
+            assert run_sharded(_flag_shard, schedule, flagged) == expected
 
     @pytest.mark.parametrize("error", [SearchInputError, TooLarge])
     @pytest.mark.parametrize("at, first", [(frozenset(range(21)), 0), (frozenset({3, 4, 9}), 3)],
@@ -554,21 +613,76 @@ class TestSharded:
         for workers in ("1", "2"):
             two_cpus.setenv("RADLAB_THREADS", workers)
             with pytest.raises(error) as info:
-                run_sharded(_raise_shard, self.SCHEDULE, error, at, key_us=self.KEY_US)
+                run_sharded(_raise_shard, self.SCHEDULE, error, at)
             assert type(info.value) is error and str(info.value) == f"raised at key {first}"
         assert not multiprocessing.active_children()
 
+    @pytest.mark.parametrize("at, first", [({3, PROBED}, 3), ({PROBED - 2, PROBED}, PROBED - 2),
+                                           ({PROBED - 1, PROBED}, PROBED - 1), ({PROBED, PROBED + 1}, PROBED)],
+                             ids=["part-1-early", "part-0-just-below", "part-1-just-below", "probe-first"])
+    def test_a_probed_error_loses_to_a_lower_key(self, two_cpus, at, first):
+        # on two workers the probe raises at key PROBED, which this process
+        # evaluates before the pool starts; the error at the lowest key
+        # index still wins, as in one process
+        schedule = KeySchedule(7, "{seed}:{n}:{i}", ((1, 16 * PROBED + 9),), 0, 1)
+        for workers in ("1", "2"):
+            two_cpus.setenv("RADLAB_THREADS", workers)
+            with pytest.raises(SearchInputError) as info:
+                run_sharded(_raise_shard, schedule, SearchInputError, frozenset(at))
+            assert str(info.value) == f"raised at key {first}"
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("at", [0, PROBED])
+    def test_after_a_probed_error_only_lower_keys_run(self, two_cpus, at):
+        # the probe raises at key `at`: the rest deals only the keys below
+        # it, whose errors alone could win, on a pool or in this process
+        two_cpus.setenv("RADLAB_THREADS", "2")
+        two_cpus.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        schedule = KeySchedule(7, "{seed}:{n}:{i}", ((1, 16 * PROBED),), 0, 1)
+        for least in (1e-9, float("inf")):
+            two_cpus.setattr(search, "MIN_SHARD_S", least)
+            seen = []
+            with pytest.raises(SearchInputError, match=f"raised at key {at}$"):
+                run_sharded(_seen_shard, schedule, seen, at)
+            assert sorted(seen) == list(range(at + 1))
+
     def test_a_pool_starts_from_two_shards_of_estimated_work(self, monkeypatch):
-        # the measured costs, not the two_cpus stand-in: 2 * MIN_SHARD_S of
-        # estimated work is the least that runs on two workers
+        # a fake clock: the probe, shard 0 of `stride` on two workers, deals
+        # `probed` of the `size` keys and reads `elapsed`, so the sample is
+        # estimated at size / probed * elapsed, PROBED * elapsed for 16 *
+        # PROBED keys; 2 * MIN_SHARD_S of that is the least that runs on
+        # two workers, and less runs in this process
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("RADLAB_THREADS", "2")
-        key_us = search.HUNT_KEY_US["tomaszewski"]
-        per_key = search.sample_seconds(KeySchedule(7, "{seed}:{n}:{i}", ((4, 1),), 0, 20), key_us)
-        least = ceil(2 * search.MIN_SHARD_S / per_key)
-        for trials, seen in ((least - 1, [(0, 1)]), (least, [(0, 2), (1, 2)])):
-            schedule = KeySchedule(7, "{seed}:{n}:{i}", ((4, trials),), 0, 20)
-            assert run_sharded(_shards_seen, schedule, key_us=key_us) == ((len(seen),), seen)
+        # a smaller sample is probed on a narrower stride, 16 keys or more
+        for size, stride, probed in ((16 * PROBED, PROBED, 16), (16 * PROBED + 9, PROBED, 17),
+                                     (520, 32, 17), (8, 2, 4)):
+            schedule = KeySchedule(7, "{seed}:{n}:{i}", ((4, size),), 0, 20)
+            boundary = 2 * search.MIN_SHARD_S * probed / size
+            for elapsed, rest in ((nextafter(boundary, 0), [(0, 1)]), (boundary, [(0, 2), (1, 2)])):
+                clock = iter((0.0, elapsed))
+                monkeypatch.setattr(search, "perf_counter", lambda: next(clock))
+                assert run_sharded(_shards_seen, schedule) == ((1 + len(rest),), [(0, stride), *rest])
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("workers", [2, 4, 8, 16])
+    def test_a_sample_whose_costly_keys_come_last_pools(self, monkeypatch, workers):
+        # the engine cross-check's shape: 70 keys at each n = 2..14, then
+        # 15 at each n = 15..20, which carry ~93% of its ~8.5 s on a fake
+        # clock; the probe deals some of those, so the sample pools on
+        # every worker, and each key is dealt once
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        monkeypatch.setenv("RADLAB_THREADS", str(workers))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        clock, seen = [0.0], []
+        monkeypatch.setattr(search, "perf_counter", lambda: clock[0])
+        runs = tuple((n, 70) for n in range(2, 15)) + tuple((n, 15) for n in range(15, 21))
+        schedule = KeySchedule(7, "{seed}:xval:{n}:{k}", runs, 0, 20)
+        assert run_sharded(_costed_shard, schedule, clock, seen) == ((1 + workers,), [])
+        assert 8.4 < clock[0] < 8.6
+        assert _InlinePool.sizes == [workers]
+        assert sorted(seen) == list(range(1000))
 
     def test_a_refused_hunt_raises_the_same_error_from_a_worker(self, two_cpus):
         # 30-bit entries at n = 60: no sum table fits, refused per vector
@@ -602,7 +716,7 @@ class TestSharded:
 
     @pytest.mark.parametrize("seed", [7, 11, 20261017])
     def test_searches_and_hunts_do_not_depend_on_the_worker_count(self, two_cpus, seed):
-        # 7 trials run serially, 8 and 9 on two workers, 9 in uneven shards
+        # on two workers, the probe takes key 0 and 9 trials leave uneven shards
         for trials in (7, 8, 9):
             runs = []
             for workers in ("1", "2"):
@@ -641,9 +755,8 @@ class TestSharded:
         (20261017, "fe9ebe3915f24c1a90263f1c67dd4d47451781aaf1ad27a08f7576ac6fc3c48c"),
     ], ids=["7", "20261017"])
     def test_quick_report_does_not_depend_on_the_worker_count(self, two_cpus, seed, digest):
-        # at 1 ms a key and 4 ms a shard, every sampled claim runs on two
-        # workers, and the report bytes are the ones CI pins for a run on
-        # one worker
+        # every sampled claim runs on two workers, and the report bytes
+        # are the ones CI pins for a run on one worker
         two_cpus.setenv("RADLAB_THREADS", "2")
         report = verify.verify_paper(seed=seed)
         assert hashlib.sha256(cli.canonical_json_bytes(report)).hexdigest() == digest
