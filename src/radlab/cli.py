@@ -65,8 +65,17 @@ def append_ledger(ledger: str, command: str, arguments: list[str], digest: str, 
         "digest": digest,
         "report": report,
     }
-    with open(ledger, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    _write(ledger, (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"), "ab")
+
+
+def _write(path: str, data: bytes, mode: str = "wb") -> None:
+    """Write (mode "wb") or append ("ab") data to path; a path that cannot
+    be written is a usage error, not a bug."""
+    try:
+        with open(path, mode) as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise RadlabError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def verify_ledger(ledger: str) -> list[tuple[dict, bool]]:
@@ -88,7 +97,7 @@ def verify_ledger(ledger: str) -> list[tuple[dict, bool]]:
 def _finish(data: bytes, args) -> None:
     """Write the report artifact and the ledger entry, if requested."""
     if args.out:
-        Path(args.out).write_bytes(data)
+        _write(args.out, data)
     if args.ledger:
         append_ledger(args.ledger, args.command, args.argv, _digest(data), args.out)
 
@@ -173,7 +182,7 @@ def cmd_search(args) -> int:
 
     def checkpoint(state: SearchState) -> None:
         nonlocal saved
-        Path(args.checkpoint).write_text(json.dumps(state.to_json_dict(), indent=2))
+        _write(args.checkpoint, json.dumps(state.to_json_dict(), indent=2).encode("utf-8"))
         saved = True
         if args.progress_every:
             _emit_jsonl({"kind": "progress", **state.to_json_dict()}, lines)

@@ -26,9 +26,10 @@ The sampled dominance pairs (one stream, ``"{seed}:dom"``) draw from their
 own ``random.Random`` instead.
 
 Each of these samples but the meet-in-the-middle vector is a
-``KeySchedule``, and ``run_sharded`` is the one path that evaluates one,
-here or on up to ``RADLAB_THREADS`` worker processes; every result is the
-same at any worker count.
+``KeySchedule``, and ``run_sharded`` is the one path that evaluates one:
+as one call in this process, or as one strided shard per worker on up to
+``RADLAB_THREADS`` worker processes, after a timing probe whose result it
+discards.  Every result is the same at any worker count.
 
 Every search minimizes integer ``(count, entries)`` keys: n is fixed
 within a search, so the tail count orders like the probability, and the
@@ -75,10 +76,6 @@ MAX_SWEEP_VECTORS = 5_000_000
 # 2 * 50 ms ran on them in 0.67-1.08 of their time in one process, at
 # 2 * 25 ms in 0.82-1.43 (2-core machine, CPython 3.11)
 MIN_SHARD_S = 0.05
-# run_sharded times shard 0 of at most this many strided shards per
-# worker; a probe of 1/64 on two workers, not 1/256, made hunt-small-n
-# ~4% slower, since the pool starts after it (2-core machine, CPython 3.11)
-PROBE_SHARDS_PER_WORKER = 128
 
 
 class SearchTarget(enum.Enum):
@@ -281,20 +278,14 @@ class KeySchedule:
     k = 0, 1, ..., ``size`` - 1, is ``template`` filled with the seed, the
     run's dimension n and an index that ends the template, either i, which
     counts within the run, or k itself.  Each draws n entries in
-    [lo, hi].  Left out are the keys a probe evaluated, of index 0 modulo
-    ``probed`` > 0, and those from ``stop`` on, past its error.  A plain
-    class: building a frozen dataclass would add ~1 ms, and a named tuple
-    ~0.3 ms, to the ~11 ms that importing radlab takes (CPython 3.11,
-    2-core machine)."""
+    [lo, hi].  A plain class: building a frozen dataclass would add ~1 ms,
+    and a named tuple ~0.3 ms, to the ~11 ms that importing radlab takes
+    (CPython 3.11, 2-core machine)."""
 
-    __slots__ = ("seed", "template", "runs", "lo", "hi", "probed", "stop", "reached")
+    __slots__ = ("seed", "template", "runs", "lo", "hi")
 
-    def __init__(self, seed: int, template: str, runs: tuple[tuple[int, int], ...], lo: int, hi: int,
-                 probed: int = 0, stop: int | None = None) -> None:
-        self.seed, self.template, self.runs, self.lo, self.hi, self.probed = seed, template, runs, lo, hi, probed
-        self.stop = self.size if stop is None else stop
-        # the index of the key ``keys`` dealt last, which locates an error
-        self.reached = -1
+    def __init__(self, seed: int, template: str, runs: tuple[tuple[int, int], ...], lo: int, hi: int) -> None:
+        self.seed, self.template, self.runs, self.lo, self.hi = seed, template, runs, lo, hi
 
     @property
     def size(self) -> int:
@@ -302,19 +293,15 @@ class KeySchedule:
 
     def keys(self, shard: int = 0, shards: int = 1) -> Iterator[tuple[int, str, int]]:
         """(k, key, n) for every key index k equal to shard modulo
-        shards and not left out by ``probed`` or ``stop``, ascending."""
+        shards, ascending."""
         head, index = self.template[:-3], self.template[-3:]
         if index not in ("{i}", "{k}"):
             raise ValueError(f"key template {self.template!r} does not end in {{i}} or {{k}}")
-        probed, stop = self.probed, self.stop
         start = 0
         for n, count in self.runs:
             prefix = head.format(seed=self.seed, n=n)
             offset = start if index == "{i}" else 0
-            for k in range(start + (shard - start) % shards, min(start + count, stop), shards):
-                if probed and not k % probed:
-                    continue
-                self.reached = k
+            for k in range(start + (shard - start) % shards, start + count, shards):
                 yield k, f"{prefix}{k - offset}", n
             start += count
 
@@ -329,15 +316,6 @@ class KeySchedule:
 _Shard = tuple[tuple[int, ...], list[tuple[int, object]]]
 
 
-def _run_shard(work: Callable[..., _Shard], schedule: KeySchedule, shard: int, shards: int, args: tuple):
-    """``work`` on one shard: (its result, None), or (None, (k, error))
-    when it raised an error at key index k."""
-    try:
-        return work(schedule, shard, shards, *args), None
-    except Exception as error:
-        return None, (schedule.reached, error)
-
-
 def run_sharded(work: Callable[..., _Shard], schedule: KeySchedule, *args: object) -> _Shard:
     """Evaluate a sample shard by shard: ``work(schedule, shard, shards,
     *args)`` evaluates the keys with index k equal to shard modulo shards,
@@ -345,42 +323,48 @@ def run_sharded(work: Callable[..., _Shard], schedule: KeySchedule, *args: objec
     k.  Returns the tallies summed and every record in global key order,
     the same at any number of shards.
 
-    On W = ``_resolve_workers()`` >= 2 workers, this process first times a
-    probe, shard 0 of ``PROBE_SHARDS_PER_WORKER`` * W strided shards, or
-    of fewer, down to W, so that it deals 16 keys or more.  The other keys,
-    or if the probe raised, those below its error, which alone can raise
-    one that wins, run as W strided shards on a pool of one worker per
-    ``MIN_SHARD_S`` of the probe's time scaled to them, up to W, or here
-    when that is under two.  Strided shards balance schedules that run
-    from cheap keys to costly ones; ``work`` is module-level, so that any
-    start method can send it.  An error reaches the caller as itself, and
-    when several shards raise, the one raised at the lowest key index does.
+    The sample runs either as one call in this process, ``work(schedule, 0,
+    1, *args)``, or as the W calls ``work(schedule, j, W, *args)`` on a
+    pool.  On W = ``_resolve_workers()`` >= 2 workers, this process first
+    times a probe, ``work`` on the keys k = 0 modulo max(4 W, size // 16),
+    ~16 keys whatever W is, and discards its result.  Scaled to the whole
+    sample, that time starts a pool of one worker per ``MIN_SHARD_S``, up
+    to W; under two, the sample runs as the one call here.  Strided shards
+    balance schedules that run from cheap keys to costly ones; ``work`` is
+    module-level, so that any start method can send it.  When the probe or
+    a shard raises, the sample runs as the one call here, which raises the
+    error at the lowest key index as itself; a broken pool's
+    ``BrokenExecutor`` propagates.
     """
     workers = _resolve_workers()
     if workers < 2:
         return work(schedule, 0, 1, *args)
-    # a sample's costly keys often come last: key 0 alone would misjudge it
-    probes = workers * max(1, min(PROBE_SHARDS_PER_WORKER, schedule.size // (16 * workers)))
+    # a sample's costly keys often come last, so key 0 alone would misjudge
+    # it, and its costs may repeat with a period that divides W, so the
+    # stride does not follow W but the size
+    size = schedule.size
+    stride = max(4 * workers, size // 16)
     began = perf_counter()
-    probe = _run_shard(work, schedule, 0, probes, args)
-    stop = probe[1][0] + 1 if probe[1] else schedule.size
-    seconds = (perf_counter() - began) * stop / max(1, -(-stop // probes))
+    try:
+        work(schedule, 0, stride, *args)
+    except Exception:
+        return work(schedule, 0, 1, *args)
+    seconds = (perf_counter() - began) * size / max(1, -(-size // stride))
     pooled = min(workers, int(seconds / MIN_SHARD_S))
-    rest = KeySchedule(schedule.seed, schedule.template, schedule.runs, schedule.lo, schedule.hi, probes, stop)
     if pooled < 2:
-        outcomes = [probe, _run_shard(work, rest, 0, 1, args)]
-    else:
-        # imported here: it loads multiprocessing on every import of radlab;
-        # the default start method: two workers start in ~12 ms with fork,
-        # in ~150 ms with spawn, more than a shard saves (2-core machine, CPython 3.11)
-        from concurrent.futures import ProcessPoolExecutor
+        return work(schedule, 0, 1, *args)
+    # imported here: it loads multiprocessing on every import of radlab;
+    # the default start method: two workers start in ~12 ms with fork,
+    # in ~150 ms with spawn, more than a shard saves (2-core machine, CPython 3.11)
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    try:
         with ProcessPoolExecutor(max_workers=pooled) as pool:
-            outcomes = [probe, *pool.map(_run_shard, repeat(work), repeat(rest), range(workers),
-                                         repeat(workers), repeat(args))]
-    errors = [error for _, error in outcomes if error]
-    if errors:
-        raise min(errors, key=itemgetter(0))[1]
-    results = [result for result, _ in outcomes]
+            results = list(pool.map(work, repeat(schedule), range(workers), repeat(workers),
+                                    *map(repeat, args)))
+    except BrokenExecutor:
+        raise
+    except Exception:
+        return work(schedule, 0, 1, *args)
     tallies = tuple(map(sum, zip(*(t for t, _ in results))))
     return tallies, sorted((r for _, records in results for r in records), key=itemgetter(0))
 
@@ -723,8 +707,11 @@ def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRe
 
     Moves only on strict improvement; equal-value neighbors never cause a
     move, and among improving neighbors the lexicographically smallest
-    canonical vector wins, so the walk is deterministic.
+    canonical vector wins, so the walk is deterministic.  A negative step
+    budget is a SearchInputError; 0 steps scores the start alone.
     """
+    if steps < 0:
+        raise SearchInputError(f"steps must be >= 0, got {steps}")
     if start.norm_sq == 0:
         raise ZeroNorm("descent needs a nonzero start")
     if any(x < target.min_entry for x in start.entries):

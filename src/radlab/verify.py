@@ -325,7 +325,7 @@ def _mitm_large_claim(n: int, seed: int) -> ClaimResult:
 
 
 def _claims(full: bool, seed: int) -> Iterator[ClaimResult]:
-    """Every claim in report order with its budget, each computed when it is reached."""
+    """Every claim in report order with its budget, each computed only when its turn comes."""
     yield _witness_claims(
         "g-witnesses", "norm-reaching witnesses evaluate to the table values",
         G_WITNESSES, SearchTarget.G, G_TABLE)

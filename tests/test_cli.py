@@ -5,7 +5,6 @@ import json
 import os
 import select
 import sys
-from collections import Counter
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -186,6 +185,14 @@ class TestSearch:
         assert code == 0
         final = json.loads(out.strip().splitlines()[-1])
         assert final["mode"] == "random" and final["seed"] == 3
+
+    def test_negative_steps_exit_2(self, capsys):
+        assert main(["search", "descent", "--target", "G", "--start", "2,2,1,1,1", "--steps", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: steps must be >= 0, got -5\n"
+        code, out = run(capsys, "search", "descent", "--target", "G", "--start", "2,2,1,1,1", "--steps", "0")
+        final = json.loads(out.strip().splitlines()[-1])
+        assert code == 0 and final["bound"] == 0 and final["vectors_examined"] == 1
 
     def test_descent_mode(self, capsys):
         # the target is read in any case; n is the start vector's length
@@ -373,6 +380,17 @@ class TestHunt:
 
 
 class TestLedger:
+    @pytest.mark.parametrize("flag, argv", [
+        ("--out", ["eval", "--vector", "1,1,1"]),
+        ("--ledger", ["hunt", "--predicate", "tomaszewski", "--n", "3", "--trials", "5"]),
+        ("--checkpoint", ["search", "exhaustive", "--target", "G", "--n", "3", "--bound", "5",
+                          "--progress-every", "1"]),
+    ], ids=["out", "ledger", "checkpoint"])
+    def test_unwritable_path_exits_2(self, capsys, tmp_path, flag, argv):
+        path = tmp_path / "missing" / "file"
+        assert main([*argv, flag, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
+
     def test_digest_matches_report_file(self, capsys, tmp_path):
         report = tmp_path / "report.json"
         ledger = tmp_path / "ledger.jsonl"
@@ -464,16 +482,14 @@ class TestVerifyPaperCommand:
         assert rule.to_json_dict()["details"]["first_failure"] == str(first)
 
     def test_dim7_rule_is_one_call_per_sample(self, monkeypatch):
-        # in this process on two CPUs: the probe's samples come first, then
-        # the rest, so each sampled vector is one call, in no fixed order
-        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setenv("RADLAB_THREADS", "2")
-        monkeypatch.setattr(search, "MIN_SHARD_S", float("inf"))
+        # on one worker the sample is one pass in key order; on more, a
+        # timing probe calls the rule again on ~16 samples
+        monkeypatch.setenv("RADLAB_THREADS", "1")
         calls = []
         monkeypatch.setattr(verify, "case_lemma_7", lambda a, strict=False: calls.append(a))
         verify._dim7_sample_claims(300, 7)
         keys = ((f"7:dim7:{i}", 7) for i in range(300))
-        assert Counter(calls) == Counter(a for a, _ in search.seeded_vectors(keys, 0, 50))
+        assert calls == [a for a, _ in search.seeded_vectors(keys, 0, 50)]
 
     def test_dim7_strict_failure_names_first_positive_sample(self, monkeypatch):
         def strict_fails(a, strict=False):

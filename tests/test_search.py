@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import multiprocessing
+import os
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -248,8 +249,8 @@ class TestRandomSearch:
         assert a == b
 
     def test_worker_count_does_not_change_result(self, two_cpus):
-        # every sample pools on two workers: the probe takes key 0, and 7,
-        # 8 and 9 trials leave the two shards of the rest even and uneven
+        # every sample pools on two workers after a probe of key 0, and 7,
+        # 8 and 9 trials leave the two shards even and uneven
         for target in SearchTarget:
             for trials in (7, 8, 9):
                 records = []
@@ -315,6 +316,10 @@ class TestDescent:
         start = CoeffVec((2, 1, 1))
         r = local_descent(start, SearchTarget.G, 0)
         assert r.witness == start and r.vectors_examined == 1
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(SearchInputError, match="steps must be >= 0, got -5"):
+            local_descent(CoeffVec((2, 2, 1, 1, 1)), SearchTarget.G, -5)
 
     def test_gprime_start_constraint(self):
         with pytest.raises(NonPositiveEntry):
@@ -493,38 +498,66 @@ def _flag_shard(schedule, shard, shards, flagged):
     return (len(keys),), [(k, key) for k, key, _ in keys if k in flagged]
 
 
-def _raise_shard(schedule, shard, shards, error, at):
-    """Raises at the shard's first key index in ``at``."""
+def _raise_shard(schedule, shard, shards, error, at, log):
+    """Appends its process id and (shard, shards) to the file ``log``, then
+    raises at the shard's first key index in ``at``."""
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {shard} {shards}\n")
     for k, _, _ in schedule.keys(shard, shards):
         if k in at:
             raise error(f"raised at key {k}")
     return (0,), []
 
 
-def _shards_seen(schedule, shard, shards):
+def _shards_seen(schedule, shard, shards, calls):
+    """Records (shard, shards) in ``calls``, which a worker's copy keeps
+    to itself, and returns it as its one record."""
+    calls.append((shard, shards))
     return (1,), [(shard, shards)]
 
 
-# the first key index past 0 that the probe deals on two workers, in a
-# sample of at least 16 * PROBED keys
-PROBED = 2 * search.PROBE_SHARDS_PER_WORKER
+def _pid_shard(schedule, shard, shards):
+    return (1,), [(shard, os.getpid())]
+
+
+def _exit_shard(schedule, shard, shards, parent):
+    """Ends any process but ``parent`` at once, as a crashed worker ends."""
+    if os.getpid() != parent:
+        os._exit(1)
+    return (0,), []
+
+
+def _dims_seen(schedule, shard, shards, seen):
+    """Records (shards, n) in ``seen`` for each key it deals."""
+    seen.extend((shards, n) for _, _, n in schedule.keys(shard, shards))
+    return (0,), []
+
+
+# the probe's stride on two workers, size // 16, for a sample of 4,096 to
+# 4,111 keys: it deals keys 0, PROBED, 2 * PROBED, ...
+PROBED = 256
+
+
+def _cost(n):
+    """A cross-check-like cost of one key, 60 us + 0.255 us * 2^n."""
+    return (60 + 0.255 * 2**n) / 1e6
 
 
 def _costed_shard(schedule, shard, shards, clock, seen):
-    """Advances ``clock`` by a cross-check-like cost per key, 60 us +
-    0.255 us * 2^n, and records the key indices it deals in ``seen``."""
+    """Advances ``clock`` by ``_cost`` of each key it deals, and records
+    (shard, shards, k) in ``seen``."""
     for k, _, n in schedule.keys(shard, shards):
-        clock[0] += (60 + 0.255 * 2**n) / 1e6
-        seen.append(k)
+        clock[0] += _cost(n)
+        seen.append((shard, shards, k))
     return (1,), []
 
 
 def _seen_shard(schedule, shard, shards, seen, at):
-    """Records the key indices it deals in ``seen``, and raises at key
-    index ``at``."""
+    """Records the key indices it deals in ``seen``, and raises at the
+    first in ``at``."""
     for k, _, _ in schedule.keys(shard, shards):
         seen.append(k)
-        if k == at:
+        if k in at:
             raise SearchInputError(f"raised at key {k}")
     return (1,), []
 
@@ -578,10 +611,7 @@ class TestSharded:
                 assert dealt == list(range(shard, size, shards))
         zeros = self.zero_keys()
         assert [k for k, _, _ in self.SCHEDULE.draws()] == [k for k in range(size) if k not in zeros]
-        # a probed schedule leaves out the indices 0 modulo its stride
-        probed = KeySchedule(7, "{seed}:{n}:{i}", ((1, 9), (2, 4), (1, 8)), 0, 1, probed=4)
-        assert [k for k, _, _ in probed.keys(0, 2)] == [2, 6, 10, 14, 18]
-        assert [k for k, _, _ in probed.keys(1, 2)] == list(range(1, size, 2))
+        assert KeySchedule.__slots__ == ("seed", "template", "runs", "lo", "hi")
 
     def test_records_come_back_in_key_order(self, two_cpus):
         zeros = self.zero_keys()
@@ -594,28 +624,39 @@ class TestSharded:
         assert not multiprocessing.active_children()
 
     def test_probed_keys_are_dealt_once(self, two_cpus):
-        # on two workers the probe deals 0, PROBED, 2 * PROBED, ..., and
-        # shard 0 of the rest the other even keys: every key is counted once
+        # on two workers the probe deals 0, 258, 516, ... and its result is
+        # discarded; shard 0 deals every even key: each is counted once
         schedule = KeySchedule(5, "{seed}:{n}:{i}", ((1, 8 * PROBED + 44), (2, 8 * PROBED)), 0, 1)
-        flagged = frozenset({0, 1, PROBED - 2, PROBED - 1, PROBED, PROBED + 1, 2 * PROBED, schedule.size - 1})
+        stride = schedule.size // 16
+        flagged = frozenset({0, 1, stride - 2, stride - 1, stride, stride + 1, 2 * stride, schedule.size - 1})
         expected = ((schedule.size,), [(k, key) for k, key, _ in schedule.keys() if k in flagged])
         for workers in ("1", "2"):
             two_cpus.setenv("RADLAB_THREADS", workers)
             assert run_sharded(_flag_shard, schedule, flagged) == expected
 
     @pytest.mark.parametrize("error", [SearchInputError, TooLarge])
-    @pytest.mark.parametrize("at, first", [(frozenset(range(21)), 0), (frozenset({3, 4, 9}), 3)],
+    @pytest.mark.parametrize("at, first, pooled", [(frozenset(range(21)), 0, False),
+                                                   (frozenset({3, 4, 9}), 3, True)],
                              ids=["every-key", "odd-shard-first"])
-    def test_errors_cross_the_pool_unchanged(self, two_cpus, error, at, first):
-        # both shards raise; the caller sees the error at the lowest key
-        # index, as one process raises it, also when that is shard 1's
-        # (key 3) and shard 0 raises later (key 4)
+    def test_errors_cross_the_pool_unchanged(self, two_cpus, tmp_path, error, at, first, pooled):
+        # the caller sees the error at the lowest key index, as one process
+        # raises it: when the probe (keys 0, 8, 16) raises at key 0, and when
+        # both pooled shards raise, shard 1 at key 3 and shard 0 at key 4
         for workers in ("1", "2"):
             two_cpus.setenv("RADLAB_THREADS", workers)
+            log = tmp_path / f"calls-{workers}"
             with pytest.raises(error) as info:
-                run_sharded(_raise_shard, self.SCHEDULE, error, at)
+                run_sharded(_raise_shard, self.SCHEDULE, error, at, log)
             assert type(info.value) is error and str(info.value) == f"raised at key {first}"
         assert not multiprocessing.active_children()
+        calls = [tuple(map(int, line.split())) for line in (tmp_path / "calls-2").read_text().splitlines()]
+        here = os.getpid()
+        # the probe and the one call here, after the two shards ran in workers
+        expected = [(here, 0, 8), (here, 0, 1)]
+        if pooled:
+            assert sorted((shard, shards) for pid, shard, shards in calls[1:-1] if pid != here) == [(0, 2), (1, 2)]
+            calls = [calls[0], calls[-1]]
+        assert calls == expected
 
     @pytest.mark.parametrize("at, first", [({3, PROBED}, 3), ({PROBED - 2, PROBED}, PROBED - 2),
                                            ({PROBED - 1, PROBED}, PROBED - 1), ({PROBED, PROBED + 1}, PROBED)],
@@ -628,41 +669,69 @@ class TestSharded:
         for workers in ("1", "2"):
             two_cpus.setenv("RADLAB_THREADS", workers)
             with pytest.raises(SearchInputError) as info:
-                run_sharded(_raise_shard, schedule, SearchInputError, frozenset(at))
+                run_sharded(_seen_shard, schedule, [], frozenset(at))
             assert str(info.value) == f"raised at key {first}"
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("at", [0, PROBED])
     def test_after_a_probed_error_only_lower_keys_run(self, two_cpus, at):
-        # the probe raises at key `at`: the rest deals only the keys below
-        # it, whose errors alone could win, on a pool or in this process
+        # the probe, keys 0 modulo PROBED, raises at key `at`: no pool
+        # starts, and the sample runs as one call here, which deals the
+        # keys up to `at` and raises there, whatever MIN_SHARD_S is
         two_cpus.setenv("RADLAB_THREADS", "2")
         two_cpus.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        two_cpus.setattr(_InlinePool, "sizes", [])
         schedule = KeySchedule(7, "{seed}:{n}:{i}", ((1, 16 * PROBED),), 0, 1)
         for least in (1e-9, float("inf")):
             two_cpus.setattr(search, "MIN_SHARD_S", least)
             seen = []
             with pytest.raises(SearchInputError, match=f"raised at key {at}$"):
-                run_sharded(_seen_shard, schedule, seen, at)
-            assert sorted(seen) == list(range(at + 1))
+                run_sharded(_seen_shard, schedule, seen, {at})
+            assert seen == [*range(0, at + 1, PROBED), *range(at + 1)]
+        assert _InlinePool.sizes == []
+
+    def test_after_a_pooled_error_the_sample_reruns_here(self, two_cpus):
+        # shard 0 raises at key PROBED + 4 first, and shard 1 never runs on
+        # the stand-in pool; the call here deals the keys up to the lowest
+        # error, shard 1's at PROBED + 1, and raises it
+        two_cpus.setenv("RADLAB_THREADS", "2")
+        two_cpus.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        two_cpus.setattr(_InlinePool, "sizes", [])
+        schedule = KeySchedule(7, "{seed}:{n}:{i}", ((1, 16 * PROBED),), 0, 1)
+        seen = []
+        with pytest.raises(SearchInputError, match=f"raised at key {PROBED + 1}$"):
+            run_sharded(_seen_shard, schedule, seen, {PROBED + 1, PROBED + 4})
+        assert _InlinePool.sizes == [2]
+        assert seen == [*range(0, 16 * PROBED, PROBED), *range(0, PROBED + 5, 2), *range(PROBED + 2)]
+
+    def test_a_broken_pool_is_not_rerun(self, two_cpus):
+        # a worker that dies breaks the pool: that is raised, not hidden by
+        # a call here
+        two_cpus.setenv("RADLAB_THREADS", "2")
+        with pytest.raises(concurrent.futures.BrokenExecutor):
+            run_sharded(_exit_shard, self.SCHEDULE, os.getpid())
+        assert not multiprocessing.active_children()
 
     def test_a_pool_starts_from_two_shards_of_estimated_work(self, monkeypatch):
-        # a fake clock: the probe, shard 0 of `stride` on two workers, deals
-        # `probed` of the `size` keys and reads `elapsed`, so the sample is
-        # estimated at size / probed * elapsed, PROBED * elapsed for 16 *
-        # PROBED keys; 2 * MIN_SHARD_S of that is the least that runs on
-        # two workers, and less runs in this process
+        # a fake clock: the probe, one call on the stride max(4 W, size // 16),
+        # deals `probed` of the `size` keys and reads `elapsed`, so the
+        # sample is estimated at size / probed * elapsed; 2 * MIN_SHARD_S of
+        # that is the least that runs on two workers, and less runs here
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("RADLAB_THREADS", "2")
-        # a smaller sample is probed on a narrower stride, 16 keys or more
         for size, stride, probed in ((16 * PROBED, PROBED, 16), (16 * PROBED + 9, PROBED, 17),
-                                     (520, 32, 17), (8, 2, 4)):
+                                     (520, 32, 17), (8, 8, 1)):
             schedule = KeySchedule(7, "{seed}:{n}:{i}", ((4, size),), 0, 20)
             boundary = 2 * search.MIN_SHARD_S * probed / size
-            for elapsed, rest in ((nextafter(boundary, 0), [(0, 1)]), (boundary, [(0, 2), (1, 2)])):
+            for elapsed, result, here in ((nextafter(boundary, 0), [(0, 1)], [(0, stride), (0, 1)]),
+                                          (boundary, [(0, 2), (1, 2)], [(0, stride)])):
                 clock = iter((0.0, elapsed))
                 monkeypatch.setattr(search, "perf_counter", lambda: next(clock))
-                assert run_sharded(_shards_seen, schedule) == ((1 + len(rest),), [(0, stride), *rest])
+                # the probe's record is discarded, and the pooled shards' calls
+                # are recorded only in the workers
+                calls = []
+                assert run_sharded(_shards_seen, schedule, calls) == ((len(result),), result)
+                assert calls == here
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("workers", [2, 4, 8, 16])
@@ -670,7 +739,7 @@ class TestSharded:
         # the engine cross-check's shape: 70 keys at each n = 2..14, then
         # 15 at each n = 15..20, which carry ~93% of its ~8.5 s on a fake
         # clock; the probe deals some of those, so the sample pools on
-        # every worker, and each key is dealt once
+        # every worker, and shard j of W deals exactly the keys j modulo W
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
         monkeypatch.setenv("RADLAB_THREADS", str(workers))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
@@ -679,10 +748,30 @@ class TestSharded:
         monkeypatch.setattr(search, "perf_counter", lambda: clock[0])
         runs = tuple((n, 70) for n in range(2, 15)) + tuple((n, 15) for n in range(15, 21))
         schedule = KeySchedule(7, "{seed}:xval:{n}:{k}", runs, 0, 20)
-        assert run_sharded(_costed_shard, schedule, clock, seen) == ((1 + workers,), [])
-        assert 8.4 < clock[0] < 8.6
+        assert run_sharded(_costed_shard, schedule, clock, seen) == ((workers,), [])
         assert _InlinePool.sizes == [workers]
-        assert sorted(seen) == list(range(1000))
+        stride = max(4 * workers, 1000 // 16)
+        probe = [k for _, shards, k in seen if shards == stride]
+        assert probe == list(range(0, 1000, stride))
+        for shard in range(workers):
+            assert [k for j, shards, k in seen if (j, shards) == (shard, workers)] == list(range(shard, 1000, workers))
+        assert len(seen) == len(probe) + 1000
+        n_of = [n for _, _, n in schedule.keys()]
+        assert clock[0] == pytest.approx(sum(map(_cost, n_of)) + sum(_cost(n_of[k]) for k in probe))
+        assert 8.4 < sum(map(_cost, n_of)) < 8.6
+
+    @pytest.mark.parametrize("workers", [11, 22])
+    def test_the_probe_sees_costs_that_repeat_with_the_worker_count(self, monkeypatch, workers):
+        # the random subset-count claim's schedule, whose n = 2 + k % 11
+        # repeats every 11 keys: a stride that is a multiple of W = 11 or 22
+        # would deal only n = 2, but the probe's stride does not follow W
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        monkeypatch.setenv("RADLAB_THREADS", str(workers))
+        monkeypatch.setattr(search, "MIN_SHARD_S", float("inf"))
+        schedule = KeySchedule(7, "{seed}:comb:{k}", tuple((2 + i % 11, 1) for i in range(10_000)), 1, 20)
+        seen = []
+        run_sharded(_dims_seen, schedule, seen)
+        assert {n for shards, n in seen if shards != 1} == set(range(2, 13))
 
     def test_a_refused_hunt_raises_the_same_error_from_a_worker(self, two_cpus):
         # 30-bit entries at n = 60: no sum table fits, refused per vector
@@ -747,7 +836,20 @@ class TestSharded:
         spawn = multiprocessing.get_context("spawn")
         two_cpus.setattr(concurrent.futures, "ProcessPoolExecutor",
                          functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=spawn))
+        # a spy on the calls made here: it pickles as the function it wraps,
+        # which a spawned worker imports unwrapped
+        calls = []
+
+        @functools.wraps(search._random_shard)
+        def spy(schedule, shard, shards, *args):
+            calls.append((shard, shards))
+            return spy.__wrapped__(schedule, shard, shards, *args)
+
+        two_cpus.setattr(search, "_random_shard", spy)
         assert random_search(5, SearchTarget.G, 9, seed=7) == serial
+        assert calls == [(0, 8)]  # the probe alone: the shards ran in workers
+        (shards,), pids = run_sharded(_pid_shard, KeySchedule(7, "{seed}:{k}", ((5, 9),), 0, 20))
+        assert shards == 2 and [j for j, _ in pids] == [0, 1] and os.getpid() not in {pid for _, pid in pids}
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("seed, digest", [
