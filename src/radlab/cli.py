@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import hashlib
 import json
 import os
@@ -76,6 +77,22 @@ def _write(path: str, data: bytes, mode: str = "wb") -> None:
             fh.write(data)
     except OSError as exc:
         raise RadlabError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _require_writable(path: str) -> None:
+    """Refuse, before any work, a path that ``_write`` could not open: its
+    directory must exist and be writable, and the path must not be a
+    directory.  Creates nothing."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise RadlabError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def verify_ledger(ledger: str) -> list[tuple[dict, bool]]:
@@ -328,6 +345,10 @@ def main(argv: list[str] | None = None) -> int:
         owner.error(f"unrecognized arguments: {' '.join(extra)}")
     args.argv = argv  # what the ledger records
     try:
+        # only sweeps write checkpoints
+        for path in (args.out, args.ledger, getattr(args, "checkpoint", None)):
+            if path:
+                _require_writable(path)
         return args.fn(args)
     except ConjectureFalsified as exc:
         print(json.dumps({"kind": "falsified", "detail": exc.args[0]}), file=sys.stderr)

@@ -61,6 +61,17 @@ class CoeffVec:
         object.__setattr__(self, "norm_sq", sum(map(mul, e, e)))
         object.__setattr__(self, "total", sum(e))
 
+    @classmethod
+    def _canonical(cls, entries: tuple[int, ...]) -> "CoeffVec":
+        """The vector of entries that ``canonicalize`` has already checked,
+        sorted and reduced, built without ``__post_init__``: the checks
+        would cost more than half of a sampled vector's ``canonicalize``."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "entries", entries)
+        object.__setattr__(vec, "norm_sq", sum(map(mul, entries, entries)))
+        object.__setattr__(vec, "total", sum(entries))
+        return vec
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -139,10 +150,13 @@ def canonicalize(raw: Sequence[RationalLike]) -> CoeffVec:
 
     Accepts integers and exact rationals; floats are rejected because they
     are not exact.  The all-zero vector is allowed; callers that need a
-    positive norm must check for it.
+    positive norm must check for it.  Every rule of ``CoeffVec`` is checked
+    or established here, so the result skips ``CoeffVec``'s own checks.
     """
     if len(raw) == 0:
         raise InvalidCoefficient("empty coefficient vector")
+    if len(raw) > MAX_DIMENSION:
+        raise DimensionError(f"dimension {len(raw)} exceeds cap {MAX_DIMENSION}")
     kinds = set(map(type, raw))
     if not kinds <= _EXACT or min(raw) < 0:
         for x in raw:
@@ -159,7 +173,7 @@ def canonicalize(raw: Sequence[RationalLike]) -> CoeffVec:
     g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
-    return CoeffVec(tuple(ints))
+    return CoeffVec._canonical(tuple(ints))
 
 
 def parse_vector(text: str) -> CoeffVec:

@@ -8,9 +8,11 @@ exhausted regions.
 
 Every sampled vector here, and in each sampled claim of the suite but
 the dominance pairs, comes from ``seeded_vectors``: each vector has its
-own substream ``random.Random(key)``, so results are reproducible and
-independent of how trials are split across workers, and its entries are
-those ``randint`` would draw, draw for draw.  The keys are
+own counter-based substream of its key, the ``Substream`` of
+``blake2b(key)`` (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11), so results are reproducible, the same on every
+interpreter, and independent of how trials are split across workers.
+The keys are
 
 - ``"{seed}:{i}"``: trial i of ``random_search``;
 - ``"{seed}:{n}:{i}"``: trial i in dimension n of ``hunt``;
@@ -22,8 +24,9 @@ those ``randint`` would draw, draw for draw.  The keys are
   claim;
 - ``"{seed}:comb:{i}"``: trial i of the random subset-count claim.
 
-The sampled dominance pairs (one stream, ``"{seed}:dom"``) draw from their
-own ``random.Random`` instead.
+The sampled dominance pairs are one stream per run, ``"{seed}:dom"``, so
+seeding costs them nothing: they still draw from their own
+``random.Random``.
 
 Each of these samples but the meet-in-the-middle vector is a
 ``KeySchedule``, and ``run_sharded`` is the one path that evaluates one:
@@ -47,13 +50,12 @@ from __future__ import annotations
 
 import enum
 import os
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from math import ceil, gcd, isqrt
-from operator import itemgetter
+from operator import and_, itemgetter
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -237,39 +239,95 @@ def _score(target: SearchTarget, a: CoeffVec) -> _Key:
     return prob.count, a.entries
 
 
+class Substream:
+    """The bytes of a key's counter-mode blake2b stream (RFC 7693), and
+    the draws read from them in order.
+
+    Block 0 is ``blake2b(key)``, the 64-byte digest of the key's UTF-8
+    bytes; block c >= 1 is ``blake2b(key, person=c.to_bytes(16,
+    "little"))``, the key hashed with the counter c as personalization
+    (block 0's personalization is all zero bytes, which is the plain
+    hash).  The stream is the blocks' bytes concatenated, and each is
+    hashed only when a draw reaches it.  A draw of k bits is the next
+    ceil(k / 8) bytes as a little-endian integer, cut to its low k bits.
+    No two (key, counter) pairs hash the same input, so the streams of
+    distinct keys are independent."""
+
+    __slots__ = ("key", "buf", "pos", "block")
+
+    def __init__(self, key: bytes, buf: bytes, pos: int = 0) -> None:
+        # buf ends with block ``block``, and pos is its next unread byte
+        self.key, self.buf, self.pos, self.block = key, buf, pos, 0
+
+    def bits(self, k: int) -> int:
+        """The next k-bit draw."""
+        pos, end = self.pos, self.pos + (k + 7) // 8
+        if end > len(self.buf):
+            buf, end, pos = self.buf[pos:], end - pos, 0
+            from hashlib import blake2b  # imported here, as in _draws
+            while end > len(buf):
+                self.block += 1
+                buf += blake2b(self.key, person=self.block.to_bytes(16, "little")).digest()
+            self.buf = buf
+        self.pos = end
+        return int.from_bytes(self.buf[pos:end], "little") & ((1 << k) - 1)
+
+    def draw(self, lo: int, hi: int) -> int:
+        """An integer in [lo, hi]: lo plus the first k-bit draw below the
+        width hi - lo + 1, k its bit length."""
+        if (width := hi - lo + 1) < 1:
+            raise ValueError(f"empty entry range [{lo}, {hi}]")
+        k = width.bit_length()
+        while (r := self.bits(k)) >= width:
+            pass
+        return lo + r
+
+
 def seeded_vectors(
     keys: Iterable[tuple[str, int]], lo: int, hi: int
-) -> Iterator[tuple[CoeffVec, random.Random]]:
-    """For each (key, n), draw n entries in [lo, hi] from
-    random.Random(key); yield the canonical vector of every draw that is
-    not all zero, together with its substream for any further draws.
-
-    An entry is lo plus the first ``getrandbits(k)`` below the width
-    hi - lo + 1, k its bit length, as CPython's ``randint`` draws it."""
-    for _, vec, rng in _draws(((None, key, n) for key, n in keys), lo, hi):
-        yield vec, rng
+) -> Iterator[tuple[CoeffVec, Substream]]:
+    """For each (key, n), draw n entries in [lo, hi] from the key's
+    ``Substream``, with ``Substream.draw``'s rule, in order; yield the
+    canonical vector of every draw that is not all zero, together with its
+    substream, which continues where the entries stopped."""
+    for _, vec, stream in _draws(((None, key, n) for key, n in keys), lo, hi):
+        yield vec, stream
 
 
 def _draws(
     keys: Iterable[tuple[int | None, str, int]], lo: int, hi: int
-) -> Iterator[tuple[int | None, CoeffVec, random.Random]]:
+) -> Iterator[tuple[int | None, CoeffVec, Substream]]:
     """``seeded_vectors`` for (index, key, n) triples: each draw comes
-    with the index of its key."""
+    with the index of its key.
+
+    With width = hi - lo + 1 and k its bit length, the entries of a key
+    are, in order, lo + r for the first n draws r < width of k bits each
+    from the key's ``Substream``: one byte each while k <= 8, read off
+    block 0 here at one hash per key, and from the later blocks when
+    rejections, n or k use them up.  The yielded substream continues at
+    the byte after the last entry."""
     if (width := hi - lo + 1) < 1:
         raise ValueError(f"empty entry range [{lo}, {hi}]")
-    k = width.bit_length()
+    # imported at the first draw: hashlib loads OpenSSL, ~3.6 MB and ~3-4 ms
+    # that importing radlab need not pay (CPython 3.11)
+    from hashlib import blake2b
+    mask = (1 << width.bit_length()) - 1
     for index, key, n in keys:
-        # string seeding is stable across runs and hash randomization
-        rng = random.Random(key)
-        bits = rng.getrandbits
-        # n entries take at least n draws; each rejected one is redrawn after them
-        entries = [lo + r for r in map(bits, repeat(k, n)) if r < width]
-        while len(entries) < n:
-            r = bits(k)
-            if r < width:
-                entries.append(lo + r)
+        raw = key.encode()
+        block = blake2b(raw).digest()
+        entries: list[int] = []
+        pos = 0
+        if mask < 256:
+            # one byte per draw, read from block 0 in batches: a batch of
+            # as many draws as entries are missing never overshoots, so
+            # this is Substream.draw's order at a fraction of its cost
+            while (short := n - len(entries)) and pos + short <= len(block):
+                entries += [lo + r for r in map(and_, block[pos:pos + short], repeat(mask)) if r < width]
+                pos += short
+        stream = Substream(raw, block, pos)
+        entries += [stream.draw(lo, hi) for _ in range(n - len(entries))]
         if any(entries):
-            yield index, canonicalize(entries), rng
+            yield index, canonicalize(entries), stream
 
 
 class KeySchedule:
@@ -305,7 +363,7 @@ class KeySchedule:
                 yield k, f"{prefix}{k - offset}", n
             start += count
 
-    def draws(self, shard: int = 0, shards: int = 1) -> Iterator[tuple[int, CoeffVec, random.Random]]:
+    def draws(self, shard: int = 0, shards: int = 1) -> Iterator[tuple[int, CoeffVec, Substream]]:
         """(k, vector, substream) for the shard's keys whose draw is not
         all zero, ascending in k."""
         return _draws(self.keys(shard, shards), self.lo, self.hi)
@@ -749,7 +807,7 @@ def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRe
 HUNT_PREDICATES = {"tomaszewski": "tomaszewski", "pairing": "pairing", "delta": "delta-sweep"}
 
 
-def _passes(checker: str, a: CoeffVec, rng: random.Random) -> bool:
+def _passes(checker: str, a: CoeffVec, stream: Substream) -> bool:
     return not CHECKERS[checker](a).violated
 
 

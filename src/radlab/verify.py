@@ -44,6 +44,7 @@ from .errors import NoWitness
 from .search import (
     KeySchedule,
     SearchTarget,
+    Substream,
     exhaustive_integer_search,
     failures_shard,
     hunt,
@@ -186,7 +187,7 @@ def _sampled_claim(holds: Callable, schedule: KeySchedule) -> tuple[bool, int]:
     return evaluated > 0 and not failures, evaluated
 
 
-def _comb_agrees(a: CoeffVec, rng: random.Random | None = None) -> bool:
+def _comb_agrees(a: CoeffVec, stream: Substream | None = None) -> bool:
     return combinatorial_fraction_gray(a).fraction == tail_counts(a).p_le.fraction
 
 
@@ -212,7 +213,7 @@ def _comb_random_claim(trials: int, seed: int) -> ClaimResult:
     )
 
 
-def _pairing_holds(a: CoeffVec, rng: random.Random) -> bool:
+def _pairing_holds(a: CoeffVec, stream: Substream) -> bool:
     return check_pairing(a).holds
 
 
@@ -288,9 +289,10 @@ def _hunt_claims(tomaszewski_budget: int, delta_budget: int, seed: int) -> list[
     ]
 
 
-def _engines_agree(a: CoeffVec, rng: random.Random) -> bool:
-    rho = min(Fraction(rng.randint(0, 3 * 8), rng.randint(1, 8)), Fraction(3))
-    side = rng.choice([ONE_SIDED, TWO_SIDED])
+def _engines_agree(a: CoeffVec, stream: Substream) -> bool:
+    # rho's numerator, its denominator and the side, drawn after the entries
+    rho = min(Fraction(stream.draw(0, 3 * 8), stream.draw(1, 8)), Fraction(3))
+    side = (ONE_SIDED, TWO_SIDED)[stream.draw(0, 1)]
     oracle = tail_counts_gray(a, rho, side)
     return tail_counts_gf(a, rho, side) == oracle == tail_counts_mitm(a, rho, side)
 

@@ -18,7 +18,7 @@ from radlab.counting import TailCounts
 from radlab.errors import NoWitness
 
 # sha256 of `radlab verify-paper --out` at the default seed
-QUICK_SHA256 = "9d12138116218ae7964b2a98a17e5ccefe65a0da3ee8fdbd0046d0bb2037cbf6"
+QUICK_SHA256 = "adc24373cccca1476bcab4e5ee8ff875322e7c9aac7ae9b4ee13c3821f461079"
 
 
 def run(capsys, *argv):
@@ -380,16 +380,24 @@ class TestHunt:
 
 
 class TestLedger:
-    @pytest.mark.parametrize("flag, argv", [
-        ("--out", ["eval", "--vector", "1,1,1"]),
-        ("--ledger", ["hunt", "--predicate", "tomaszewski", "--n", "3", "--trials", "5"]),
+    @pytest.mark.parametrize("flag, argv, work", [
+        ("--out", ["eval", "--vector", "1,1,1"], "tail_counts"),
+        ("--ledger", ["hunt", "--predicate", "tomaszewski", "--n", "3", "--trials", "5"], "hunt"),
         ("--checkpoint", ["search", "exhaustive", "--target", "G", "--n", "3", "--bound", "5",
-                          "--progress-every", "1"]),
-    ], ids=["out", "ledger", "checkpoint"])
-    def test_unwritable_path_exits_2(self, capsys, tmp_path, flag, argv):
-        path = tmp_path / "missing" / "file"
-        assert main([*argv, flag, str(path)]) == 2
-        assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
+                          "--progress-every", "1"], "exhaustive_integer_search"),
+        ("--out", ["verify-paper"], "verify_paper"),
+    ], ids=["out", "ledger", "checkpoint", "verify-paper"])
+    def test_unwritable_path_exits_2(self, capsys, monkeypatch, tmp_path, flag, argv, work):
+        calls = []
+        monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+        # no directory, a file where the directory should be, a directory
+        (tmp_path / "file").write_text("")
+        for path, reason in ((tmp_path / "missing" / "dir" / "c.json", "No such file or directory"),
+                             (tmp_path / "file" / "c.json", "Not a directory"),
+                             (tmp_path, "Is a directory")):
+            assert main([*argv, flag, str(path)]) == 2
+            assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+        assert calls == [] and [f.name for f in tmp_path.iterdir()] == ["file"]
 
     def test_digest_matches_report_file(self, capsys, tmp_path):
         report = tmp_path / "report.json"

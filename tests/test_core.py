@@ -1,13 +1,18 @@
 """Core types and single sign sums."""
 
 import enum
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radlab
 from radlab.core import (
     CoeffVec,
     DyadicProb,
@@ -19,6 +24,9 @@ from radlab.core import (
 from radlab.errors import DimensionError, InvalidCoefficient
 
 entry_lists = st.lists(st.integers(0, 60), min_size=1, max_size=12)
+exact_lists = st.lists(st.one_of(st.integers(0, 10**12), st.fractions(min_value=0, max_denominator=50)),
+                       min_size=1, max_size=12)
+zero_lists = st.integers(1, 63).map(lambda n: [0] * n)
 
 
 class TestCanonicalize:
@@ -70,6 +78,18 @@ class TestCanonicalize:
         a, b = canonicalize(raw), canonicalize([Fraction(x) for x in raw])
         assert (a, a.norm_sq, a.total) == (b, b.norm_sq, b.total)
         assert a.norm_sq == sum(x * x for x in a.entries) and a.total == sum(a.entries)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(entry_lists, exact_lists, zero_lists))
+    def test_output_is_the_checked_vector(self, raw):
+        # canonicalize builds its vector without CoeffVec's checks; they
+        # pass on it, and it is the vector they would have built
+        a, b = canonicalize(raw), CoeffVec(canonicalize(raw).entries)
+        c = pickle.loads(pickle.dumps(a))
+        for v in (b, c):
+            assert (v.entries, v.norm_sq, v.total, hash(v)) == (a.entries, a.norm_sq, a.total, hash(a))
+            assert v == a and repr(v) == repr(a)
+        assert {type(x) for x in a.entries} == {int}
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidCoefficient):
@@ -251,3 +271,10 @@ def test_dyadic_prob():
     assert str(p) == "7/32"
     with pytest.raises(InvalidCoefficient):
         DyadicProb(5, 2)
+
+
+def test_importing_radlab_loads_no_hashlib():
+    # hashlib loads OpenSSL; the sampler imports it at its first draw
+    code = "import radlab, sys; assert 'hashlib' not in sys.modules"
+    src = str(Path(radlab.__file__).parent.parent)
+    subprocess.run([sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"], check=True)

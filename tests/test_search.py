@@ -386,31 +386,65 @@ class TestHunt:
         assert hunt("tomaszewski", range(2, 10), 3, seed=1) == []
 
 
+def _blake2b_draws(key, lo, hi, n):
+    """The entries of key and the next draw after them, written out from
+    the stream's definition: blocks blake2b(key) and blake2b(key,
+    person=c), draws of ceil(k / 8) little-endian bytes cut to k bits,
+    kept when below the width.  Also returns the blocks the draws read."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    size = (k + 7) // 8
+    stream = b"".join(hashlib.blake2b(key.encode(), person=c.to_bytes(16, "little")).digest()
+                      for c in range(24))
+    draws = (int.from_bytes(stream[i:i + size], "little") % 2**k for i in range(0, len(stream), size))
+    kept = [(lo + r, end) for r, end in zip(draws, range(size, len(stream) + 1, size)) if r < width]
+    return [e for e, _ in kept[:n]], kept[n][0], -(-kept[n - 1][1] // 64)
+
+
 def test_sampler_matches_literal_draws_for_every_key_shape():
     # the substream key shapes of random_search, hunt and the claim suite
     shapes = ["7:{i}", "7:3:{i}", "7:dim7:{i}", "7:pair:3:{i}", "7:xval:3:{i}"]
     # the ranges the code draws from, lo == hi, widths 32 and 33 on either
-    # side of a power of two, and a width of more than 32 bits
+    # side of a power of two, a width of more than 32 bits, and one byte
+    # per draw on either side of 255
     ranges = [(0, 2), (0, 20), (0, 50), (1, 20), (1, 50), (0, 0), (3, 3),
-              (0, 31), (0, 32), (1, 32), (1, 33), (0, 2**40)]
+              (0, 31), (0, 32), (1, 32), (1, 33), (0, 2**40), (0, 255), (0, 256)]
+    blocks_read = {}
     for shape, (lo, hi) in product(shapes, ranges):
-        keys = [(shape.format(i=i), 1 + i % 9) for i in range(90)]
+        # n = 40 and 63 read past block 0 at one byte per draw and half rejected
+        keys = [(shape.format(i=i), 1 + i % 9) for i in range(90)] + [(shape.format(i=90), 40),
+                                                                      (shape.format(i=91), 63)]
         expected = []
         for key, n in keys:
-            rng = random.Random(key)
-            entries = [rng.randint(lo, hi) for _ in range(n)]
+            entries, after, blocks = _blake2b_draws(key, lo, hi, n)
+            blocks_read[lo, hi, n] = max(blocks, blocks_read.get((lo, hi, n), 0))
             if any(entries):
-                expected.append((canonicalize(entries), rng.random()))
+                expected.append((canonicalize(entries), after))
         # the yielded substream continues where the entry draws stopped
-        got = [(a, rng.random()) for a, rng in seeded_vectors(keys, lo, hi)]
+        got = [(a, stream.draw(lo, hi)) for a, stream in seeded_vectors(keys, lo, hi)]
         assert got == expected, (shape, lo, hi)
         if (lo, hi) == (0, 2):
             assert len(got) < len(keys)  # all-zero draws occurred and were skipped
+    # 41-bit draws, half of them rejected, run past block 0 at n = 9, and
+    # one-byte draws at lo == hi run past it at n = 63
+    assert blocks_read[0, 2**40, 9] >= 2 and blocks_read[3, 3, 63] >= 2
+
+
+def test_substream_blocks_and_draws_follow_its_definition():
+    key = b"7:xval:3:5"
+    block = [hashlib.blake2b(key, person=c.to_bytes(16, "little")).digest() for c in range(3)]
+    assert block[0] == hashlib.blake2b(key).digest()  # a zero personalization is the plain hash
+    stream = search.Substream(key, block[0], 60)
+    assert stream.bits(8) == block[0][60]
+    assert stream.bits(41) == int.from_bytes(block[0][61:] + block[1][:3], "little") % 2**41
+    assert stream.bits(512) == int.from_bytes(block[1][3:] + block[2][:3], "little")
+    assert stream.block == 2
+    with pytest.raises(ValueError, match="empty entry range"):
+        stream.draw(3, 2)
+    assert stream.draw(5, 5) == 5
 
 
 def test_sampler_rejects_an_empty_range():
-    with pytest.raises(ValueError):
-        random.Random("7:0").randint(3, 2)
     with pytest.raises(ValueError, match="empty entry range"):
         list(seeded_vectors([("7:0", 3)], 3, 2))
 
@@ -487,8 +521,13 @@ def test_input_errors_are_typed():
         resume_from(examined=3)
 
 
+def _stream(key: str) -> search.Substream:
+    """The substream of key, at its start."""
+    return search.Substream(key.encode(), hashlib.blake2b(key.encode()).digest())
+
+
 def _zero_draw_seed() -> int:
-    return next(s for s in range(100) if random.Random(f"{s}:1:0").randint(0, 1) == 0)
+    return next(s for s in range(100) if _stream(f"{s}:1:0").draw(0, 1) == 0)
 
 
 def _flag_shard(schedule, shard, shards, flagged):
@@ -592,7 +631,7 @@ class TestSharded:
 
     def zero_keys(self) -> set[int]:
         return {k for k, key, n in self.SCHEDULE.keys()
-                if not any(random.Random(key).randint(0, 1) for _ in range(n))}
+                if not any(map(_stream(key).draw, [0] * n, [1] * n))}
 
     def test_keys_are_the_written_out_schedules(self):
         keys = [(key, n) for _, key, n in self.SCHEDULE.keys()]
@@ -785,7 +824,7 @@ class TestSharded:
 
     def test_a_shard_of_zero_draws_is_no_error(self, two_cpus):
         def zero(seed, i):
-            return random.Random(f"{seed}:{i}").randint(0, 1) == 0
+            return _stream(f"{seed}:{i}").draw(0, 1) == 0
 
         # shard 1 of 2 draws keys 1, 3, 5, 7: all zero, while shard 0 is not
         seed = next(s for s in range(1000)
@@ -853,8 +892,8 @@ class TestSharded:
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("seed, digest", [
-        (7, "9d12138116218ae7964b2a98a17e5ccefe65a0da3ee8fdbd0046d0bb2037cbf6"),
-        (20261017, "fe9ebe3915f24c1a90263f1c67dd4d47451781aaf1ad27a08f7576ac6fc3c48c"),
+        (7, "adc24373cccca1476bcab4e5ee8ff875322e7c9aac7ae9b4ee13c3821f461079"),
+        (20261017, "6f496324ebade23639a4347099e62e6179dbd3c1f802e9d22b1770887c95c84f"),
     ], ids=["7", "20261017"])
     def test_quick_report_does_not_depend_on_the_worker_count(self, two_cpus, seed, digest):
         # every sampled claim runs on two workers, and the report bytes
