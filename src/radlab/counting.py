@@ -4,9 +4,9 @@ Two engines produce identical counts:
 
 - ``tail_counts_gf`` packs the subset-sum generating function
   prod (1 + x^(a_i)) into one integer (Kronecker substitution), with
-  n+1 bits per coefficient: n shift-adds build it, and ``_packed_counts``,
-  which the exhaustive sweep shares, reads each count as one shift plus
-  one reduction modulo 2^(n+1) - 1.
+  n+1 bits per coefficient: n shift-adds build it, and ``_packed_counts``
+  reads each count as one shift plus one reduction modulo 2^(n+1) - 1,
+  the read the exhaustive sweep makes inline, once per vector.
 - ``tail_counts_mitm``, meet-in-the-middle (Horowitz-Sahni), builds the
   2^(n/2) sums of each half in ascending order, one add per sum and one
   merge of two sorted runs per entry, and counts the pair sums at or

@@ -38,12 +38,12 @@ Every search minimizes integer ``(count, entries)`` keys: n is fixed
 within a search, so the tail count orders like the probability, and the
 entries break ties lexicographically.  Random search, descent and
 checkpoint validation score each vector with ``_score``.  The exhaustive
-sweep reads its counts off a packed product carried down its walk with
-``tail_counts_gf``'s reader, ``counting._packed_counts``, and, because the
-walk ascends lexicographically, keeps a new best only on a strictly smaller
-count; ``canonical_vectors`` with ``_score`` is kept as its test oracle.
-The oracle walks its whole region plainly; only the sweep seeks, straight
-past a resume cursor.
+sweep carries ``tail_counts_gf``'s packed product down its walk and reads
+each vector's count off it inline, one shift-add, one shift and one
+reduction, and, because the walk ascends lexicographically, keeps a new
+best only on a strictly smaller count; ``canonical_vectors`` with
+``_score`` is kept as its test oracle.  The oracle walks its whole region
+plainly; only the sweep seeks, straight past a resume cursor.
 """
 
 from __future__ import annotations
@@ -60,10 +60,11 @@ from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .conjectures import CHECKERS, GPRIME_TABLE, CheckReport, HK_BOUND, HK_MAX_N, T_FLOOR
-from .core import CoeffVec, DyadicProb, canonicalize
-from .counting import TailCounts, _gf_width, _packed_counts, tail_counts
+from .core import MAX_DIMENSION, CoeffVec, DyadicProb, canonicalize
+from .counting import TailCounts, _gf_width, tail_counts
 from .errors import (
     ConjectureFalsified,
+    DimensionError,
     NonPositiveEntry,
     RadlabError,
     SearchInputError,
@@ -608,13 +609,19 @@ def exhaustive_integer_search(
     seeks: it starts straight past a resume cursor (checked first, by
     ``_resume_key``), so a run interrupted at a checkpoint and resumed from
     it produces the identical final record.  Each level carries its
-    prefix's gcd, entry sum, squared norm and packed product
-    prod (1 + x^a_i), so a vector costs one shift-add, one isqrt and one
-    ``_packed_counts`` read; a CoeffVec is built only for a floor violation
-    and for the witness.  ``on_checkpoint`` gets the state every
-    ``checkpoint_every`` >= 0 vectors (0: never), and an interrupt
-    checkpoints the state as of the last checkpoint or the last finished
-    run of final entries, so that its cursor, best and examined agree.
+    prefix's gcd, entry sum t, squared norm and packed product
+    p = prod (1 + x^a_i), w = n + 1 bits a slot; the level that picks entry
+    n-1, u, runs the last entry v inline.  A vector costs one isqrt and the
+    read c = ((p + (p << v*w)) >> m*w) mod (2^w - 1), the sum of its
+    product's slots j >= m = (t + v - lim + 1) // 2 (none carries), which is
+    #(S <= lim) over its sign sums S = t + v - 2j.  With k0 = isqrt(||a||^2)
+    >= 1, ``_classify`` counts 2c - 2^n sign sums with |S| < ||a|| for lim
+    the largest integer below ||a|| (G), |S| <= ||a|| for lim = k0 (G', T):
+    G and G' count 2 (2^n - c), T 2c - 2^n.  A CoeffVec is built only for a
+    floor violation and for the witness.  ``on_checkpoint`` gets the state
+    every ``checkpoint_every`` >= 0 vectors (0: never); an interrupt reports
+    the state of the last checkpoint or finished run of final entries, so
+    that its cursor, best and examined agree.
 
     ``canonical_count`` sizes the region exactly before the walk: it sets
     the budget, rejects an empty region, and must equal the vectors
@@ -622,6 +629,8 @@ def exhaustive_integer_search(
     """
     if n < 1:
         raise SearchInputError(f"dimension must be >= 1, got {n}")
+    if n > MAX_DIMENSION:
+        raise DimensionError(f"dimension {n} exceeds cap {MAX_DIMENSION}")
     if checkpoint_every < 0:
         raise SearchInputError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     min_entry = target.min_entry
@@ -640,9 +649,10 @@ def exhaustive_integer_search(
     floor_count = ceil(_floor(target, n) * everything)
     best_count = best[0] if best else everything + 1
     width = _gf_width(n)
-    # the class choice of SearchTarget.probability, inlined: a call per
-    # vector costs a sixth of the walk
-    strict, upper = target is SearchTarget.GPRIME, target is SearchTarget.G
+    mask = (1 << width) - 1
+    # a vector's count is base + slope * c; the walk's squared norms are
+    # less 1 for G, so that isqrt reads lim
+    slope, base = (2, -everything) if target is SearchTarget.T else (-2, 2 * everything)
     every = checkpoint_every if on_checkpoint else 0
     next_checkpoint = (examined // every + 1) * every if every else -1
     last = n - 1
@@ -652,43 +662,43 @@ def exhaustive_integer_search(
     def state(cursor: tuple[int, ...] | None, key: _Key | None, seen: int) -> SearchState:
         return SearchState(target, n, bound, cursor, *(key or (None, None)), seen)
 
-    def rec(d: int, max_val: int, budget: int, g: int, poly: int, norm_sq: int,
+    def rec(d: int, max_val: int, g: int, total: int, poly: int, norm_sq: int,
             head: tuple[int, ...], on_cursor: bool) -> None:
         nonlocal best, best_count, examined, next_checkpoint, done
         lo = after[d] if on_cursor else min_entry
-        hi = min(max_val, budget - (last - d) * min_entry)
-        if d < last:
+        hi = bound - total - (last - d) * min_entry
+        hi = hi if hi < max_val else max_val  # min() costs a slow call here
+        if d < last - 1:
             for v in range(lo, hi + 1):
-                rec(d + 1, v, budget - v, gcd(g, v), poly + (poly << v * width), norm_sq + v * v,
+                rec(d + 1, v, gcd(g, v), total + v, poly + (poly << v * width), norm_sq + v * v,
                     head + (v,), on_cursor and v == lo)
             return
-        total = bound - budget
-        seen, top, cursor = examined, best_count, None
-        for v in range(lo + on_cursor, hi + 1):  # the cursor itself is done
-            if gcd(g, v) != 1:
-                continue
-            sq = norm_sq + v * v
-            k0 = isqrt(sq)
-            below, at = _packed_counts(poly + (poly << v * width), width, total + v, k0, k0 * k0 == sq)
-            # the two-sided classes, as _classify derives them for k0 > 0
-            below, at = 2 * below - everything, 2 * at
-            count = everything - below - at if strict else everything - below if upper else below + at
-            seen += 1
-            cursor = v
-            if count < top:
-                if count < floor_count:
-                    _check_floor(target, CoeffVec(head + (v,)), Fraction(count, everything))
-                top, best = count, (count, head + (v,))
-            if seen == next_checkpoint:
-                done = (head + (v,), best, seen)
-                next_checkpoint += every
-                on_checkpoint(state(*done))
+        # the prefix through entry n-1, u (none at n = 1, where d = last), then each last entry v
+        seen, top = examined, best_count
+        for u in range(lo, hi + 1) if d < last else (max_val,):
+            gu, tu, pu, squ, hu, oc = (g, total, poly, norm_sq, head, on_cursor) if d == last else (
+                gcd(g, u), total + u, poly + (poly << u * width), norm_sq + u * u, head + (u,), on_cursor and u == lo)
+            vs = range(after[last] + 1 if oc else min_entry, (u if u < bound - tu else bound - tu) + 1)
+            if gu != 1:
+                vs = [v for v in vs if gcd(gu, v) == 1]
+            for v in vs:
+                seen += 1
+                m = (tu + v - isqrt(squ + v * v) + 1) // 2
+                count = base + slope * (((pu + (pu << v * width)) >> m * width) % mask)
+                if count < top:
+                    if count < floor_count:
+                        _check_floor(target, CoeffVec(hu + (v,)), Fraction(count, everything))
+                    top, best = count, (count, hu + (v,))
+                if seen == next_checkpoint:
+                    done = (hu + (v,), best, seen)
+                    next_checkpoint += every
+                    on_checkpoint(state(*done))
+            if vs:
+                done = (hu + (vs[-1],), best, seen)
         examined, best_count = seen, top
-        if cursor is not None:
-            done = (head + (cursor,), best, seen)
 
     try:
-        rec(0, bound, bound, 0, 1, 0, (), after is not None)
+        rec(0, bound, 0, 0, 1, -(target is SearchTarget.G), (), after is not None)
     except KeyboardInterrupt:
         if on_checkpoint:
             on_checkpoint(state(*done))

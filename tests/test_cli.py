@@ -226,8 +226,8 @@ class TestSearch:
         def interrupt(*args):
             raise KeyboardInterrupt
 
-        # the sweep's count reader, and the scorer of random and descent
-        monkeypatch.setattr(search, "_packed_counts", interrupt)
+        # the sweep's one isqrt per vector, and the scorer of random and descent
+        monkeypatch.setattr(search, "isqrt", interrupt)
         monkeypatch.setattr(search, "tail_counts", interrupt)
         monkeypatch.chdir(tmp_path)  # where a sweep writes its default checkpoint
         assert main(["search", mode, *argv]) == EXIT_INTERRUPT
@@ -289,6 +289,21 @@ class TestSearch:
         for checkpoint in ({"target": 5, "n": 3, "bound": 5, "examined": 0}, [1]):
             bad.write_text(json.dumps(checkpoint))
             assert main(["search", "resume", str(bad), "--checkpoint", ck]) == 2
+
+    @pytest.mark.parametrize("n", [64, 900, 1200])
+    def test_oversized_sweep_exits_2_before_counting(self, capsys, tmp_path, monkeypatch, n):
+        def spy(*args):
+            raise AssertionError("canonical_count called")
+
+        monkeypatch.setattr(search, "canonical_count", spy)
+        ck = tmp_path / "ck.json"
+        assert main(["search", "exhaustive", "--target", "G", "--n", str(n), "--bound", "3",
+                     "--checkpoint", str(ck)]) == EXIT_USAGE
+        ck.write_text(json.dumps({"target": "G", "n": n, "bound": 3, "examined": 0}))  # a fresh sweep
+        assert main(["search", "resume", str(ck), "--checkpoint", str(tmp_path / "ck2.json")]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(f"dimension {n} exceeds cap 63") == 2
 
     @pytest.mark.parametrize("every", ["-3", "0"])
     def test_progress_every_below_one_exits_2(self, capsys, tmp_path, every):

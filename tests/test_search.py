@@ -20,6 +20,7 @@ from radlab.conjectures import HOLDS, VIOLATED, CheckReport
 from radlab.core import CoeffVec, canonicalize
 from radlab.errors import (
     ConjectureFalsified,
+    DimensionError,
     NonPositiveEntry,
     RadlabError,
     SearchInputError,
@@ -138,6 +139,18 @@ class TestExhaustive:
         with pytest.raises(TooLarge, match=r"78392880 canonical vectors \(cap 5000000\)"):
             exhaustive_integer_search(3, SearchTarget.G, 1500)
 
+    @pytest.mark.parametrize("n", [64, 900, 1200])
+    def test_oversized_dimension_refused_before_counting(self, monkeypatch, n):
+        # no witness of such a region is a CoeffVec, and from n ~ 1000 the
+        # walk's recursion would overflow the stack: nothing is counted
+        def spy(*args):
+            raise AssertionError("canonical_count called")
+
+        monkeypatch.setattr(search, "canonical_count", spy)
+        for bound in (3, 16):
+            with pytest.raises(DimensionError, match=f"^dimension {n} exceeds cap 63$"):
+                exhaustive_integer_search(n, SearchTarget.G, bound)
+
     def test_best_is_true_minimum(self):
         r = exhaustive_integer_search(3, SearchTarget.T, 8)
         values = [_score(SearchTarget.T, v)[0] for v in canonical_vectors(3, 8)]
@@ -224,6 +237,48 @@ class TestResume:
                 again = SearchState.from_json_dict(json.loads(json.dumps(state.to_json_dict())))
                 assert again == state
                 assert exhaustive_integer_search(5, target, bound, resume=again) == full
+
+    @pytest.mark.parametrize("target", list(SearchTarget), ids=lambda t: t.value)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_checkpoint_matches_the_oracle(self, target, n):
+        # checkpoint i holds vector i of the plain walk, the least of the
+        # first i keys, and i examined
+        keys = [_score(target, v) for v in canonical_vectors(n, 10, target.min_entry)]
+        states: list[SearchState] = []
+        exhaustive_integer_search(n, target, 10, checkpoint_every=1, on_checkpoint=states.append)
+        assert states == [SearchState(target, n, 10, keys[i][1], *min(keys[:i + 1]), i + 1)
+                          for i in range(len(keys))]
+
+    @pytest.mark.parametrize("target, n, bound", [
+        (SearchTarget.G, 5, 10), (SearchTarget.GPRIME, 5, 12), (SearchTarget.T, 4, 8),
+        *((target, n, 6) for n in (1, 2) for target in SearchTarget),
+    ], ids=lambda x: getattr(x, "value", x))
+    def test_interrupt_at_every_leaf_resumes_exactly(self, monkeypatch, target, n, bound):
+        # the sweep takes one isqrt per vector, so call k interrupts vector k;
+        # the interrupt reports the state after the last finished run of
+        # final entries, which the oracle's (n-1)-prefixes delimit
+        full = exhaustive_integer_search(n, target, bound)
+        vecs = [v.entries for v in canonical_vectors(n, bound, target.min_entry)]
+        keys = [_score(target, CoeffVec(v)) for v in vecs]
+        ends = [i for i in range(1, len(vecs) + 1) if i == len(vecs) or vecs[i][:-1] != vecs[i - 1][:-1]]
+        exact = search.isqrt
+        for k in range(1, len(vecs) + 1):
+            calls = iter(range(1, k + 1))
+
+            def isqrt(x: int) -> int:
+                if next(calls) == k:
+                    raise KeyboardInterrupt
+                return exact(x)
+
+            monkeypatch.setattr(search, "isqrt", isqrt)
+            reported: list[SearchState] = []
+            with pytest.raises(KeyboardInterrupt):
+                exhaustive_integer_search(n, target, bound, on_checkpoint=reported.append)
+            monkeypatch.setattr(search, "isqrt", exact)
+            seen = max([0] + [i for i in ends if i < k])
+            expected = (vecs[seen - 1], *min(keys[:seen])) if seen else (None, None, None)
+            assert reported == [SearchState(target, n, bound, *expected, seen)], k
+            assert exhaustive_integer_search(n, target, bound, resume=reported[0]) == full
 
     def test_state_json_roundtrip(self):
         state = SearchState(SearchTarget.G, 5, 10, (2, 1, 1, 0, 0), 9, (1, 1, 1, 0, 0), 17)
