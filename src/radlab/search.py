@@ -6,11 +6,10 @@ entry sum (exhaustive) or bounded entries (random).  Results report "best
 value found plus witness"; no global optimality is claimed outside
 exhausted regions.
 
-Every sampled vector here, and in each sampled claim of the suite but
-the dominance pairs, comes from ``seeded_vectors``: each vector has its
-own counter-based substream of its key, the ``Substream`` of
-``blake2b(key)`` (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC'11), so results are reproducible, the same on every
+Every sampled value here and in the claim suite is read by
+``Substream.draws`` from the counter-based substream of its own key, the
+stream of ``blake2b(key)`` (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11), so results are reproducible, the same on every
 interpreter, and independent of how trials are split across workers.
 The keys are
 
@@ -20,13 +19,11 @@ The keys are
 - ``"{seed}:pair:{n}:{i}"``: sample i in dimension n of the pairing claim;
 - ``"{seed}:xval:{n}:{i}"``: pair i of the engine cross-validation, which
   draws rho and the side from the same substream after the entries;
+- ``"{seed}:dom:{n}:{i}"``: pair i in dimension n of the dominance
+  claim, which draws the two sign masks after the entries;
 - ``"{seed}:mitm:{n}"``: the one n-vector of the large meet-in-the-middle
   claim;
 - ``"{seed}:comb:{i}"``: trial i of the random subset-count claim.
-
-The sampled dominance pairs are one stream per run, ``"{seed}:dom"``, so
-seeding costs them nothing: they still draw from their own
-``random.Random``.
 
 Each of these samples but the meet-in-the-middle vector is a
 ``KeySchedule``, and ``run_sharded`` is the one path that evaluates one:
@@ -57,7 +54,7 @@ from itertools import repeat
 from math import ceil, gcd, isqrt
 from operator import and_, itemgetter
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .conjectures import CHECKERS, GPRIME_TABLE, CheckReport, HK_BOUND, HK_MAX_N, T_FLOOR
 from .core import MAX_DIMENSION, CoeffVec, DyadicProb, canonicalize
@@ -240,6 +237,12 @@ def _score(target: SearchTarget, a: CoeffVec) -> _Key:
     return prob.count, a.entries
 
 
+# hashlib.blake2b, bound by the first Substream: hashlib loads OpenSSL,
+# ~3.6 MB and ~3-4 ms that importing radlab need not pay, and an import
+# statement per key costs ~1.5 us (CPython 3.11)
+_blake2b: Callable | None = None
+
+
 class Substream:
     """The bytes of a key's counter-mode blake2b stream (RFC 7693), and
     the draws read from them in order.
@@ -248,87 +251,48 @@ class Substream:
     bytes; block c >= 1 is ``blake2b(key, person=c.to_bytes(16,
     "little"))``, the key hashed with the counter c as personalization
     (block 0's personalization is all zero bytes, which is the plain
-    hash).  The stream is the blocks' bytes concatenated, and each is
-    hashed only when a draw reaches it.  A draw of k bits is the next
-    ceil(k / 8) bytes as a little-endian integer, cut to its low k bits.
-    No two (key, counter) pairs hash the same input, so the streams of
-    distinct keys are independent."""
+    hash).  The stream is the blocks' bytes concatenated; block 0 is
+    hashed here, each later block only when a draw reaches it.  No two
+    (key, counter) pairs hash the same input, so the streams of distinct
+    keys are independent."""
 
     __slots__ = ("key", "buf", "pos", "block")
 
-    def __init__(self, key: bytes, buf: bytes, pos: int = 0) -> None:
+    def __init__(self, key: str) -> None:
+        global _blake2b
+        if _blake2b is None:
+            from hashlib import blake2b as _blake2b
         # buf ends with block ``block``, and pos is its next unread byte
-        self.key, self.buf, self.pos, self.block = key, buf, pos, 0
+        self.key = key.encode()
+        self.buf, self.pos, self.block = _blake2b(self.key).digest(), 0, 0
 
-    def bits(self, k: int) -> int:
-        """The next k-bit draw."""
-        pos, end = self.pos, self.pos + (k + 7) // 8
-        if end > len(self.buf):
-            buf, end, pos = self.buf[pos:], end - pos, 0
-            from hashlib import blake2b  # imported here, as in _draws
-            while end > len(buf):
-                self.block += 1
-                buf += blake2b(self.key, person=self.block.to_bytes(16, "little")).digest()
-            self.buf = buf
-        self.pos = end
-        return int.from_bytes(self.buf[pos:end], "little") & ((1 << k) - 1)
-
-    def draw(self, lo: int, hi: int) -> int:
-        """An integer in [lo, hi]: lo plus the first k-bit draw below the
-        width hi - lo + 1, k its bit length."""
+    def draws(self, count: int, lo: int, hi: int) -> list[int]:
+        """The next count integers in [lo, hi]: lo + r for each k-bit draw r
+        below the width hi - lo + 1, k its bit length; a k-bit draw is the
+        next ceil(k / 8) bytes, little-endian, cut to k bits.  Batches of
+        the draws still missing never read past the last one kept."""
         if (width := hi - lo + 1) < 1:
             raise ValueError(f"empty entry range [{lo}, {hi}]")
         k = width.bit_length()
-        while (r := self.bits(k)) >= width:
-            pass
-        return lo + r
+        size, mask = (k + 7) // 8, (1 << k) - 1
+        out: list[int] = []
+        while (short := count - len(out)) > 0:
+            buf, pos, end = self.buf, self.pos, self.pos + short * size
+            if end > len(buf):
+                buf, end, pos = buf[pos:], end - pos, 0
+                while end > len(buf):
+                    self.block += 1
+                    buf += _blake2b(self.key, person=self.block.to_bytes(16, "little")).digest()
+                self.buf = buf
+            raw = buf[pos:end] if size == 1 else (
+                int.from_bytes(buf[i:i + size], "little") for i in range(pos, end, size))
+            out += [lo + r for r in map(and_, raw, repeat(mask)) if r < width]
+            self.pos = end
+        return out
 
-
-def seeded_vectors(
-    keys: Iterable[tuple[str, int]], lo: int, hi: int
-) -> Iterator[tuple[CoeffVec, Substream]]:
-    """For each (key, n), draw n entries in [lo, hi] from the key's
-    ``Substream``, with ``Substream.draw``'s rule, in order; yield the
-    canonical vector of every draw that is not all zero, together with its
-    substream, which continues where the entries stopped."""
-    for _, vec, stream in _draws(((None, key, n) for key, n in keys), lo, hi):
-        yield vec, stream
-
-
-def _draws(
-    keys: Iterable[tuple[int | None, str, int]], lo: int, hi: int
-) -> Iterator[tuple[int | None, CoeffVec, Substream]]:
-    """``seeded_vectors`` for (index, key, n) triples: each draw comes
-    with the index of its key.
-
-    With width = hi - lo + 1 and k its bit length, the entries of a key
-    are, in order, lo + r for the first n draws r < width of k bits each
-    from the key's ``Substream``: one byte each while k <= 8, read off
-    block 0 here at one hash per key, and from the later blocks when
-    rejections, n or k use them up.  The yielded substream continues at
-    the byte after the last entry."""
-    if (width := hi - lo + 1) < 1:
-        raise ValueError(f"empty entry range [{lo}, {hi}]")
-    # imported at the first draw: hashlib loads OpenSSL, ~3.6 MB and ~3-4 ms
-    # that importing radlab need not pay (CPython 3.11)
-    from hashlib import blake2b
-    mask = (1 << width.bit_length()) - 1
-    for index, key, n in keys:
-        raw = key.encode()
-        block = blake2b(raw).digest()
-        entries: list[int] = []
-        pos = 0
-        if mask < 256:
-            # one byte per draw, read from block 0 in batches: a batch of
-            # as many draws as entries are missing never overshoots, so
-            # this is Substream.draw's order at a fraction of its cost
-            while (short := n - len(entries)) and pos + short <= len(block):
-                entries += [lo + r for r in map(and_, block[pos:pos + short], repeat(mask)) if r < width]
-                pos += short
-        stream = Substream(raw, block, pos)
-        entries += [stream.draw(lo, hi) for _ in range(n - len(entries))]
-        if any(entries):
-            yield index, canonicalize(entries), stream
+    def draw(self, lo: int, hi: int) -> int:
+        """The next integer in [lo, hi]."""
+        return self.draws(1, lo, hi)[0]
 
 
 class KeySchedule:
@@ -365,9 +329,22 @@ class KeySchedule:
             start += count
 
     def draws(self, shard: int = 0, shards: int = 1) -> Iterator[tuple[int, CoeffVec, Substream]]:
-        """(k, vector, substream) for the shard's keys whose draw is not
-        all zero, ascending in k."""
-        return _draws(self.keys(shard, shards), self.lo, self.hi)
+        """(k, vector, substream) for the shard's keys whose n draws in
+        [lo, hi] are not all zero, ascending in k; the substream continues
+        after them."""
+        lo, hi = self.lo, self.hi
+        for k, key, n in self.keys(shard, shards):
+            stream = Substream(key)
+            entries = stream.draws(n, lo, hi)
+            if any(entries):
+                yield k, canonicalize(entries), stream
+
+
+def split_runs(budget: int, n_values: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The (n, count) runs that split budget evenly across the
+    dimensions, earlier dimensions absorbing the remainder."""
+    base, rem = divmod(budget, len(n_values))
+    return tuple((n, base + (pos < rem)) for pos, n in enumerate(n_values))
 
 
 # what one shard of a sample returns: tallies summed over the shards, the
@@ -403,6 +380,8 @@ def run_sharded(work: Callable[..., _Shard], schedule: KeySchedule, *args: objec
     # stride does not follow W but the size
     size = schedule.size
     stride = max(4 * workers, size // 16)
+    # loaded before the clock: a cold hashlib import (~5 ms) would pool small samples
+    import hashlib  # noqa: F401
     began = perf_counter()
     try:
         work(schedule, 0, stride, *args)
@@ -843,9 +822,7 @@ def hunt(
         raise SearchInputError(f"unknown predicate {predicate!r}")
     n_values = list(n_values)
     _check_inputs(n_values, budget, entry_bound, 0)
-    base, rem = divmod(budget, len(n_values))
-    runs = tuple((n, base + (pos < rem)) for pos, n in enumerate(n_values))
-    schedule = KeySchedule(seed, "{seed}:{n}:{i}", runs, 0, entry_bound)
+    schedule = KeySchedule(seed, "{seed}:{n}:{i}", split_runs(budget, n_values), 0, entry_bound)
     checker = HUNT_PREDICATES[predicate]
     (evaluated,), failures = run_sharded(failures_shard, schedule, partial(_passes, checker))
     _require_sample(evaluated)

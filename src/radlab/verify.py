@@ -16,10 +16,10 @@ is the same at any worker count.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator
 
@@ -49,7 +49,7 @@ from .search import (
     failures_shard,
     hunt,
     run_sharded,
-    seeded_vectors,
+    split_runs,
 )
 
 G_TABLE = {
@@ -229,26 +229,29 @@ def _pairing_claim(trials_per_n: int, seed: int) -> ClaimResult:
     )
 
 
+@lru_cache(maxsize=None)
+def _prefix_indicators(n: int) -> tuple[CoeffVec, ...]:
+    """The n-vectors (1, ..., 1, 0, ..., 0) with k ones, k = 1..n."""
+    return tuple(CoeffVec((1,) * k + (0,) * (n - k)) for k in range(1, n + 1))
+
+
+def _dominance_holds(a: CoeffVec, stream: Substream) -> bool:
+    # the pair (s, t), drawn after the entries of a
+    s, t = (SignAssignment(mask, a.n) for mask in stream.draws(2, 0, (1 << a.n) - 1))
+    if dominates(s, t):
+        # sound: t is at least as good as s on the sampled vector
+        return sign_sum(a, t) >= sign_sum(a, s)
+    # complete: some prefix indicator vector separates the pair
+    return any(sign_sum(ind, t) < sign_sum(ind, s) for ind in _prefix_indicators(a.n))
+
+
 def _dominance_claims(max_exhaustive_n: int, pairs: int, max_n: int, seed: int) -> list[ClaimResult]:
     rules_ok = all(verify_order_rules(n) for n in range(1, max_exhaustive_n + 1))
     closure = upward_closure(SignAssignment.from_indices((4, 5, 7), 7))
     closure_ids = {s.indices for s in closure}
     closure_ok = closure_ids == CLOSURE_457
-
-    sampled_ok = pairs > 0
-    prefixes = {n: [CoeffVec((1,) * k + (0,) * (n - k)) for k in range(1, n + 1)] for n in range(2, max_n + 1)}
-    rng = random.Random(f"{seed}:dom")
-    for _ in range(pairs):
-        n = rng.randint(2, max_n)
-        s = SignAssignment(rng.randrange(1 << n), n)
-        t = SignAssignment(rng.randrange(1 << n), n)
-        if dominates(s, t):
-            # sound: t is at least as good as s on a sampled vector
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            sampled_ok = sampled_ok and sign_sum(a, t) >= sign_sum(a, s)
-        else:
-            # complete: some prefix indicator vector separates the pair
-            sampled_ok = sampled_ok and any(sign_sum(ind, t) < sign_sum(ind, s) for ind in prefixes[n])
+    schedule = KeySchedule(seed, "{seed}:dom:{n}:{i}", split_runs(pairs, range(2, max_n + 1)), 0, 9)
+    sampled_ok, evaluated = _sampled_claim(_dominance_holds, schedule)
     return [
         ClaimResult(
             "dominance-rules",
@@ -265,7 +268,7 @@ def _dominance_claims(max_exhaustive_n: int, pairs: int, max_n: int, seed: int) 
             "dominance-soundness-completeness",
             "prefix-sum order is sound and complete against sampled vectors",
             sampled_ok,
-            {"pairs": pairs, "max_n": max_n},
+            {"pairs": evaluated, "max_n": max_n},
         ),
     ]
 
@@ -311,7 +314,7 @@ def _crossval_claim(per_n_to_14: int, per_n_15_to_20: int, seed: int) -> ClaimRe
 
 
 def _mitm_large_claim(n: int, seed: int) -> ClaimResult:
-    a, _ = next(seeded_vectors([(f"{seed}:mitm:{n}", n)], 1, 50))
+    a = canonicalize(Substream(f"{seed}:mitm:{n}").draws(n, 1, 50))
     t0 = time.monotonic()
     counts = tail_counts_mitm(a, 1, TWO_SIDED)
     elapsed = time.monotonic() - t0

@@ -18,7 +18,7 @@ from radlab.counting import TailCounts
 from radlab.errors import NoWitness
 
 # sha256 of `radlab verify-paper --out` at the default seed
-QUICK_SHA256 = "adc24373cccca1476bcab4e5ee8ff875322e7c9aac7ae9b4ee13c3821f461079"
+QUICK_SHA256 = "b7709b9b36a4f616ccc55184bccce88d84d9c5227cc1a9aa8396fc78c0faa2bc"
 
 
 def run(capsys, *argv):
@@ -500,7 +500,7 @@ class TestVerifyPaperCommand:
 
         monkeypatch.setattr(verify, "case_lemma_7", no_witness)
         rule = verify._dim7_sample_claims(3, 7)[2]
-        first, _ = next(search.seeded_vectors([("7:dim7:0", 7)], 0, 50))
+        _, first, _ = next(search.KeySchedule(7, "{seed}:dim7:{k}", ((7, 1),), 0, 50).draws())
         assert not rule.passed
         assert rule.to_json_dict()["details"]["first_failure"] == str(first)
 
@@ -511,8 +511,8 @@ class TestVerifyPaperCommand:
         calls = []
         monkeypatch.setattr(verify, "case_lemma_7", lambda a, strict=False: calls.append(a))
         verify._dim7_sample_claims(300, 7)
-        keys = ((f"7:dim7:{i}", 7) for i in range(300))
-        assert calls == [a for a, _ in search.seeded_vectors(keys, 0, 50)]
+        schedule = search.KeySchedule(7, "{seed}:dim7:{k}", ((7, 300),), 0, 50)
+        assert calls == [a for _, a, _ in schedule.draws()]
 
     def test_dim7_strict_failure_names_first_positive_sample(self, monkeypatch):
         def strict_fails(a, strict=False):
@@ -521,8 +521,8 @@ class TestVerifyPaperCommand:
 
         monkeypatch.setattr(verify, "case_lemma_7", strict_fails)
         rule = verify._dim7_sample_claims(50, 7)[2]
-        keys = ((f"7:dim7:{i}", 7) for i in range(50))
-        first = next(a for a, _ in search.seeded_vectors(keys, 0, 50) if a.entries[6] > 0)
+        schedule = search.KeySchedule(7, "{seed}:dim7:{k}", ((7, 50),), 0, 50)
+        first = next(a for _, a, _ in schedule.draws() if a.entries[6] > 0)
         assert not rule.passed
         assert rule.to_json_dict()["details"]["first_failure"] == str(first)
 

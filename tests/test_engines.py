@@ -54,7 +54,7 @@ from radlab.counting import (
     _threshold_boundary,
 )
 from radlab.errors import DimensionError, NonPositiveEntry, TooLarge
-from radlab.search import seeded_vectors
+from radlab.search import KeySchedule
 
 SIDES = st.sampled_from([ONE_SIDED, TWO_SIDED])
 RHOS = st.builds(Fraction, st.integers(0, 40), st.integers(1, 9))
@@ -133,7 +133,7 @@ def test_two_sided_norm_tail_is_twice_the_one_sided(a):
 
 def test_dim7_pass_matches_a_direct_recount():
     floor, vsd, _ = verify._dim7_sample_claims(300, 7)
-    sample = [a for a, _ in seeded_vectors(((f"7:dim7:{i}", 7) for i in range(300)), 0, 50)]
+    sample = [a for _, a, _ in KeySchedule(7, "{seed}:dim7:{k}", ((7, 300),), 0, 50).draws()]
     assert floor.details["min_p_ge"] == min(
         tail_counts_gray(a, 1, TWO_SIDED).p_ge.fraction for a in sample)
     assert vsd.details["min_size"] == min(

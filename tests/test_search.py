@@ -1,5 +1,6 @@
 """Search modes: exhaustive sweeps, random probes, descent, hunts, resume."""
 
+import ast
 import concurrent.futures
 import dataclasses
 import functools
@@ -8,10 +9,13 @@ import json
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import nextafter
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +45,6 @@ from radlab.search import (
     local_descent,
     random_search,
     run_sharded,
-    seeded_vectors,
 )
 
 
@@ -441,67 +444,124 @@ class TestHunt:
         assert hunt("tomaszewski", range(2, 10), 3, seed=1) == []
 
 
-def _blake2b_draws(key, lo, hi, n):
-    """The entries of key and the next draw after them, written out from
+def _literal_draws(key, *requests):
+    """The draws of key for each (count, lo, hi) in turn, written out from
     the stream's definition: blocks blake2b(key) and blake2b(key,
     person=c), draws of ceil(k / 8) little-endian bytes cut to k bits,
     kept when below the width.  Also returns the blocks the draws read."""
-    width = hi - lo + 1
-    k = width.bit_length()
-    size = (k + 7) // 8
-    stream = b"".join(hashlib.blake2b(key.encode(), person=c.to_bytes(16, "little")).digest()
-                      for c in range(24))
-    draws = (int.from_bytes(stream[i:i + size], "little") % 2**k for i in range(0, len(stream), size))
-    kept = [(lo + r, end) for r, end in zip(draws, range(size, len(stream) + 1, size)) if r < width]
-    return [e for e, _ in kept[:n]], kept[n][0], -(-kept[n - 1][1] // 64)
+    stream, pos, out = b"", 0, []
+    for count, lo, hi in requests:
+        width = hi - lo + 1
+        k = width.bit_length()
+        size = (k + 7) // 8
+        kept = []
+        while len(kept) < count:
+            while pos + size > len(stream):
+                c = len(stream) // 64
+                stream += hashlib.blake2b(key.encode(), person=c.to_bytes(16, "little")).digest()
+            r = int.from_bytes(stream[pos:pos + size], "little") % 2**k
+            pos += size
+            if r < width:
+                kept.append(lo + r)
+        out.append(kept)
+    return out, -(-pos // 64)
 
 
 def test_sampler_matches_literal_draws_for_every_key_shape():
-    # the substream key shapes of random_search, hunt and the claim suite
-    shapes = ["7:{i}", "7:3:{i}", "7:dim7:{i}", "7:pair:3:{i}", "7:xval:3:{i}"]
+    # the key templates of random_search, hunt and the claim suite
+    templates = ["{seed}:{k}", "{seed}:{n}:{i}", "{seed}:dim7:{k}", "{seed}:pair:{n}:{i}",
+                 "{seed}:xval:{n}:{k}", "{seed}:comb:{k}", "{seed}:dom:{n}:{i}"]
     # the ranges the code draws from, lo == hi, widths 32 and 33 on either
     # side of a power of two, a width of more than 32 bits, and one byte
     # per draw on either side of 255
-    ranges = [(0, 2), (0, 20), (0, 50), (1, 20), (1, 50), (0, 0), (3, 3),
+    ranges = [(0, 2), (0, 9), (0, 20), (0, 50), (1, 20), (1, 50), (0, 0), (3, 3),
               (0, 31), (0, 32), (1, 32), (1, 33), (0, 2**40), (0, 255), (0, 256)]
+    # n = 40 and 63 read past block 0 at one byte per draw and half rejected
+    runs = tuple((n, 10) for n in range(1, 10)) + ((40, 1), (63, 1))
     blocks_read = {}
-    for shape, (lo, hi) in product(shapes, ranges):
-        # n = 40 and 63 read past block 0 at one byte per draw and half rejected
-        keys = [(shape.format(i=i), 1 + i % 9) for i in range(90)] + [(shape.format(i=90), 40),
-                                                                      (shape.format(i=91), 63)]
+    for template, (lo, hi) in product(templates, ranges):
+        def after(n):
+            # a dominance key draws its two sign masks after the entries;
+            # every other key is checked on the next draw in its range
+            return (2, 0, 2**n - 1) if ":dom:" in template else (1, lo, hi)
+
+        schedule = KeySchedule(7, template, runs, lo, hi)
         expected = []
-        for key, n in keys:
-            entries, after, blocks = _blake2b_draws(key, lo, hi, n)
+        for k, key, n in schedule.keys():
+            (entries, tail), blocks = _literal_draws(key, (n, lo, hi), after(n))
             blocks_read[lo, hi, n] = max(blocks, blocks_read.get((lo, hi, n), 0))
             if any(entries):
-                expected.append((canonicalize(entries), after))
+                expected.append((k, canonicalize(entries), tail))
         # the yielded substream continues where the entry draws stopped
-        got = [(a, stream.draw(lo, hi)) for a, stream in seeded_vectors(keys, lo, hi)]
-        assert got == expected, (shape, lo, hi)
+        got = [(k, a, stream.draws(*after(a.n))) for k, a, stream in schedule.draws()]
+        assert got == expected, (template, lo, hi)
         if (lo, hi) == (0, 2):
-            assert len(got) < len(keys)  # all-zero draws occurred and were skipped
+            assert len(got) < schedule.size  # all-zero draws occurred and were skipped
     # 41-bit draws, half of them rejected, run past block 0 at n = 9, and
     # one-byte draws at lo == hi run past it at n = 63
     assert blocks_read[0, 2**40, 9] >= 2 and blocks_read[3, 3, 63] >= 2
 
 
 def test_substream_blocks_and_draws_follow_its_definition():
-    key = b"7:xval:3:5"
-    block = [hashlib.blake2b(key, person=c.to_bytes(16, "little")).digest() for c in range(3)]
-    assert block[0] == hashlib.blake2b(key).digest()  # a zero personalization is the plain hash
-    stream = search.Substream(key, block[0], 60)
-    assert stream.bits(8) == block[0][60]
-    assert stream.bits(41) == int.from_bytes(block[0][61:] + block[1][:3], "little") % 2**41
-    assert stream.bits(512) == int.from_bytes(block[1][3:] + block[2][:3], "little")
-    assert stream.block == 2
-    with pytest.raises(ValueError, match="empty entry range"):
-        stream.draw(3, 2)
-    assert stream.draw(5, 5) == 5
+    key = "7:xval:3:5"
+    blocks = [hashlib.blake2b(key.encode(), person=c.to_bytes(16, "little")).digest() for c in range(4)]
+    assert blocks[0] == hashlib.blake2b(key.encode()).digest()  # a zero personalization is the plain hash
+    data = b"".join(blocks)
+    # 1-, 2- and 6-byte draws, in batches whose last draws lie in blocks 0,
+    # 1 and 2; the 6-byte draw at bytes 60..65 straddles blocks 0 and 1
+    for size, (lo, hi), counts in ((1, (3, 202), (40, 40, 40)), (2, (0, 65_000), (20, 20, 30)),
+                                   (6, (1, 2**47 - 1), (5, 10, 10))):
+        width = hi - lo + 1
+        k = width.bit_length()
+        assert (k + 7) // 8 == size
+        kept = [lo + r for i in range(0, len(data) - size + 1, size)
+                if (r := int.from_bytes(data[i:i + size], "little") % 2**k) < width]
+        stream = search.Substream(key)
+        got, reached = [], []
+        for count in counts:
+            got += stream.draws(count, lo, hi)
+            reached.append(stream.block)
+        assert reached == [0, 1, 2], size
+        assert got == kept[:sum(counts)]
+        # a batch stops at its last kept draw: the next draw is the next kept
+        assert stream.draw(lo, hi) == kept[sum(counts)]
+        assert search.Substream(key).draw(lo, hi) == search.Substream(key).draws(1, lo, hi)[0] == kept[0]
+    assert search.Substream(key).draw(5, 5) == 5
+    for empty in (lambda s: s.draws(3, 3, 2), lambda s: s.draw(3, 2)):
+        with pytest.raises(ValueError, match="empty entry range"):
+            empty(search.Substream(key))
 
 
 def test_sampler_rejects_an_empty_range():
     with pytest.raises(ValueError, match="empty entry range"):
-        list(seeded_vectors([("7:0", 3)], 3, 2))
+        list(KeySchedule(7, "{seed}:{k}", ((3, 1),), 3, 2).draws())
+
+
+def test_no_module_imports_random():
+    # every sampled value is read by Substream.draws
+    imported = set()
+    for path in Path(search.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert ("search.py", "hashlib") in imported  # the scan sees imports inside functions
+    assert not {name for name in imported if name[1] == "random"}
+
+
+def test_the_probe_clock_starts_after_hashlib_loads():
+    # a cold hashlib import timed as the probe's work would pool small samples
+    code = "; ".join([
+        "from radlab import search",
+        "seen = []",
+        "search.perf_counter = lambda: seen.append('hashlib' in sys.modules) or 0.0",
+        "search._resolve_workers = lambda: 2",
+        "search.random_search(6, search.SearchTarget.T, 100, seed=7)",
+        "assert seen and seen[0], seen",
+    ])
+    src = str(Path(search.__file__).parent.parent)
+    subprocess.run([sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"], check=True)
 
 
 def test_input_errors_are_typed():
@@ -576,13 +636,8 @@ def test_input_errors_are_typed():
         resume_from(examined=3)
 
 
-def _stream(key: str) -> search.Substream:
-    """The substream of key, at its start."""
-    return search.Substream(key.encode(), hashlib.blake2b(key.encode()).digest())
-
-
 def _zero_draw_seed() -> int:
-    return next(s for s in range(100) if _stream(f"{s}:1:0").draw(0, 1) == 0)
+    return next(s for s in range(100) if search.Substream(f"{s}:1:0").draw(0, 1) == 0)
 
 
 def _flag_shard(schedule, shard, shards, flagged):
@@ -686,7 +741,7 @@ class TestSharded:
 
     def zero_keys(self) -> set[int]:
         return {k for k, key, n in self.SCHEDULE.keys()
-                if not any(map(_stream(key).draw, [0] * n, [1] * n))}
+                if not any(search.Substream(key).draws(n, 0, 1))}
 
     def test_keys_are_the_written_out_schedules(self):
         keys = [(key, n) for _, key, n in self.SCHEDULE.keys()]
@@ -879,7 +934,7 @@ class TestSharded:
 
     def test_a_shard_of_zero_draws_is_no_error(self, two_cpus):
         def zero(seed, i):
-            return _stream(f"{seed}:{i}").draw(0, 1) == 0
+            return search.Substream(f"{seed}:{i}").draw(0, 1) == 0
 
         # shard 1 of 2 draws keys 1, 3, 5, 7: all zero, while shard 0 is not
         seed = next(s for s in range(1000)
@@ -913,8 +968,8 @@ class TestSharded:
     def test_hunt_violations_come_back_in_key_order(self, two_cpus):
         two_cpus.setitem(search.CHECKERS, "tomaszewski", _odd_total_violates)
         # entries in {0, 1} at n = 1, 2: many draws are all zero and skipped
-        keys = [(f"3:{n}:{i}", n) for n, count in ((1, 6), (2, 5)) for i in range(count)]
-        expected = [_odd_total_violates(a) for a, _ in seeded_vectors(keys, 0, 1)]
+        schedule = KeySchedule(3, "{seed}:{n}:{i}", ((1, 6), (2, 5)), 0, 1)
+        expected = [_odd_total_violates(a) for _, a, _ in schedule.draws()]
         expected = [r for r in expected if r.violated]
         assert expected
         for workers in ("1", "2"):
@@ -947,8 +1002,8 @@ class TestSharded:
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("seed, digest", [
-        (7, "adc24373cccca1476bcab4e5ee8ff875322e7c9aac7ae9b4ee13c3821f461079"),
-        (20261017, "6f496324ebade23639a4347099e62e6179dbd3c1f802e9d22b1770887c95c84f"),
+        (7, "b7709b9b36a4f616ccc55184bccce88d84d9c5227cc1a9aa8396fc78c0faa2bc"),
+        (20261017, "635fc77a5a6541c313c9b13019ea176e7e37c372820878e03c31fdfb47a22e16"),
     ], ids=["7", "20261017"])
     def test_quick_report_does_not_depend_on_the_worker_count(self, two_cpus, seed, digest):
         # every sampled claim runs on two workers, and the report bytes
