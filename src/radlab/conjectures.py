@@ -17,12 +17,7 @@ from math import gcd
 from operator import itemgetter
 
 from .core import CoeffVec, DyadicProb, RationalLike, parse_vector
-from .counting import (
-    GRAY_CAP,
-    ONE_SIDED,
-    distribution,
-    tail_counts,
-)
+from .counting import ONE_SIDED, distribution, tail_counts
 from .errors import (
     DimensionError,
     InvalidThreshold,
@@ -359,6 +354,10 @@ def combinatorial_fraction(l: CoeffVec) -> DyadicProb:
     if any(x < 1 for x in l.entries):
         raise NonPositiveEntry("all entries must be >= 1")
     return tail_counts(l).p_le
+
+
+# The subset walk of combinatorial_fraction_gray refuses dimensions above this n.
+GRAY_CAP = 30
 
 
 def combinatorial_fraction_gray(l: CoeffVec) -> DyadicProb:

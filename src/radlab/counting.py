@@ -21,10 +21,11 @@ the sign sums S, and ``_classify`` makes the classes of either side.
 the packed polynomial when the n*T*(n+1) bits its shift-adds touch
 (T = sum of entries) stay within GF_WORK_PER_HALF_SUM per half sum of
 meet-in-the-middle and it fits; otherwise meet-in-the-middle if its half
-sums fit; otherwise TooLarge.  ``tail_counts_gray``, a direct Gray-code
-sweep over all 2^n sign vectors, is kept only as the reference oracle
-that tests and the claim suite compare against.  All three decide every
-comparison against ``rho * ||a||`` in integers.
+sums fit; otherwise TooLarge.  Both decide every comparison against
+``rho * ||a||`` in integers.  The claim suite checks them against a
+sign-sum convolution that shares no code with either (``verify``), and
+the tests against a Gray-code sweep and a literal enumeration of all
+2^n sign vectors.
 
 ``distribution`` reads the 2^n sign sums from the smaller table that
 fits: the same product with T+1 64-bit slots (when T < 2^n), else the
@@ -66,7 +67,7 @@ from fractions import Fraction
 from itertools import compress, islice, repeat
 from math import isqrt
 from operator import add, lt
-from typing import Iterator, Literal
+from typing import Literal
 
 from .core import CoeffVec, DyadicProb, RationalLike
 from .errors import InvalidThreshold, TooLarge, ZeroNorm
@@ -75,8 +76,6 @@ ONE_SIDED = "one-sided"
 TWO_SIDED = "two-sided"
 Side = Literal["one-sided", "two-sided"]
 
-# The Gray-code reference sweep refuses dimensions above this n.
-GRAY_CAP = 30
 # The packed generating function is used while n*T*(n+1), the bits its n
 # shift-adds touch, stays within this many per meet-in-the-middle half sum
 # (2^ceil(n/2) of them) and the packed integer within the bit budget.
@@ -169,24 +168,6 @@ def _threshold_boundary(norm_sq: int, rho: RationalLike) -> tuple[int, bool]:
     return k0, k0 * k0 * t2den == t2num
 
 
-def iter_sign_sums(entries: tuple[int, ...]) -> Iterator[int]:
-    """Yield all 2^n sign sums in Gray-code order, one add/subtract per step."""
-    n = len(entries)
-    deltas = [2 * e for e in entries]
-    sgn = [1] * n
-    s = sum(entries)
-    yield s
-    for i in range(1, 1 << n):
-        j = (i & -i).bit_length() - 1
-        if sgn[j] > 0:
-            s -= deltas[j]
-            sgn[j] = -1
-        else:
-            s += deltas[j]
-            sgn[j] = 1
-        yield s
-
-
 def _classify(n: int, below: int, at: int, k0: int, exact: bool, side: Side) -> TailCounts:
     """The three classes from below = #(S <= k0 - 1 if exact else k0) and
     at = #(S == k0) if exact else 0 over the sign sums S.
@@ -213,27 +194,6 @@ def _validated(a: CoeffVec, rho: RationalLike, side: Side) -> RationalLike:
     if side not in (ONE_SIDED, TWO_SIDED):
         raise ValueError(f"unknown side {side!r}")
     return rho
-
-
-def tail_counts_gray(a: CoeffVec, rho: RationalLike, side: Side) -> TailCounts:
-    """Reference oracle: count a.s (one-sided) or |a.s| (two-sided) against
-    rho * ||a|| by sweeping all 2^n sign vectors."""
-    rho = _validated(a, rho, side)
-    if a.n > GRAY_CAP:
-        raise TooLarge(f"n={a.n} exceeds the Gray sweep cap {GRAY_CAP}")
-    k0, exact = _threshold_boundary(a.norm_sq, rho)
-    lo = k0 - 1 if exact else k0
-    below = at = above = 0
-    two = side == TWO_SIDED
-    for s in iter_sign_sums(a.entries):
-        v = -s if (two and s < 0) else s
-        if v <= lo:
-            below += 1
-        elif exact and v == k0:
-            at += 1
-        else:
-            above += 1
-    return TailCounts(a.n, below, at, above)
 
 
 # (entries, table) of the last distribution call, or None
@@ -335,7 +295,7 @@ def tail_counts(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> T
     """Count a.s (one-sided) or |a.s| (two-sided) against rho * ||a||.
 
     Dispatches on tail_count_engine; the engine checks the inputs, and
-    both produce counts identical to tail_counts_gray, field for field.
+    both produce identical counts, field for field.
     """
     engine = tail_counts_gf if tail_count_engine(a) == "gf" else tail_counts_mitm
     return engine(a, rho, side)

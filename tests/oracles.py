@@ -1,0 +1,82 @@
+"""Slow but simple counts that the tests compare the library against.
+
+``tail_counts_gray`` sweeps all 2^n sign vectors in Gray-code order, one
+add or subtract per step; ``brute_counts`` enumerates the sign tuples
+literally and compares squares.
+"""
+
+from itertools import product
+from typing import Iterator
+
+from radlab.conjectures import GRAY_CAP
+from radlab.core import CoeffVec, RationalLike
+from radlab.counting import (
+    ONE_SIDED,
+    TWO_SIDED,
+    Side,
+    TailCounts,
+    _threshold_boundary,
+    _validated,
+)
+from radlab.errors import TooLarge
+
+
+def iter_sign_sums(entries: tuple[int, ...]) -> Iterator[int]:
+    """Yield all 2^n sign sums in Gray-code order, one add/subtract per step."""
+    n = len(entries)
+    deltas = [2 * e for e in entries]
+    sgn = [1] * n
+    s = sum(entries)
+    yield s
+    for i in range(1, 1 << n):
+        j = (i & -i).bit_length() - 1
+        if sgn[j] > 0:
+            s -= deltas[j]
+            sgn[j] = -1
+        else:
+            s += deltas[j]
+            sgn[j] = 1
+        yield s
+
+
+def tail_counts_gray(a: CoeffVec, rho: RationalLike, side: Side) -> TailCounts:
+    """Reference oracle: count a.s (one-sided) or |a.s| (two-sided) against
+    rho * ||a|| by sweeping all 2^n sign vectors."""
+    rho = _validated(a, rho, side)
+    if a.n > GRAY_CAP:
+        raise TooLarge(f"n={a.n} exceeds the Gray sweep cap {GRAY_CAP}")
+    k0, exact = _threshold_boundary(a.norm_sq, rho)
+    lo = k0 - 1 if exact else k0
+    below = at = above = 0
+    two = side == TWO_SIDED
+    for s in iter_sign_sums(a.entries):
+        v = -s if (two and s < 0) else s
+        if v <= lo:
+            below += 1
+        elif exact and v == k0:
+            at += 1
+        else:
+            above += 1
+    return TailCounts(a.n, below, at, above)
+
+
+def brute_counts(entries, rho, side):
+    """Independent oracle: enumerate sign tuples, compare squared values."""
+    ns = sum(x * x for x in entries)
+    num, den = rho.numerator, rho.denominator
+    t2 = num * num * ns
+    d2 = den * den
+    below = at = above = 0
+    for signs in product((1, -1), repeat=len(entries)):
+        s = sum(x * y for x, y in zip(entries, signs))
+        if side == ONE_SIDED and s < 0:
+            below += 1
+            continue
+        lhs = d2 * s * s
+        if lhs < t2:
+            below += 1
+        elif lhs == t2:
+            at += 1
+        else:
+            above += 1
+    return below, at, above

@@ -21,7 +21,7 @@ import pytest
 from radlab import cli, verify
 
 SEED = 7
-FULL_SHA256 = "e8453e7416b084b4ffe724a10a0e3a2fc05f11bfbaf5d9ff9296158817a9df3f"
+FULL_SHA256 = "0562047d0eb456ab604d895497a26f0ba47e0dd5cb754bf025cf41cc5cb4a818"
 
 # details of each claim of the seed-7 --full run, as the report prints them
 FROZEN = {

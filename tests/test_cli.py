@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import select
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from radlab.counting import TailCounts
 from radlab.errors import NoWitness
 
 # sha256 of `radlab verify-paper --out` at the default seed
-QUICK_SHA256 = "b7709b9b36a4f616ccc55184bccce88d84d9c5227cc1a9aa8396fc78c0faa2bc"
+QUICK_SHA256 = "8b4eb017a3700c217d7c4b1e3950330ccb0149586fae7619715e41df89dffc39"
 
 
 def run(capsys, *argv):
@@ -471,6 +472,22 @@ class TestVerifyPaperCommand:
         assert obj["all_passed"] is True
         assert "PASS" in out
         assert hashlib.sha256(report.read_bytes()).hexdigest() == QUICK_SHA256
+        # each pass logs its seconds on its first claim only
+        lines = dict(re.findall(r"^PASS  ([\w-]+): .*\[(.*)\]$", out, re.M))
+        assert len(lines) == len(obj["claims"])
+        assert re.fullmatch(r"\d+\.\d\d s", lines["dim7-floor-sample"])
+        assert lines["dim7-case-rule-sample"] == "in the dim7-floor-sample pass"
+        assert lines["hunt-delta-empty"] == "in the hunt-tomaszewski-empty pass"
+
+    def test_log_leaves_the_report_bytes(self, monkeypatch):
+        passes = [[verify.ClaimResult("a", "one", True, {"k": 1})],
+                  [verify.ClaimResult("b", "two", True), verify.ClaimResult("c", "three", False)]]
+        monkeypatch.setattr(verify, "_claims", lambda full, seed: iter(passes))
+        lines = []
+        report = verify.verify_paper(log=lines.append)
+        assert cli.canonical_json_bytes(report) == cli.canonical_json_bytes(verify.verify_paper())
+        assert [re.sub(r"\d+\.\d\d s", "T", line) for line in lines] == [
+            "PASS  a: one [T]", "PASS  b: two [T]", "FAIL  c: three [in the b pass]"]
 
     def test_empty_samples_fail(self):
         # a sampled claim that evaluated nothing is not a clean pass
@@ -488,8 +505,12 @@ class TestVerifyPaperCommand:
         # every pair dominates: soundness fails; none does: completeness fails
         ("dominates", lambda s, t: True, lambda: verify._dominance_claims(1, 50, 6, 7)[2:]),
         ("dominates", lambda s, t: False, lambda: verify._dominance_claims(1, 50, 6, 7)[2:]),
+        # any one of the three counts, wrong, fails the cross-check
         ("tail_counts_gf", lambda a, rho, side: None, lambda: [verify._crossval_claim(8, 0, 7)]),
-    ], ids=["dim7", "comb-random", "pairing", "dominance-sound", "dominance-complete", "crossval"])
+        ("tail_counts_mitm", lambda a, rho, side: None, lambda: [verify._crossval_claim(8, 0, 7)]),
+        ("_reference_counts", lambda a, rho, side: None, lambda: [verify._crossval_claim(8, 0, 7)]),
+    ], ids=["dim7", "comb-random", "pairing", "dominance-sound", "dominance-complete",
+            "crossval", "crossval-mitm", "crossval-reference"])
     def test_sampled_claim_fails_when_its_checker_disagrees(self, monkeypatch, name, fake, claims):
         monkeypatch.setattr(verify, name, fake)
         assert {c.passed for c in claims()} == {False}

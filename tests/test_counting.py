@@ -1,12 +1,12 @@
 """The two counting engines (packed generating function and
-meet-in-the-middle), their dispatch, the Gray-code reference oracle, and
-the sum distribution."""
+meet-in-the-middle), their dispatch and the sum distribution, against
+the Gray-code and literal-enumeration oracles of ``oracles``, which are
+checked against each other here."""
 
 import random
 import tracemalloc
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import product
 from math import comb, isqrt
 
 import pytest
@@ -27,37 +27,15 @@ from radlab.counting import (
     _packed_fits,
     _threshold_boundary,
     distribution,
-    iter_sign_sums,
     tail_count_engine,
     tail_counts,
     tail_counts_gf,
-    tail_counts_gray,
     tail_counts_mitm,
     tail_counts_threshold,
 )
 from radlab.errors import InvalidThreshold, TooLarge, ZeroNorm
 
-
-def brute_counts(entries, rho, side):
-    """Independent oracle: enumerate sign tuples, compare squared values."""
-    ns = sum(x * x for x in entries)
-    num, den = rho.numerator, rho.denominator
-    t2 = num * num * ns
-    d2 = den * den
-    below = at = above = 0
-    for signs in product((1, -1), repeat=len(entries)):
-        s = sum(x * y for x, y in zip(entries, signs))
-        if side == ONE_SIDED and s < 0:
-            below += 1
-            continue
-        lhs = d2 * s * s
-        if lhs < t2:
-            below += 1
-        elif lhs == t2:
-            at += 1
-        else:
-            above += 1
-    return below, at, above
+from oracles import brute_counts, iter_sign_sums, tail_counts_gray
 
 
 class TestTailCountsNorm:

@@ -1,5 +1,7 @@
 """Property tests: both counting engines and the packed-product reader
 they share with the exhaustive sweep equal the Gray-code oracle, the
+claim suite's sign-sum convolution equals the literal enumeration and,
+on the quick claim sample, the Gray-code oracle, the
 two-sided norm tail is twice the one-sided one (as the dim-7 claim pass
 assumes), the sum distribution equals the counted Gray-code
 sums (also through its one-slot memo), the subset-count fraction equals its
@@ -39,11 +41,10 @@ from radlab.counting import (
     ONE_SIDED,
     TWO_SIDED,
     SumDistribution,
+    TailCounts,
     distribution,
-    iter_sign_sums,
     tail_counts,
     tail_counts_gf,
-    tail_counts_gray,
     tail_counts_mitm,
     _gf_width,
     _classify,
@@ -55,6 +56,8 @@ from radlab.counting import (
 )
 from radlab.errors import DimensionError, NonPositiveEntry, TooLarge
 from radlab.search import KeySchedule
+
+from oracles import brute_counts, iter_sign_sums, tail_counts_gray
 
 SIDES = st.sampled_from([ONE_SIDED, TWO_SIDED])
 RHOS = st.builds(Fraction, st.integers(0, 40), st.integers(1, 9))
@@ -91,6 +94,7 @@ def realized_thresholds(draw):
 
 def assert_engines_agree(a, rho, side):
     oracle = tail_counts_gray(a, rho, side)
+    assert verify._reference_counts(a, rho, side) == TailCounts(a.n, *brute_counts(a.entries, rho, side))
     if _packed_fits(_gf_width(a.n), a.total):
         assert tail_counts_gf(a, rho, side) == oracle
     else:  # wide entries at n near 12 overflow the packed budget
@@ -119,6 +123,24 @@ def test_engines_match_oracle_on_realized_threshold(case, side):
     assert_engines_agree(a, rho, side)
     if side == ONE_SIDED:
         assert tail_counts_gf(a, rho, side).at > 0
+
+
+def test_reference_matches_gray_on_the_quick_crossval_sample(monkeypatch):
+    # the (a, rho, side) of the quick engine-crossval claim, in key order
+    # on one worker, read off its calls of the packed engine
+    monkeypatch.setenv("RADLAB_THREADS", "1")
+    cases = []
+
+    def spy(a, rho, side):
+        cases.append((a, rho, side))
+        return tail_counts_gf(a, rho, side)
+
+    monkeypatch.setattr(verify, "tail_counts_gf", spy)
+    assert verify._crossval_claim(8, 0, 7).passed
+    assert len(cases) == 104
+    assert {side for _, _, side in cases} == {ONE_SIDED, TWO_SIDED}
+    assert any(_threshold_boundary(a.norm_sq, rho)[1] for a, rho, _ in cases)
+    assert [verify._reference_counts(*case) for case in cases] == [tail_counts_gray(*case) for case in cases]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

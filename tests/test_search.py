@@ -1002,8 +1002,8 @@ class TestSharded:
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("seed, digest", [
-        (7, "b7709b9b36a4f616ccc55184bccce88d84d9c5227cc1a9aa8396fc78c0faa2bc"),
-        (20261017, "635fc77a5a6541c313c9b13019ea176e7e37c372820878e03c31fdfb47a22e16"),
+        (7, "8b4eb017a3700c217d7c4b1e3950330ccb0149586fae7619715e41df89dffc39"),
+        (20261017, "832181acdde0d20e49dd84ad3efb108890aa999c1e90f73702105e69110a0ef9"),
     ], ids=["7", "20261017"])
     def test_quick_report_does_not_depend_on_the_worker_count(self, two_cpus, seed, digest):
         # every sampled claim runs on two workers, and the report bytes
