@@ -28,7 +28,6 @@ from .counting import (
     tail_counts_threshold,
 )
 from .dominance import (
-    SignSet,
     case_lemma_7,
     dominates,
     pair_lemma_select,
@@ -68,9 +67,8 @@ __all__ = [
     "ONE_SIDED", "TWO_SIDED", "SumDistribution", "TailCounts",
     "distribution", "tail_count_engine", "tail_counts", "tail_counts_gf",
     "tail_counts_mitm", "tail_counts_threshold",
-    "SignSet", "case_lemma_7", "dominates", "pair_lemma_select",
-    "upward_closure", "verify_order_rules", "vsd_count_lower_bound",
-    "vsd_membership_quadratic",
+    "case_lemma_7", "dominates", "pair_lemma_select", "upward_closure",
+    "verify_order_rules", "vsd_count_lower_bound", "vsd_membership_quadratic",
     "CheckReport", "check_delta_alt", "check_delta_inequality",
     "check_gprime", "check_hk_bound", "check_pairing",
     "check_symmetric_tails", "check_tomaszewski", "classify_A_or_B",

@@ -9,6 +9,15 @@ universal condition reduces to n prefix checks.  Equivalently, writing
 each sign vector as its set of flipped positions, the flips of ``t`` must
 be at most as many as those of ``s`` and sit at componentwise later
 positions.
+
+A flip set J with a.(J)_n >= 0 reaches the norm exactly when the
+paper's pair-sum form (pairs inside J, plus pairs outside J, minus the
+cross pairs) is nonnegative, and expanding the square gives
+
+    2 * form(a, J) = (a.(J)_n)^2 - ||a||^2,
+
+so every membership decision here reads one sign sum and compares its
+square with ||a||^2 (strictly, for V_sd+).
 """
 
 from __future__ import annotations
@@ -22,10 +31,6 @@ from .errors import (
     NoWitness,
     TooLarge,
 )
-
-# A set of flipped positions J is the same bit layout as the sign vector
-# (J)_n it induces, so one type serves both roles.
-SignSet = SignAssignment
 
 CLOSURE_CAP = 24
 ORDER_RULES_CAP = 10
@@ -158,48 +163,36 @@ def verify_order_rules(n: int) -> bool:
     return True
 
 
-def _pair_sum(values: list[int]) -> int:
-    """Sum of products over unordered pairs, accumulated literally."""
-    acc = 0
-    run = 0
-    for v in values:
-        acc += v * run
-        run += v
-    return acc
+def _reaches_norm(a: CoeffVec, d: int, strict: bool) -> bool:
+    """Whether a sign sum d >= 0 reaches ||a|| (strict: exceeds it)."""
+    return d * d > a.norm_sq if strict else d * d >= a.norm_sq
 
 
-def _split_by_mask(a: CoeffVec, mask: int) -> tuple[list[int], list[int]]:
-    inside, outside = [], []
-    for i, x in enumerate(a.entries):
-        (inside if (mask >> i) & 1 else outside).append(x)
-    return inside, outside
-
-
-def membership_form(a: CoeffVec, J: SignSet) -> int:
+def membership_form(a: CoeffVec, J: SignAssignment) -> int:
     """The quadratic form whose sign decides whether (J)_n reaches the norm:
 
         sum over pairs inside J  +  sum over pairs inside its complement
         -  sum over cross pairs J x complement
+
+    read off one sign sum as ((a.(J)_n)^2 - ||a||^2) / 2.
     """
-    if a.n != J.n:
-        raise DimensionError(f"dimension mismatch {a.n} != {J.n}")
-    inside, outside = _split_by_mask(a, J.mask)
-    return _pair_sum(inside) + _pair_sum(outside) - sum(inside) * sum(outside)
+    d = sign_sum(a, J)
+    return (d * d - a.norm_sq) // 2
 
 
-def vsd_membership_quadratic(a: CoeffVec, J: SignSet, strict: bool = False) -> bool:
+def vsd_membership_quadratic(a: CoeffVec, J: SignAssignment, strict: bool = False) -> bool:
     """Decide (J)_n in V_sd(a) (strict=False) or V_sd+(a) (strict=True)
     by the sign of the quadratic form.
 
     Requires a.(J)_n >= 0; the form criterion is only valid on that side.
     """
-    if sign_sum(a, J) < 0:
+    d = sign_sum(a, J)
+    if d < 0:
         raise LemmaPreconditionViolated(f"a.{J} < 0; the form criterion does not apply")
-    q = membership_form(a, J)
-    return q > 0 if strict else q >= 0
+    return _reaches_norm(a, d, strict)
 
 
-def pair_hypothesis_form(a: CoeffVec, J: SignSet, K: SignSet) -> int:
+def pair_hypothesis_form(a: CoeffVec, J: SignAssignment, K: SignAssignment) -> int:
     """The averaged form for a disjoint pair of flip sets:
 
         pairs inside J + pairs inside K + pairs inside the joint complement
@@ -207,21 +200,11 @@ def pair_hypothesis_form(a: CoeffVec, J: SignSet, K: SignSet) -> int:
 
     Equals half the sum of the two individual membership forms.
     """
-    if a.n != J.n or a.n != K.n:
-        raise DimensionError("dimension mismatch")
-    in_j, _ = _split_by_mask(a, J.mask)
-    in_k, _ = _split_by_mask(a, K.mask)
-    _, rest = _split_by_mask(a, J.mask | K.mask)
-    return (
-        _pair_sum(in_j)
-        + _pair_sum(in_k)
-        + _pair_sum(rest)
-        - sum(in_j) * sum(in_k)
-    )
+    return (membership_form(a, J) + membership_form(a, K)) // 2
 
 
 def pair_lemma_select(
-    a: CoeffVec, J: SignSet, K: SignSet, strict: bool = False
+    a: CoeffVec, J: SignAssignment, K: SignAssignment, strict: bool = False
 ) -> str:
     """For disjoint J, K whose averaged form is nonnegative (positive in
     the strict variant), report which of (J)_n, (K)_n reaches the norm:
@@ -230,14 +213,17 @@ def pair_lemma_select(
     if J.mask & K.mask:
         raise LemmaPreconditionViolated("J and K must be disjoint")
     ok = (lambda v: v > 0) if strict else (lambda v: v >= 0)
-    if not ok(sign_sum(a, J)):
+    dj = sign_sum(a, J)
+    if not ok(dj):
         raise LemmaPreconditionViolated(f"a.{J} fails the sign precondition")
-    if not ok(sign_sum(a, K)):
+    dk = sign_sum(a, K)
+    if not ok(dk):
         raise LemmaPreconditionViolated(f"a.{K} fails the sign precondition")
-    if not ok(pair_hypothesis_form(a, J, K)):
+    # four times the averaged form
+    if not ok(dj * dj + dk * dk - 2 * a.norm_sq):
         raise LemmaPreconditionViolated("averaged form fails the hypothesis")
-    in_j = vsd_membership_quadratic(a, J, strict)
-    in_k = vsd_membership_quadratic(a, K, strict)
+    in_j = _reaches_norm(a, dj, strict)
+    in_k = _reaches_norm(a, dk, strict)
     if in_j and in_k:
         return "both"
     if in_j:
@@ -271,17 +257,16 @@ def case_lemma_7(a: CoeffVec, strict: bool = False) -> SignAssignment:
 def in_vsd(a: CoeffVec, s: SignAssignment, strict: bool = False) -> bool:
     """Membership in V_sd(a) (a.s >= ||a||) or V_sd+(a) (strict >)."""
     d = sign_sum(a, s)
-    if d < 0:
-        return False
-    return d * d > a.norm_sq if strict else d * d >= a.norm_sq
+    return d >= 0 and _reaches_norm(a, d, strict)
 
 
 def vsd_count_lower_bound(a: CoeffVec, seeds: list[SignAssignment]) -> int:
     """Size of the union of upward closures of the seeds verified to lie
     in V_sd(a); a certified lower bound for |V_sd(a)| because membership
-    propagates upward."""
+    propagates upward.  Seeds outside V_sd(a) are skipped; a seed of
+    another dimension raises DimensionError."""
     union: set[SignAssignment] = set()
     for s in seeds:
-        if s.n == a.n and in_vsd(a, s):
+        if in_vsd(a, s):
             union |= upward_closure(s)
     return len(union)

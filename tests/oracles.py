@@ -2,14 +2,16 @@
 
 ``tail_counts_gray`` sweeps all 2^n sign vectors in Gray-code order, one
 add or subtract per step; ``brute_counts`` enumerates the sign tuples
-literally and compares squares.
+literally and compares squares.  ``literal_membership_form`` and
+``literal_pair_form`` accumulate the dominance module's quadratic forms
+pair by pair over the split of the entries by flip set.
 """
 
 from itertools import product
 from typing import Iterator
 
 from radlab.conjectures import GRAY_CAP
-from radlab.core import CoeffVec, RationalLike
+from radlab.core import CoeffVec, RationalLike, SignAssignment
 from radlab.counting import (
     ONE_SIDED,
     TWO_SIDED,
@@ -80,3 +82,35 @@ def brute_counts(entries, rho, side):
         else:
             above += 1
     return below, at, above
+
+
+def _pair_sum(values: list[int]) -> int:
+    """Sum of products over unordered pairs, accumulated literally."""
+    acc = 0
+    run = 0
+    for v in values:
+        acc += v * run
+        run += v
+    return acc
+
+
+def _split_by_mask(a: CoeffVec, mask: int) -> tuple[list[int], list[int]]:
+    inside, outside = [], []
+    for i, x in enumerate(a.entries):
+        (inside if (mask >> i) & 1 else outside).append(x)
+    return inside, outside
+
+
+def literal_membership_form(a: CoeffVec, J: SignAssignment) -> int:
+    """Pairs inside J + pairs inside its complement - cross pairs."""
+    inside, outside = _split_by_mask(a, J.mask)
+    return _pair_sum(inside) + _pair_sum(outside) - sum(inside) * sum(outside)
+
+
+def literal_pair_form(a: CoeffVec, J: SignAssignment, K: SignAssignment) -> int:
+    """Pairs inside J + pairs inside K + pairs inside the joint
+    complement - cross pairs J x K, for disjoint J and K."""
+    in_j, _ = _split_by_mask(a, J.mask)
+    in_k, _ = _split_by_mask(a, K.mask)
+    _, rest = _split_by_mask(a, J.mask | K.mask)
+    return _pair_sum(in_j) + _pair_sum(in_k) + _pair_sum(rest) - sum(in_j) * sum(in_k)

@@ -20,6 +20,8 @@ from radlab.dominance import (
 )
 from radlab.errors import DimensionError, LemmaPreconditionViolated, TooLarge
 
+from oracles import literal_membership_form, literal_pair_form
+
 
 def J(*indices, n):
     return SignAssignment.from_indices(indices, n)
@@ -173,19 +175,39 @@ class TestMembershipForm:
         with pytest.raises(LemmaPreconditionViolated):
             vsd_membership_quadratic(CoeffVec((1, 1)), J(1, 2, n=2))
 
+    def test_dimension_mismatch(self):
+        a = CoeffVec((1, 1, 1))
+        for call in (
+            lambda: membership_form(a, J(1, n=2)),
+            lambda: vsd_membership_quadratic(a, J(1, n=2)),
+            lambda: pair_hypothesis_form(a, J(1, n=3), J(2, n=2)),
+            lambda: pair_lemma_select(a, J(1, n=2), J(2, n=2)),
+        ):
+            with pytest.raises(DimensionError):
+                call()
+
     def test_equivalence_with_comparator(self):
+        # every mask for n <= 8, in both variants, against the literal form
         rng = random.Random(72)
-        for _ in range(60):
-            n = rng.randint(1, 10)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
-                continue
-            for mask in range(1 << n):
-                s = SignAssignment(mask, n)
-                if sign_sum(a, s) < 0:
+        for n in range(1, 9):
+            for _ in range(8):
+                a = canonicalize([rng.randint(0, 9) for _ in range(n)])
+                if a.norm_sq == 0:
                     continue
-                for strict in (False, True):
-                    assert vsd_membership_quadratic(a, s, strict) == in_vsd(a, s, strict)
+                for mask in range(1 << n):
+                    s = SignAssignment(mask, n)
+                    form = literal_membership_form(a, s)
+                    assert membership_form(a, s) == form
+                    negative = sign_sum(a, s) < 0
+                    for strict in (False, True):
+                        if negative:
+                            with pytest.raises(LemmaPreconditionViolated):
+                                vsd_membership_quadratic(a, s, strict)
+                            assert not in_vsd(a, s, strict)
+                            continue
+                        member = form > 0 if strict else form >= 0
+                        assert vsd_membership_quadratic(a, s, strict) == member
+                        assert in_vsd(a, s, strict) == member
 
 
 class TestPairRule:
@@ -215,23 +237,35 @@ class TestPairRule:
             pair_lemma_select(CoeffVec((1, 1, 1)), J(1, n=3), J(1, 2, n=3))
 
     def test_never_neither_when_hypothesis_holds(self):
-        rng = random.Random(73)
-        checked = 0
-        for _ in range(4000):
-            n = rng.randint(2, 9)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
-                continue
-            jm = rng.randrange(1 << n)
-            km = rng.randrange(1 << n) & ~jm
-            sj, sk = SignAssignment(jm, n), SignAssignment(km, n)
-            if sign_sum(a, sj) < 0 or sign_sum(a, sk) < 0:
-                continue
-            if pair_hypothesis_form(a, sj, sk) < 0:
-                continue
-            assert pair_lemma_select(a, sj, sk) in ("J", "K", "both")
-            checked += 1
-        assert checked > 300
+        # in both variants against the literal forms: the rule raises
+        # LemmaPreconditionViolated exactly when a sign precondition or the
+        # averaged-form hypothesis fails (< 0 plain, <= 0 strict), and
+        # otherwise names the members
+        for strict in (False, True):
+            ok = (lambda v: v > 0) if strict else (lambda v: v >= 0)
+            rng = random.Random(73)
+            checked = 0
+            for _ in range(4000):
+                n = rng.randint(2, 9)
+                a = canonicalize([rng.randint(0, 9) for _ in range(n)])
+                if a.norm_sq == 0:
+                    continue
+                jm = rng.randrange(1 << n)
+                km = rng.randrange(1 << n) & ~jm
+                sj, sk = SignAssignment(jm, n), SignAssignment(km, n)
+                hypothesis = literal_pair_form(a, sj, sk)
+                assert pair_hypothesis_form(a, sj, sk) == hypothesis
+                if not (ok(sign_sum(a, sj)) and ok(sign_sum(a, sk)) and ok(hypothesis)):
+                    with pytest.raises(LemmaPreconditionViolated):
+                        pair_lemma_select(a, sj, sk, strict)
+                    continue
+                in_j = ok(literal_membership_form(a, sj))
+                in_k = ok(literal_membership_form(a, sk))
+                assert in_j or in_k
+                expected = "both" if in_j and in_k else "J" if in_j else "K"
+                assert pair_lemma_select(a, sj, sk, strict) == expected
+                checked += 1
+            assert checked > 300
 
 
 class TestCaseRule7:
@@ -272,6 +306,10 @@ class TestVsdCountLowerBound:
 
     def test_no_seeds(self):
         assert vsd_count_lower_bound(CoeffVec((1, 1, 1)), []) == 0
+
+    def test_seed_of_another_dimension_raises(self):
+        with pytest.raises(DimensionError):
+            vsd_count_lower_bound(CoeffVec((1, 1, 1, 1, 1, 1, 0)), [J(2, n=6)])
 
     def test_unverified_seed_excluded(self):
         a = CoeffVec((1, 1, 1, 1, 1, 1, 0))
