@@ -17,7 +17,7 @@ from math import gcd
 from operator import itemgetter
 
 from .core import CoeffVec, DyadicProb, RationalLike, parse_vector
-from .counting import ONE_SIDED, distribution, tail_counts
+from .counting import ONE_SIDED, TailCounts, distribution, tail_counts
 from .errors import (
     DimensionError,
     InvalidThreshold,
@@ -106,11 +106,17 @@ def _require_norm(a: CoeffVec) -> None:
         raise ZeroNorm("checker requires a nonzero vector")
 
 
+def tomaszewski_holds(c: TailCounts) -> bool:
+    """The half-mass inequality on counts at the norm: at least half of the
+    2^n sign sums satisfy |a.s| <= ||a||."""
+    return c.below + c.at >= 1 << (c.n - 1)
+
+
 def check_tomaszewski(a: CoeffVec) -> CheckReport:
     """At least half of the 2^n sign sums satisfy |a.s| <= ||a||."""
     _require_norm(a)
     c = tail_counts(a)
-    holds = c.below + c.at >= (1 << (a.n - 1))
+    holds = tomaszewski_holds(c)
     values = {
         "p_le_norm": c.p_le,
         "below": c.below,

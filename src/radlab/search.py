@@ -49,14 +49,21 @@ import enum
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
 from math import ceil, gcd, isqrt
-from operator import and_, itemgetter
+from operator import itemgetter
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
-from .conjectures import CHECKERS, GPRIME_TABLE, CheckReport, HK_BOUND, HK_MAX_N, T_FLOOR
+from .conjectures import (
+    CHECKERS,
+    GPRIME_TABLE,
+    HK_BOUND,
+    HK_MAX_N,
+    T_FLOOR,
+    CheckReport,
+    tomaszewski_holds,
+)
 from .core import MAX_DIMENSION, CoeffVec, DyadicProb, canonicalize
 from .counting import TailCounts, _gf_width, tail_counts
 from .errors import (
@@ -267,28 +274,35 @@ class Substream:
         self.buf, self.pos, self.block = _blake2b(self.key).digest(), 0, 0
 
     def draws(self, count: int, lo: int, hi: int) -> list[int]:
-        """The next count integers in [lo, hi]: lo + r for each k-bit draw r
-        below the width hi - lo + 1, k its bit length; a k-bit draw is the
-        next ceil(k / 8) bytes, little-endian, cut to k bits.  Batches of
-        the draws still missing never read past the last one kept."""
+        """The next count integers in [lo, hi], read in one pass: lo + r for
+        each of the first count draws r below the width hi - lo + 1, where a
+        draw is the next ceil(k / 8) bytes, little-endian, cut to k bits, k
+        the width's bit length.  The stream resumes right after the last
+        draw kept; count <= 0 reads nothing."""
         if (width := hi - lo + 1) < 1:
             raise ValueError(f"empty entry range [{lo}, {hi}]")
+        out: list[int] = []
+        if count <= 0:
+            return out
         k = width.bit_length()
         size, mask = (k + 7) // 8, (1 << k) - 1
-        out: list[int] = []
-        while (short := count - len(out)) > 0:
-            buf, pos, end = self.buf, self.pos, self.pos + short * size
+        buf, pos = self.buf, self.pos
+        while True:
+            end = pos + size
             if end > len(buf):
-                buf, end, pos = buf[pos:], end - pos, 0
+                buf, end, pos = buf[pos:], size, 0
                 while end > len(buf):
                     self.block += 1
                     buf += _blake2b(self.key, person=self.block.to_bytes(16, "little")).digest()
                 self.buf = buf
-            raw = buf[pos:end] if size == 1 else (
-                int.from_bytes(buf[i:i + size], "little") for i in range(pos, end, size))
-            out += [lo + r for r in map(and_, raw, repeat(mask)) if r < width]
-            self.pos = end
-        return out
+            r = (buf[pos] if size == 1 else int.from_bytes(buf[pos:end], "little")) & mask
+            pos = end
+            if r < width:
+                out.append(lo + r)
+                count -= 1
+                if not count:
+                    self.pos = pos
+                    return out
 
     def draw(self, lo: int, hi: int) -> int:
         """The next integer in [lo, hi]."""
@@ -426,11 +440,15 @@ def _require_sample(evaluated: int) -> None:
 
 
 def _check_inputs(n_values: Sequence[int], trials: int, entry_bound: int, min_entry: int) -> None:
-    """The input rules shared by random_search and hunt."""
+    """The input rules shared by random_search and hunt; a dimension
+    listed twice would draw the same keys twice."""
     if not n_values:
         raise SearchInputError("no dimension to search")
     if min(n_values) < 1:
         raise SearchInputError(f"dimensions must be >= 1, got {min(n_values)}")
+    if len(set(n_values)) < len(n_values):
+        repeated = next(n for i, n in enumerate(n_values) if n in n_values[:i])
+        raise SearchInputError(f"dimension {repeated} is listed twice")
     if trials < 1:
         raise SearchInputError("trials must be >= 1")
     if entry_bound < max(min_entry, 1):
@@ -791,13 +809,25 @@ def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRe
     )
 
 
-# hunt's predicate names and the checkers they run; "delta" sweeps every
-# threshold pair
-HUNT_PREDICATES = {"tomaszewski": "tomaszewski", "pairing": "pairing", "delta": "delta-sweep"}
+def _tomaszewski_holds(a: CoeffVec, stream: Substream) -> bool:
+    return tomaszewski_holds(tail_counts(a))
 
 
-def _passes(checker: str, a: CoeffVec, stream: Substream) -> bool:
-    return not CHECKERS[checker](a).violated
+def _pairing_holds(a: CoeffVec, stream: Substream) -> bool:
+    return not CHECKERS["pairing"](a).violated
+
+
+def _delta_holds(a: CoeffVec, stream: Substream) -> bool:
+    return not CHECKERS["delta-sweep"](a).violated
+
+
+# hunt's predicate names, each with the checker that reports a violation and
+# the predicate that decides a sample; "delta" sweeps every threshold pair
+HUNT_PREDICATES = {
+    "tomaszewski": ("tomaszewski", _tomaszewski_holds),
+    "pairing": ("pairing", _pairing_holds),
+    "delta": ("delta-sweep", _delta_holds),
+}
 
 
 def hunt(
@@ -812,8 +842,10 @@ def hunt(
 
     The budget is the total number of vectors, split evenly across the
     dimensions (earlier dimensions absorb the remainder), and evaluated by
-    ``run_sharded``.  An empty result is the expected outcome; any
-    violation is independently re-checkable from its report.  Raises
+    ``run_sharded``.  The predicate's bool decides each sample; the
+    checker runs again only on the violating vectors, to build their
+    reports.  An empty result is the expected outcome; any violation
+    is independently re-checkable from its report.  Raises
     SearchInputError on inputs _check_inputs rejects and when every draw
     was the zero vector, because a hunt that evaluated nothing is not a
     clean pass.
@@ -823,8 +855,8 @@ def hunt(
     n_values = list(n_values)
     _check_inputs(n_values, budget, entry_bound, 0)
     schedule = KeySchedule(seed, "{seed}:{n}:{i}", split_runs(budget, n_values), 0, entry_bound)
-    checker = HUNT_PREDICATES[predicate]
-    (evaluated,), failures = run_sharded(failures_shard, schedule, partial(_passes, checker))
+    checker, holds = HUNT_PREDICATES[predicate]
+    (evaluated,), failures = run_sharded(failures_shard, schedule, holds)
     _require_sample(evaluated)
     # a checker's report is a function of the vector: rerun, it is the same
     return [CHECKERS[checker](a) for _, a in failures]

@@ -387,6 +387,12 @@ class TestHunt:
         assert main(["hunt", "--predicate", "pairing", "--n", "5..3"]) == 2
         assert main(["hunt", "--predicate", "pairing", "--n", "a..b"]) == 2
 
+    def test_repeated_dimension_exit_2(self, capsys):
+        # a dimension listed twice would evaluate its keys twice
+        argv = ["hunt", "--predicate", "tomaszewski", "--n", "3,3", "--trials", "10", "--seed", "7"]
+        assert main(argv) == EXIT_USAGE
+        assert "dimension 3 is listed twice" in capsys.readouterr().err
+
     def test_nothing_to_evaluate_exit_2(self, capsys):
         # each of these evaluates no vector, which is not a clean pass
         base = ["hunt", "--predicate", "tomaszewski", "--n", "3", "--trials", "40"]

@@ -18,10 +18,13 @@ from math import nextafter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radlab import cli, search, verify
-from radlab.conjectures import HOLDS, VIOLATED, CheckReport
+from radlab.conjectures import CHECKERS, HOLDS, VIOLATED, CheckReport
 from radlab.core import CoeffVec, canonicalize
+from radlab.counting import tail_counts
 from radlab.errors import (
     ConjectureFalsified,
     DimensionError,
@@ -439,6 +442,20 @@ class TestHunt:
         with pytest.raises(ValueError):
             hunt("nope", [3], 10, seed=0)
 
+    @pytest.mark.parametrize("predicate", sorted(search.HUNT_PREDICATES))
+    def test_predicate_agrees_with_its_checker(self, predicate):
+        checker, holds = search.HUNT_PREDICATES[predicate]
+        trials = 2000 if predicate == "tomaszewski" else 200
+        schedule = KeySchedule(7, "{seed}:{n}:{i}", search.split_runs(trials, range(2, 10)), 0, 20)
+        ties = 0
+        for _, a, stream in schedule.draws():
+            assert holds(a, stream) == (not CHECKERS[checker](a).violated), a
+            counts = tail_counts(a)
+            ties += counts.below + counts.at == 1 << (a.n - 1)
+        # the sample holds vectors that meet the half-mass floor exactly,
+        # where a strict inequality would tell them apart
+        assert ties
+
     def test_budget_split(self):
         # budget smaller than the dimension count still runs something
         assert hunt("tomaszewski", range(2, 10), 3, seed=1) == []
@@ -532,6 +549,31 @@ def test_substream_blocks_and_draws_follow_its_definition():
             empty(search.Substream(key))
 
 
+# a draw's range: lo, and a width of 1, 2, 3 or 6 bytes a draw
+draw_ranges = st.tuples(
+    st.integers(-5, 5),
+    st.sampled_from([1, 2, 3, 6]).flatmap(lambda size: st.integers(1 << 8 * size - 8, (1 << 8 * size) - 1)),
+).map(lambda r: (r[0], r[0] + r[1] - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6),
+       st.lists(st.tuples(st.integers(0, 40), draw_ranges), min_size=1, max_size=12),
+       draw_ranges)
+@example(7, [(40, (3, 202))] * 4, (0, 20))  # one-byte draws into block 2
+@example(7, [(20, (0, 65_000))] * 3, (1, 2**48))  # two-byte draws, then a 7-byte one
+@example(7, [(9, (1, 2**47 - 1)), (0, (0, 1)), (11, (1, 2**47 - 1))], (5, 5))  # 6-byte draws straddle blocks
+def test_draws_match_the_literal_draws(seed, requests, after):
+    # each request's kept draws, and the next draw after the sequence
+    key = f"{seed}:{len(requests)}"
+    calls = [(count, lo, hi) for count, (lo, hi) in requests] + [(1, *after)]
+    expected, blocks = _literal_draws(key, *calls)
+    stream = search.Substream(key)
+    assert [stream.draws(*call) for call in calls] == expected
+    # a block is hashed only when a draw reaches it
+    assert stream.block == max(blocks - 1, 0)
+
+
 def test_sampler_rejects_an_empty_range():
     with pytest.raises(ValueError, match="empty entry range"):
         list(KeySchedule(7, "{seed}:{k}", ((3, 1),), 3, 2).draws())
@@ -587,6 +629,9 @@ def test_input_errors_are_typed():
         lambda: random_search(3, SearchTarget.GPRIME, 10, seed=0, entry_bound=0),
         lambda: hunt("tomaszewski", [], 10, seed=0),
         lambda: hunt("tomaszewski", [3, 0], 10, seed=0),
+        # a repeated dimension would draw its keys twice
+        lambda: hunt("tomaszewski", [3, 3], 10, seed=7),
+        lambda: hunt("pairing", [2, 4, 2], 10, seed=7),
         lambda: hunt("tomaszewski", [3], 0, seed=0),
         lambda: hunt("tomaszewski", [3], 10, seed=0, entry_bound=0),
         lambda: hunt("tomaszewski", [3], 10, seed=0, entry_bound=-1),
@@ -733,6 +778,11 @@ class _InlinePool:
 def _odd_total_violates(a):
     """A stand-in checker that reports every vector of odd entry sum."""
     return CheckReport("tomaszewski", a, VIOLATED if a.total % 2 else HOLDS)
+
+
+def _even_total(a, stream):
+    """The stand-in checker's predicate."""
+    return not a.total % 2
 
 
 class TestSharded:
@@ -967,6 +1017,7 @@ class TestSharded:
                         reason="the stand-in checker reaches workers only through fork")
     def test_hunt_violations_come_back_in_key_order(self, two_cpus):
         two_cpus.setitem(search.CHECKERS, "tomaszewski", _odd_total_violates)
+        two_cpus.setitem(search.HUNT_PREDICATES, "tomaszewski", ("tomaszewski", _even_total))
         # entries in {0, 1} at n = 1, 2: many draws are all zero and skipped
         schedule = KeySchedule(3, "{seed}:{n}:{i}", ((1, 6), (2, 5)), 0, 1)
         expected = [_odd_total_violates(a) for _, a, _ in schedule.draws()]
