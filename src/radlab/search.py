@@ -78,6 +78,8 @@ from .errors import (
 
 DEFAULT_ENTRY_BOUND = 20
 MAX_SWEEP_VECTORS = 5_000_000
+# the largest entry sum at which an exhaustive sweep sizes its region
+SIZING_BOUND = 1 << 13
 # the least work a pooled sample gives each worker, in seconds of the
 # probe's estimate: two forked workers start in ~12 ms, and samples of
 # 2 * 50 ms ran on them in 0.67-1.08 of their time in one process, at
@@ -242,6 +244,14 @@ def _score(target: SearchTarget, a: CoeffVec) -> _Key:
     prob = target.probability(tail_counts(a))
     _check_floor(target, a, prob.fraction)
     return prob.count, a.entries
+
+
+def _record(target: SearchTarget, key: _Key, examined: int, mode: str, bound: int,
+            seed: int | None = None) -> SearchRecord:
+    """The record of a search whose best fold key is ``key``."""
+    count, entries = key
+    n = len(entries)
+    return SearchRecord(target, n, DyadicProb(count, n), CoeffVec(entries), examined, mode, seed, bound)
 
 
 # hashlib.blake2b, bound by the first Substream: hashlib loads OpenSSL,
@@ -439,13 +449,21 @@ def _require_sample(evaluated: int) -> None:
         raise SearchInputError("no nonzero vector sampled; increase trials")
 
 
+def _check_dimensions(n_values: Sequence[int]) -> None:
+    """The dimension rule of every search, before any key is drawn or any
+    region counted: each n >= 1, and none above core's cap."""
+    if min(n_values) < 1:
+        raise SearchInputError(f"dimension must be >= 1, got {min(n_values)}")
+    if max(n_values) > MAX_DIMENSION:
+        raise DimensionError(f"dimension {max(n_values)} exceeds cap {MAX_DIMENSION}")
+
+
 def _check_inputs(n_values: Sequence[int], trials: int, entry_bound: int, min_entry: int) -> None:
     """The input rules shared by random_search and hunt; a dimension
     listed twice would draw the same keys twice."""
     if not n_values:
         raise SearchInputError("no dimension to search")
-    if min(n_values) < 1:
-        raise SearchInputError(f"dimensions must be >= 1, got {min(n_values)}")
+    _check_dimensions(n_values)
     if len(set(n_values)) < len(n_values):
         repeated = next(n for i, n in enumerate(n_values) if n in n_values[:i])
         raise SearchInputError(f"dimension {repeated} is listed twice")
@@ -560,9 +578,10 @@ def canonical_count(n: int, bound: int, min_entry: int = 0, upto: tuple[int, ...
     return total
 
 
-def _resume_key(state: SearchState, target: SearchTarget, n: int, bound: int) -> _Key | None:
-    """The fold key a sweep resumes with.  Raises SearchInputError unless
-    the checkpoint belongs to this search, its cursor and witness are
+def _resume_key(state: SearchState, target: SearchTarget, n: int, bound: int, region: int) -> _Key | None:
+    """The fold key a sweep of bound ``bound``, walked at entry sum
+    <= ``region``, resumes with.  Raises SearchInputError unless the
+    checkpoint belongs to this search, its cursor and witness are
     canonical n-vectors of the region, the witness does not come after
     the cursor, the stored count is the witness's own, and examined is
     the cursor's rank in the walk."""
@@ -576,7 +595,7 @@ def _resume_key(state: SearchState, target: SearchTarget, n: int, bound: int) ->
         return None
     for what, vec in (("cursor", state.cursor), ("witness", state.witness)):
         _state_vector(vec, n, what)
-        if sum(vec) > bound or vec[-1] < target.min_entry:
+        if sum(vec) > region or vec[-1] < target.min_entry:
             raise SearchInputError(f"checkpoint {what} {vec} lies outside the search region")
     if state.witness > state.cursor:
         raise SearchInputError(f"checkpoint witness {state.witness} comes after cursor {state.cursor}")
@@ -584,7 +603,7 @@ def _resume_key(state: SearchState, target: SearchTarget, n: int, bound: int) ->
     if key != (state.best_count, state.witness):
         raise SearchInputError(f"checkpoint count {state.best_count} is not the "
                                f"count {key[0]} of witness {state.witness}")
-    rank = canonical_count(n, bound, target.min_entry, state.cursor)
+    rank = canonical_count(n, region, target.min_entry, state.cursor)
     if state.examined != rank:
         raise SearchInputError(f"checkpoint claims {state.examined} vectors examined, "
                                f"but cursor {state.cursor} is vector {rank} of the walk")
@@ -620,27 +639,32 @@ def exhaustive_integer_search(
     the state of the last checkpoint or finished run of final entries, so
     that its cursor, best and examined agree.
 
-    ``canonical_count`` sizes the region exactly before the walk: it sets
+    After the dimension rule, ``canonical_count`` sizes the region exactly
+    before the walk, or refuses it at entry sum ``SIZING_BOUND``: it sets
     the budget, rejects an empty region, and must equal the vectors
     examined at the end, or the walk is broken (RuntimeError).
     """
-    if n < 1:
-        raise SearchInputError(f"dimension must be >= 1, got {n}")
-    if n > MAX_DIMENSION:
-        raise DimensionError(f"dimension {n} exceeds cap {MAX_DIMENSION}")
+    _check_dimensions([n])
     if checkpoint_every < 0:
         raise SearchInputError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     min_entry = target.min_entry
-    size = canonical_count(n, bound, min_entry)
+    # the only canonical 1-vector is (1,): that region is walked, sized and
+    # ranked at entry sum <= 1, and checkpoints and the record keep bound
+    region = min(bound, 1) if n == 1 else bound
+    # a region only grows with its bound, and at SIZING_BOUND every one with
+    # n >= 2 is over the cap: sized there, a larger bound is refused before
+    # the Moebius sum at its own bound (~bound^1.5 steps) would run
+    size = canonical_count(n, min(region, SIZING_BOUND), min_entry)
     if size > MAX_SWEEP_VECTORS:
-        raise TooLarge(f"region holds {size} canonical vectors (cap {MAX_SWEEP_VECTORS})")
+        at_least = "at least " if region > SIZING_BOUND else ""
+        raise TooLarge(f"region holds {at_least}{size} canonical vectors (cap {MAX_SWEEP_VECTORS})")
     if not size:
         raise SearchInputError("empty search region")
     best: _Key | None = None
     examined = 0
     after: tuple[int, ...] | None = None
     if resume is not None:
-        best = _resume_key(resume, target, n, bound)
+        best = _resume_key(resume, target, n, bound, region)
         examined, after = resume.examined, resume.cursor
     everything = 1 << n
     floor_count = ceil(_floor(target, n) * everything)
@@ -663,7 +687,7 @@ def exhaustive_integer_search(
             head: tuple[int, ...], on_cursor: bool) -> None:
         nonlocal best, best_count, examined, next_checkpoint, done
         lo = after[d] if on_cursor else min_entry
-        hi = bound - total - (last - d) * min_entry
+        hi = region - total - (last - d) * min_entry
         hi = hi if hi < max_val else max_val  # min() costs a slow call here
         if d < last - 1:
             for v in range(lo, hi + 1):
@@ -675,7 +699,7 @@ def exhaustive_integer_search(
         for u in range(lo, hi + 1) if d < last else (max_val,):
             gu, tu, pu, squ, hu, oc = (g, total, poly, norm_sq, head, on_cursor) if d == last else (
                 gcd(g, u), total + u, poly + (poly << u * width), norm_sq + u * u, head + (u,), on_cursor and u == lo)
-            vs = range(after[last] + 1 if oc else min_entry, (u if u < bound - tu else bound - tu) + 1)
+            vs = range(after[last] + 1 if oc else min_entry, (u if u < region - tu else region - tu) + 1)
             if gu != 1:
                 vs = [v for v in vs if gcd(gu, v) == 1]
             for v in vs:
@@ -695,22 +719,14 @@ def exhaustive_integer_search(
         examined, best_count = seen, top
 
     try:
-        rec(0, bound, 0, 0, 1, -(target is SearchTarget.G), (), after is not None)
+        rec(0, region, 0, 0, 1, -(target is SearchTarget.G), (), after is not None)
     except KeyboardInterrupt:
         if on_checkpoint:
             on_checkpoint(state(*done))
         raise
     if examined != size:
         raise RuntimeError(f"sweep examined {examined} vectors of a region of {size}")
-    return SearchRecord(
-        target=target,
-        n=n,
-        best_value=DyadicProb(best[0], n),
-        witness=CoeffVec(best[1]),
-        vectors_examined=examined,
-        mode="exhaustive",
-        bound=bound,
-    )
+    return _record(target, best, examined, "exhaustive", bound)
 
 
 def _random_shard(schedule: KeySchedule, shard: int, shards: int, target: SearchTarget) -> _Shard:
@@ -754,17 +770,7 @@ def random_search(
     schedule = KeySchedule(seed, "{seed}:{k}", ((n, trials),), target.min_entry, entry_bound)
     (examined,), bests = run_sharded(_random_shard, schedule, target)
     _require_sample(examined)
-    count, entries = min(best for _, best in bests)
-    return SearchRecord(
-        target=target,
-        n=n,
-        best_value=DyadicProb(count, n),
-        witness=CoeffVec(entries),
-        vectors_examined=examined,
-        mode="random",
-        seed=seed,
-        bound=entry_bound,
-    )
+    return _record(target, min(best for _, best in bests), examined, "random", entry_bound, seed)
 
 
 def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRecord:
@@ -798,15 +804,7 @@ def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRe
         if best_move is None or best_move[0] >= current[0]:
             break
         current = best_move
-    return SearchRecord(
-        target=target,
-        n=start.n,
-        best_value=DyadicProb(current[0], start.n),
-        witness=CoeffVec(current[1]),
-        vectors_examined=examined,
-        mode="descent",
-        bound=steps,
-    )
+    return _record(target, current, examined, "descent", steps)
 
 
 def _tomaszewski_holds(a: CoeffVec, stream: Substream) -> bool:

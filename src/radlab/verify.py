@@ -28,7 +28,6 @@ from .conjectures import (
     GPRIME_TABLE,
     HK_BOUND,
     check_delta_alt,
-    check_pairing,
     combinatorial_fraction_gray,
 )
 from .core import CoeffVec, SignAssignment, canonicalize, sign_sum
@@ -43,6 +42,7 @@ from .counting import (
 from .dominance import case_lemma_7, dominates, upward_closure, verify_order_rules
 from .errors import NoWitness
 from .search import (
+    HUNT_PREDICATES,
     KeySchedule,
     SearchTarget,
     Substream,
@@ -214,14 +214,11 @@ def _comb_random_claim(trials: int, seed: int) -> ClaimResult:
     )
 
 
-def _pairing_holds(a: CoeffVec, stream: Substream) -> bool:
-    return check_pairing(a).holds
-
-
 def _pairing_claim(trials_per_n: int, seed: int) -> ClaimResult:
     runs = tuple((n, trials_per_n) for n in range(2, 9))
     schedule = KeySchedule(seed, "{seed}:pair:{n}:{i}", runs, 0, 20)
-    passed, checked = _sampled_claim(_pairing_holds, schedule)
+    # decided by the predicate of `hunt --predicate pairing`
+    passed, checked = _sampled_claim(HUNT_PREDICATES["pairing"][1], schedule)
     return ClaimResult(
         "pairing-sample",
         f"sorted pairing products stay within norm_sq, {trials_per_n} vectors per n in [2,8]",

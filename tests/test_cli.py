@@ -393,6 +393,16 @@ class TestHunt:
         assert main(argv) == EXIT_USAGE
         assert "dimension 3 is listed twice" in capsys.readouterr().err
 
+    def test_oversized_dimension_exit_2_before_any_draw(self, capsys, monkeypatch):
+        def no_draws(key):
+            raise AssertionError(f"drew key {key!r}")
+
+        monkeypatch.setattr(search, "Substream", no_draws)
+        argv = ["hunt", "--predicate", "tomaszewski", "--n", "3,30000000", "--trials", "2"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: dimension 30000000 exceeds cap 63\n")
+
     def test_nothing_to_evaluate_exit_2(self, capsys):
         # each of these evaluates no vector, which is not a clean pass
         base = ["hunt", "--predicate", "tomaszewski", "--n", "3", "--trials", "40"]
@@ -507,7 +517,8 @@ class TestVerifyPaperCommand:
          lambda: verify._dim7_sample_claims(3, 7)[:2]),
         ("combinatorial_fraction_gray", lambda a: SimpleNamespace(fraction=None),
          lambda: [verify._comb_random_claim(3, 7)]),
-        ("check_pairing", lambda a: SimpleNamespace(holds=False), lambda: [verify._pairing_claim(1, 7)]),
+        # the claim decides with the pairing hunt's predicate, which reads CHECKERS
+        ("pairing", lambda a: SimpleNamespace(violated=True), lambda: [verify._pairing_claim(1, 7)]),
         # every pair dominates: soundness fails; none does: completeness fails
         ("dominates", lambda s, t: True, lambda: verify._dominance_claims(1, 50, 6, 7)[2:]),
         ("dominates", lambda s, t: False, lambda: verify._dominance_claims(1, 50, 6, 7)[2:]),
@@ -518,7 +529,10 @@ class TestVerifyPaperCommand:
     ], ids=["dim7", "comb-random", "pairing", "dominance-sound", "dominance-complete",
             "crossval", "crossval-mitm", "crossval-reference"])
     def test_sampled_claim_fails_when_its_checker_disagrees(self, monkeypatch, name, fake, claims):
-        monkeypatch.setattr(verify, name, fake)
+        if name in CHECKERS:
+            monkeypatch.setitem(CHECKERS, name, fake)
+        else:
+            monkeypatch.setattr(verify, name, fake)
         assert {c.passed for c in claims()} == {False}
 
     def test_dim7_rule_failure_names_vector(self, monkeypatch):

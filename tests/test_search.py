@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from radlab import cli, search, verify
 from radlab.conjectures import CHECKERS, HOLDS, VIOLATED, CheckReport
-from radlab.core import CoeffVec, canonicalize
+from radlab.core import MAX_DIMENSION, CoeffVec, canonicalize
 from radlab.counting import tail_counts
 from radlab.errors import (
     ConjectureFalsified,
@@ -49,6 +49,8 @@ from radlab.search import (
     random_search,
     run_sharded,
 )
+
+from test_cli import QUICK_SHA256
 
 
 class TestTarget:
@@ -156,6 +158,35 @@ class TestExhaustive:
         for bound in (3, 16):
             with pytest.raises(DimensionError, match=f"^dimension {n} exceeds cap 63$"):
                 exhaustive_integer_search(n, SearchTarget.G, bound)
+
+    @pytest.mark.parametrize("target", [SearchTarget.G, SearchTarget.GPRIME], ids=["min-entry-0", "min-entry-1"])
+    def test_a_region_past_the_sizing_bound_is_refused_there(self, monkeypatch, target):
+        # every region with n >= 2 is over the cap at entry sum SIZING_BOUND,
+        # so the Moebius sum never runs at a larger bound (10^6 took ~10 s);
+        # the cache counts the calls of mu(d) and the distinct d
+        mobius = functools.lru_cache(maxsize=None)(search._mobius)
+        monkeypatch.setattr(search, "_mobius", mobius)
+        for n in range(2, MAX_DIMENSION + 1):
+            with pytest.raises(TooLarge, match=r"^region holds at least \d+ canonical vectors \(cap 5000000\)$"):
+                exhaustive_integer_search(n, target, 10**6)
+            info = mobius.cache_info()
+            assert (info.hits + info.misses, info.currsize) == ((n - 1) * search.SIZING_BOUND, search.SIZING_BOUND)
+
+    @pytest.mark.parametrize("target", list(SearchTarget))
+    def test_one_dimension_is_swept_at_entry_sum_one(self, monkeypatch, target):
+        # (1,) is the only canonical 1-vector: a huge bound is walked,
+        # sized and ranked at entry sum 1, and the record keeps the bound
+        small = exhaustive_integer_search(1, target, 24)
+        calls = []
+        mobius = search._mobius
+        monkeypatch.setattr(search, "_mobius", lambda d: calls.append(d) or mobius(d))
+        huge = exhaustive_integer_search(1, target, 10**9)
+        assert huge.bound == 10**9 and dataclasses.replace(huge, bound=24) == small
+        states = []
+        exhaustive_integer_search(1, target, 10**9, checkpoint_every=1, on_checkpoint=states.append)
+        assert [(s.bound, s.cursor, s.examined) for s in states] == [(10**9, (1,), 1)]
+        assert exhaustive_integer_search(1, target, 10**9, resume=states[0]) == huge
+        assert set(calls) == {1}
 
     def test_best_is_true_minimum(self):
         r = exhaustive_integer_search(3, SearchTarget.T, 8)
@@ -681,6 +712,28 @@ def test_input_errors_are_typed():
         resume_from(examined=3)
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_the_dimension_rule_runs_before_any_draw(two_cpus, workers):
+    # each search refuses a dimension below 1 or above the cap at once,
+    # with the type it raised when the draw or the count refused it
+    two_cpus.setenv("RADLAB_THREADS", workers)
+
+    def no_draws(key):
+        raise AssertionError(f"drew key {key!r}")
+
+    two_cpus.setattr(search, "Substream", no_draws)
+    for n, error, message in [(0, SearchInputError, "must be >= 1, got 0"),
+                              (64, DimensionError, "^dimension 64 exceeds cap 63$"),
+                              (30_000_000, DimensionError, "^dimension 30000000 exceeds cap 63$")]:
+        for call in (lambda: random_search(n, SearchTarget.T, 10, seed=7),
+                     lambda: hunt("tomaszewski", [n], 10, seed=7),
+                     lambda: exhaustive_integer_search(n, SearchTarget.G, 24)):
+            with pytest.raises(error, match=message):
+                call()
+    with pytest.raises(DimensionError, match="^dimension 64 exceeds cap 63$"):
+        hunt("tomaszewski", [3, 64], 10, seed=7)
+
+
 def _zero_draw_seed() -> int:
     return next(s for s in range(100) if search.Substream(f"{s}:1:0").draw(0, 1) == 0)
 
@@ -1053,7 +1106,7 @@ class TestSharded:
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("seed, digest", [
-        (7, "8b4eb017a3700c217d7c4b1e3950330ccb0149586fae7619715e41df89dffc39"),
+        (7, QUICK_SHA256),
         (20261017, "832181acdde0d20e49dd84ad3efb108890aa999c1e90f73702105e69110a0ef9"),
     ], ids=["7", "20261017"])
     def test_quick_report_does_not_depend_on_the_worker_count(self, two_cpus, seed, digest):
