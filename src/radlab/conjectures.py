@@ -238,6 +238,12 @@ def delta_sweep(a: CoeffVec) -> CheckReport:
     carries the left side in one running count, with no bisection:
     #(S > q) drops by count(v) at v, and #(S > norm_sq/q) rises by count(w)
     just after norm_sq/w.
+
+    With N = norm_sq, the left side #(S > q) + #(S > N/q) and its set of
+    jump points are symmetric under q -> N/q, so the interval mirroring
+    one above sqrt(N) lies below it and comes first: the first maximum
+    lies at or below sqrt(N).  The merge stops after the first point p
+    with p^2 >= N (v*v >= N at a value, w*w <= N at N/w).
     """
     _require_norm(a)
     norm_sq = a.norm_sq
@@ -251,7 +257,7 @@ def delta_sweep(a: CoeffVec) -> CheckReport:
     points: list[tuple[int, int]] = []
     after: list[int] = []
     i, j = 0, len(pos) - 1
-    while i < len(pos) or j >= 0:
+    while True:
         if j >= 0:
             w, cw = pos[j]
             cross = pos[i][0] * w if i < len(pos) else norm_sq + 1  # only w left
@@ -263,18 +269,26 @@ def delta_sweep(a: CoeffVec) -> CheckReport:
             if j >= 0 and cross == norm_sq:  # v == norm_sq/w: one point
                 lhs += cw
                 j -= 1
+            past = v * v - norm_sq
         else:
             points.append((norm_sq, w))
             lhs += cw
             j -= 1
+            past = norm_sq - w * w
         after.append(lhs)
+        if past >= 0:  # this point p has p^2 >= norm_sq
+            break
     # The samples are the points, one below the first and one above the
     # last, then the mediants between consecutive points, and the first
     # maximum wins.  The left side at a point is below the one on the
     # interval before it (v's count drops) or after it (w's count rises),
-    # so no point is a maximum, and above the last point (after[-1]) it
-    # equals below the first.
-    best = max(after)
+    # so no point is a maximum, and below the first point and above the
+    # last it counts every positive sum once.  The interval after p
+    # (after[-1]) mirrors an earlier one or the one below the first point,
+    # so it is never the first maximum and points[k + 1] exists.  The
+    # points walked before p lie below sqrt(norm_sq) and their mirrors at
+    # or past p, which is its own mirror if p^2 == norm_sq.
+    best = max(max(after), positive)
     if best == positive:
         p, q = _reduced(*points[0])
         q += 1
@@ -288,7 +302,7 @@ def delta_sweep(a: CoeffVec) -> CheckReport:
     values = {
         "max_lhs": best_lhs,
         "argmax_q": best_q,
-        "points_tested": 2 * len(points) + 1,
+        "points_tested": 2 * (2 * (len(points) - 1) + (past == 0)) + 1,
     }
     witness = None if holds else {"q": best_q, "max_lhs": best_lhs}
     return CheckReport(
@@ -329,7 +343,7 @@ def check_pairing(a: CoeffVec) -> CheckReport:
             max_product = p
         if p > a.norm_sq and witness is None:
             witness = {"k": k, "s_k": s_k, "partner": partner}
-        step = min(left, right)
+        step = left if left < right else right  # min() costs a slow call here
         k += step
         if 2 * k > half + 1:
             break

@@ -28,13 +28,17 @@ the tests against a Gray-code sweep and a literal enumeration of all
 2^n sign vectors.
 
 ``distribution`` reads the 2^n sign sums from the smaller table that
-fits: the same product with T+1 64-bit slots (when T < 2^n), else the
-2^n sums listed, else TooLarge.  A one-slot memo keyed by the entries
-hands the same immutable table to consecutive calls on one vector, so
-``delta_sweep`` and ``check_pairing`` after ``distribution`` build it
-once.  Any other call empties the slot before it builds, so the slot
-never holds two tables at once; it retains the last vector's table (up
-to hundreds of MB) until a call on another vector.
+fits: the same product with T+1 slots (when T < 2^n), each the
+narrowest of 8, 16, 32 or 64 bits wider than n, else the 2^n sums
+listed, else TooLarge.  The slots are checked before the table is
+built: they must sum to 2^n (no slot carried) and read the same
+backwards (the table is symmetric), or distribution raises.  A
+one-slot memo keyed by the entries hands the same immutable table to
+consecutive calls on one vector, so ``delta_sweep`` and
+``check_pairing`` after ``distribution`` build it once.  Any other call
+empties the slot before it builds, so the slot never holds two tables
+at once; it retains the last vector's table (up to hundreds of MB)
+until a call on another vector.
 
 One size rule admits every table from n and T, before anything is
 allocated: T+1 packed slots must fit GF_BIT_BUDGET bits (``_packed_fits``),
@@ -81,6 +85,9 @@ Side = Literal["one-sided", "two-sided"]
 # (2^ceil(n/2) of them) and the packed integer within the bit budget.
 GF_WORK_PER_HALF_SUM = 10_000
 GF_BIT_BUDGET = 1 << 26
+# The packed slot widths of distribution, narrowest first, with the
+# memoryview format that reads a slot of that width.
+_SLOT_FORMATS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 # The listed-sums byte budget and its cost model (see the module docstring).
 LISTED_BUDGET = 1 << 30
 _HALF_SUM_BYTES, _SUM_BYTES, _DIGIT_BYTES = 48, 170, 8
@@ -158,6 +165,23 @@ class SumDistribution:
         if min(counts) <= 0 or counts != counts[::-1] or any(map(add, vals, reversed(vals))):
             raise ValueError("distribution must be symmetric")
 
+    @classmethod
+    def _from_slots(cls, n: int, slots: list[int]) -> "SumDistribution":
+        """The table of packed slots m = 0..T, slot m counting the sign sums
+        T - 2m, built without ``__post_init__``.  The slots themselves are
+        checked: they sum to 2^n, so none carried, and read the same
+        backwards, so the table is symmetric.  Its values come from a range
+        and its counts are the nonzero slots, so they increase and are
+        positive by construction."""
+        if sum(slots) != 1 << n or slots != slots[::-1]:
+            raise RuntimeError(f"packed slots of an {n}-vector do not sum to 2^{n} symmetrically")
+        total = len(slots) - 1
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "n", n)
+        object.__setattr__(dist, "pairs", tuple(zip(compress(range(-total, total + 1, 2), slots),
+                                                    filter(None, slots))))
+        return dist
+
 
 def _threshold_boundary(norm_sq: int, rho: RationalLike) -> tuple[int, bool]:
     """floor(rho * sqrt(norm_sq)) and whether the product is an exact integer."""
@@ -202,8 +226,9 @@ _last_table: tuple[tuple[int, ...], SumDistribution] | None = None
 
 def distribution(a: CoeffVec) -> SumDistribution:
     """Exact multiset of sign-sum values with multiplicities.  Packed slot m
-    (64 bits > n) counts the sign sums T - 2m and equals slot T - m, so read
-    in native byte order the slots are the counts of -T, -T+2, ..., T.
+    (8, 16, 32 or 64 bits, the narrowest wider than n, as no slot exceeds
+    2^n) counts the sign sums T - 2m and equals slot T - m, so read in
+    native byte order the slots are the counts of -T, -T+2, ..., T.
 
     A call on the entries of the previous call returns the same table
     object.  Any other call first empties the one-slot memo, so no earlier
@@ -216,16 +241,16 @@ def distribution(a: CoeffVec) -> SumDistribution:
         return last[1]
     _last_table = None
     n, total = a.n, a.total
-    if total < 1 << n and _packed_fits(64, total):
-        poly = _packed_product(a.entries, 64)
-        counts = memoryview(poly.to_bytes(8 * (total + 1), sys.byteorder)).cast("Q").tolist()
-        pairs = tuple(zip(compress(range(-total, total + 1, 2), counts), filter(None, counts)))
+    width, fmt = next(slot for slot in _SLOT_FORMATS if n < slot[0])
+    if total < 1 << n and _packed_fits(width, total):
+        poly = _packed_product(a.entries, width)
+        dist = SumDistribution._from_slots(
+            n, memoryview(poly.to_bytes(width // 8 * (total + 1), sys.byteorder)).cast(fmt).tolist())
     elif _listed_fits(1 << n, _SUM_BYTES, total):
         # a Counter keeps first-seen order: counting sorted sums encodes runs
-        pairs = tuple(Counter(_half_sums(a.entries)).items())
+        dist = SumDistribution(n, tuple(Counter(_half_sums(a.entries)).items()))
     else:
         raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: neither sum table fits")
-    dist = SumDistribution(n, pairs)
     _last_table = (a.entries, dist)
     return dist
 

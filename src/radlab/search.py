@@ -78,7 +78,10 @@ from .errors import (
 
 DEFAULT_ENTRY_BOUND = 20
 MAX_SWEEP_VECTORS = 5_000_000
-# the largest entry sum at which an exhaustive sweep sizes its region
+# an exhaustive sweep sizes its region at entry sums doubling from
+# FIRST_SIZING (or once, at its own bound, if that is smaller) up to
+# SIZING_BOUND, the largest
+FIRST_SIZING = 1 << 6
 SIZING_BOUND = 1 << 13
 # the least work a pooled sample gives each worker, in seconds of the
 # probe's estimate: two forked workers start in ~12 ms, and samples of
@@ -530,18 +533,22 @@ def estimate_search_size(n: int, bound: int, min_entry: int = 0) -> int:
     return total - 1 if min_entry == 0 else total
 
 
-def _mobius(d: int) -> int:
-    """The Moebius function: 0 when a square divides d, else -1 to the
-    number of prime factors of d."""
-    sign, p = 1, 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if d > 1 else sign
+def _mobius_table(limit: int) -> list[int]:
+    """The Moebius function mu(d) for d = 1..limit, after a 0 at d = 0: 0
+    when a square divides d, else -1 to the number of prime factors of d.
+    One sieve flips the sign at the multiples of each prime p and zeroes
+    the multiples of p^2."""
+    mu = [0] + [1] * limit
+    composite = bytearray(limit + 1)
+    for p in range(2, limit + 1):
+        if composite[p]:
+            continue
+        composite[p::p] = b"\x01" * len(range(p, limit + 1, p))
+        for m in range(p, limit + 1, p):
+            mu[m] = -mu[m]
+        for m in range(p * p, limit + 1, p * p):
+            mu[m] = 0
+    return mu
 
 
 def canonical_count(n: int, bound: int, min_entry: int = 0, upto: tuple[int, ...] | None = None) -> int:
@@ -555,11 +562,10 @@ def canonical_count(n: int, bound: int, min_entry: int = 0, upto: tuple[int, ...
     gcd 1 number sum_d mu(d) * (multiples of d, less the zero tuple).  A
     tuple before ``upto`` shares a prefix of it and then has a smaller entry.
     ``_count_sequences`` counts each such set at once, as a sum of
-    Gaussian-binomial coefficients.
+    Gaussian-binomial coefficients.  mu is sieved once per call.
     """
     total = 0
-    for d in range(1, bound + 1):
-        mu = _mobius(d)
+    for d, mu in enumerate(_mobius_table(bound)):
         if not mu:
             continue
         lo = -(-min_entry // d)
@@ -639,10 +645,13 @@ def exhaustive_integer_search(
     the state of the last checkpoint or finished run of final entries, so
     that its cursor, best and examined agree.
 
-    After the dimension rule, ``canonical_count`` sizes the region exactly
-    before the walk, or refuses it at entry sum ``SIZING_BOUND``: it sets
-    the budget, rejects an empty region, and must equal the vectors
-    examined at the end, or the walk is broken (RuntimeError).
+    After the dimension rule, ``canonical_count`` sizes the region before
+    the walk at entry sums doubling from ``FIRST_SIZING`` up to the bound
+    (a bound up to ``FIRST_SIZING`` once, at itself), and the first one
+    over the cap refuses it; at ``SIZING_BOUND`` every region with n >= 2
+    is.  The last, exact, size sets the budget, rejects an empty region,
+    and must equal the vectors examined at the end, or the walk is broken
+    (RuntimeError).
     """
     _check_dimensions([n])
     if checkpoint_every < 0:
@@ -651,13 +660,19 @@ def exhaustive_integer_search(
     # the only canonical 1-vector is (1,): that region is walked, sized and
     # ranked at entry sum <= 1, and checkpoints and the record keep bound
     region = min(bound, 1) if n == 1 else bound
-    # a region only grows with its bound, and at SIZING_BOUND every one with
-    # n >= 2 is over the cap: sized there, a larger bound is refused before
-    # the Moebius sum at its own bound (~bound^1.5 steps) would run
-    size = canonical_count(n, min(region, SIZING_BOUND), min_entry)
-    if size > MAX_SWEEP_VECTORS:
-        at_least = "at least " if region > SIZING_BOUND else ""
-        raise TooLarge(f"region holds {at_least}{size} canonical vectors (cap {MAX_SWEEP_VECTORS})")
+    # a region only grows with its bound, so one over the cap at a smaller
+    # entry sum is refused there: no Moebius sum runs past the first
+    # over-cap doubling, which a large n reaches at FIRST_SIZING already
+    top = min(region, SIZING_BOUND)
+    at = min(top, FIRST_SIZING)
+    while True:
+        size = canonical_count(n, at, min_entry)
+        if size > MAX_SWEEP_VECTORS:
+            at_least = "at least " if at < region else ""
+            raise TooLarge(f"region holds {at_least}{size} canonical vectors (cap {MAX_SWEEP_VECTORS})")
+        if at == top:
+            break
+        at = min(2 * at, top)
     if not size:
         raise SearchInputError("empty search region")
     best: _Key | None = None

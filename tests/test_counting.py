@@ -4,8 +4,10 @@ the Gray-code and literal-enumeration oracles of ``oracles``, which are
 checked against each other here."""
 
 import random
+import struct
 import tracemalloc
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -20,6 +22,7 @@ from radlab.counting import (
     _SUM_BYTES,
     ONE_SIDED,
     TWO_SIDED,
+    _SLOT_FORMATS,
     SumDistribution,
     TailCounts,
     _half_sums,
@@ -179,6 +182,58 @@ class TestDistribution:
 
     def test_n63_zero_vector_is_one_slot(self):
         assert distribution(CoeffVec((0,) * 63)).pairs == ((0, 1 << 63),)
+
+    def test_slot_formats_read_their_widths(self):
+        assert [(width, 8 * struct.calcsize(fmt)) for width, fmt in _SLOT_FORMATS] == [
+            (8, 8), (16, 16), (32, 32), (64, 64)]
+
+    @pytest.mark.parametrize("n", [7, 8, 15, 16, 31, 32, 63])
+    def test_slot_width_boundaries(self, n):
+        # a slot is the narrowest of 8, 16, 32 and 64 bits wider than n:
+        # the zero vector's one slot holds 2^n, the largest count there is
+        assert distribution(CoeffVec((0,) * n)).pairs == ((0, 1 << n),)
+        if n == 63:
+            return
+        ones = CoeffVec((1,) * n)
+        pairs = tuple((n - 2 * k, comb(n, k)) for k in range(n, -1, -1))
+        assert distribution(ones).pairs == pairs
+        if n <= 16:
+            assert pairs == tuple(Counter(_half_sums(ones.entries)).items())
+
+    @pytest.mark.parametrize("carry", [
+        lambda slot, width: (1 << width) + 1 - slot,  # slot 1 reads 1, slot 2 one more: the sum moves
+        lambda slot, width: (1 << width) - 1,  # slot 1 one less, slot 2 one more: the sum stays
+    ])
+    def test_a_carried_slot_raises(self, monkeypatch, carry):
+        from radlab import counting
+
+        product = counting._packed_product
+
+        def carried(entries, width):
+            poly = product(entries, width)
+            slot = (poly >> width) & ((1 << width) - 1)
+            return poly + (carry(slot, width) << width)
+
+        a = CoeffVec((3, 2, 2, 1))
+        distribution(CoeffVec((1,)))  # empty the memo
+        monkeypatch.setattr(counting, "_packed_product", carried)
+        with pytest.raises(RuntimeError, match="do not sum to 2"):
+            distribution(a)
+        monkeypatch.undo()
+        assert distribution(a).pairs == tuple(Counter(_half_sums(a.entries)).items())
+
+    def test_32_bit_slots_fit_entry_sums_the_64_bit_ones_did_not(self, monkeypatch):
+        # n = 21 with T = 2^20 takes 32-bit slots, which fit where 64-bit
+        # ones did not, so the 2^21 sums are never listed; the table is
+        # +-(2^20 - 20) plus 20 ones' binomial
+        from radlab import counting
+
+        monkeypatch.setattr(counting, "_half_sums", None)
+        big = (1 << 20) - 20
+        a = CoeffVec((big,) + (1,) * 20)
+        assert (a.total, _packed_fits(32, a.total), _packed_fits(64, a.total)) == (1 << 20, True, False)
+        upper = [(big + 20 - 2 * k, comb(20, k)) for k in range(20, -1, -1)]
+        assert distribution(a).pairs == tuple((-v, c) for v, c in reversed(upper)) + tuple(upper)
 
     def test_cap(self, too_large_before_allocating):
         # 25 small entries fit the packed slots; 25 wide ones fit neither
@@ -381,9 +436,11 @@ class TestSizeRule:
             assert not _listed_fits(1 << 23, _SUM_BYTES, total)
 
     def test_packed_boundary(self):
-        # T+1 slots of 64 bits within 2^26 bits
+        # T+1 slots of 64 bits within 2^26 bits, and of 32 bits
         assert _packed_fits(64, (1 << 20) - 1)
         assert not _packed_fits(64, 1 << 20)
+        assert _packed_fits(32, (1 << 21) - 1)
+        assert not _packed_fits(32, 1 << 21)
 
     @pytest.mark.parametrize("width", [20, 1000])
     def test_model_bounds_the_measured_peak(self, width):

@@ -419,6 +419,12 @@ def test_linear_checkers_match_oracles_on_synthetic_tables(case):
         assert_checkers_match_oracles(a)
 
 
+def realized(entries):
+    """A vector and its own table of sign sums."""
+    a = canonicalize(entries)
+    return a, SumDistribution(a.n, sign_sum_table(a))
+
+
 HAND_TABLES = {
     # upper half 0, 2, 3, 9 against norm_sq 3: k = 1 pairs 0 with 9, and
     # the midpoint k = 2 pairs 2 with 3, whose product 6 exceeds 3
@@ -428,6 +434,17 @@ HAND_TABLES = {
     "coincident-points": (canonicalize([2, 1, 1]), table(3, [1, 2, 3, 5])),
     "tied-mediants": (canonicalize([1, 1, 1]), table(3, [0, 1, 4, 4])),
     "tied-with-below-first": (canonicalize([1, 1, 1]), table(3, [0, 0, 1, 2])),
+    # delta_sweep walks the jump points up to the first p with p^2 >= norm_sq:
+    # 12 + 4 - 3 = 13 = ||a||, a value and its own norm_sq/w point
+    "root-realized": realized([12, 4, 3]),
+    # the walk stops on norm_sq/w = 18/4 with w^2 < norm_sq (at w^2 = norm_sq
+    # the point is also the value w, as in root-realized)
+    "stops-on-quotient": realized([4, 1, 1]),
+    # every positive value below ||a||: the values run out, then norm_sq/2
+    "all-below-norm": (canonicalize([2, 1, 1]), table(3, [0, 1, 2, 2])),
+    "all-above-norm": realized([1, 1]),
+    # the first maximum lies on (14/4, 4), which straddles ||a|| = sqrt(14)
+    "straddle-maximum": realized([3, 2, 1]),
 }
 
 
@@ -465,6 +482,25 @@ def test_hand_tables_show_their_cases(monkeypatch):
         report = delta_sweep(a)
         assert report.values["argmax_q"] == Fraction(*samples[lhs.index(max(lhs))][0])
         assert report.violated == violated
+
+    # the half walk's edges: the jump points at and past ||a||, and the
+    # values' side of it
+    def split_at_norm(name):
+        a, dist = use(name)
+        positive = [v for v, _ in dist.pairs if v > 0]
+        points = [Fraction(p, q) for p, q in _jump_points(positive, a.norm_sq)]
+        return a, positive, [x for x in points if x * x < a.norm_sq], [x for x in points if x * x >= a.norm_sq]
+
+    a, positive, _, upper = split_at_norm("root-realized")
+    assert upper[0] == 13 and 13 in positive and a.norm_sq == 13 * 13
+    a, positive, _, upper = split_at_norm("stops-on-quotient")
+    assert upper[0] == Fraction(a.norm_sq, 4) and upper[0] not in positive and 4 * 4 < a.norm_sq
+    a, positive, _, _ = split_at_norm("all-below-norm")
+    assert all(v * v < a.norm_sq for v in positive)
+    a, positive, _, _ = split_at_norm("all-above-norm")
+    assert all(v * v > a.norm_sq for v in positive)
+    a, _, lower, upper = split_at_norm("straddle-maximum")
+    assert lower[-1] < delta_sweep(a).values["argmax_q"] < upper[0]
 
 
 def _checker_args(name):

@@ -143,9 +143,25 @@ class TestExhaustive:
         assert r.witness.entries == (1, 1)
 
     def test_budget_refusal_of_a_huge_region(self):
-        # the region is sized in closed form: 78,392,880 vectors, no walk
-        with pytest.raises(TooLarge, match=r"78392880 canonical vectors \(cap 5000000\)"):
+        # the region holds 78,392,880 vectors, counted in closed form; the
+        # sweep refuses it at entry sum 1024, its first over-cap doubling,
+        # with no walk, and a region over the cap at its own bound exactly
+        assert canonical_count(3, 1500) == 78392880
+        with pytest.raises(TooLarge, match=r"^region holds at least 25003665 canonical vectors \(cap 5000000\)$"):
             exhaustive_integer_search(3, SearchTarget.G, 1500)
+        with pytest.raises(TooLarge, match=r"^region holds 10165443 canonical vectors \(cap 5000000\)$"):
+            exhaustive_integer_search(20, SearchTarget.G, 64)
+
+    @pytest.mark.parametrize("bound, sums", [(32, [32]), (36, [36]), (64, [64]), (100, [64, 100]),
+                                             (300, [64, 128, 256, 300])])
+    def test_a_region_is_sized_at_doubling_entry_sums(self, monkeypatch, bound, sums):
+        # a bound up to FIRST_SIZING is sized once, at itself; a larger one
+        # at 64, 128, ... and then at itself
+        exact, sized = search.canonical_count, []
+        monkeypatch.setattr(search, "canonical_count", lambda *args: sized.append(args[1]) or exact(*args))
+        rec = exhaustive_integer_search(3, SearchTarget.G, bound)
+        assert sized == sums
+        assert rec.vectors_examined == exact(3, bound)
 
     @pytest.mark.parametrize("n", [64, 900, 1200])
     def test_oversized_dimension_refused_before_counting(self, monkeypatch, n):
@@ -161,16 +177,27 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("target", [SearchTarget.G, SearchTarget.GPRIME], ids=["min-entry-0", "min-entry-1"])
     def test_a_region_past_the_sizing_bound_is_refused_there(self, monkeypatch, target):
-        # every region with n >= 2 is over the cap at entry sum SIZING_BOUND,
-        # so the Moebius sum never runs at a larger bound (10^6 took ~10 s);
-        # the cache counts the calls of mu(d) and the distinct d
-        mobius = functools.lru_cache(maxsize=None)(search._mobius)
-        monkeypatch.setattr(search, "_mobius", mobius)
+        # a region is sized at entry sums doubling from FIRST_SIZING and
+        # refused at the first one over the cap, SIZING_BOUND at the latest:
+        # no Moebius sum runs past it (the sum at 10^6 took ~10 s)
+        exact, table = search.canonical_count, search._mobius_table
+        sized, sieved, first_over = [], [], {}
+        monkeypatch.setattr(search, "canonical_count", lambda *args: sized.append((args[1], exact(*args))) or sized[-1][1])
+        monkeypatch.setattr(search, "_mobius_table", lambda limit: sieved.append(limit) or table(limit))
         for n in range(2, MAX_DIMENSION + 1):
-            with pytest.raises(TooLarge, match=r"^region holds at least \d+ canonical vectors \(cap 5000000\)$"):
+            sized.clear()
+            sieved.clear()
+            with pytest.raises(TooLarge) as refused:
                 exhaustive_integer_search(n, target, 10**6)
-            info = mobius.cache_info()
-            assert (info.hits + info.misses, info.currsize) == ((n - 1) * search.SIZING_BOUND, search.SIZING_BOUND)
+            sums, sizes = zip(*sized)
+            assert sums == tuple(search.FIRST_SIZING << k for k in range(len(sums))), n
+            assert sums[-1] <= search.SIZING_BOUND
+            assert max(sizes[:-1], default=0) <= search.MAX_SWEEP_VECTORS < sizes[-1]
+            assert str(refused.value) == f"region holds at least {sizes[-1]} canonical vectors (cap 5000000)"
+            assert max(sieved) == sums[-1]
+            first_over[n] = sums[-1]
+        assert first_over[2] == search.SIZING_BOUND
+        assert max(first_over[n] for n in range(20, MAX_DIMENSION + 1)) <= 2 * search.FIRST_SIZING
 
     @pytest.mark.parametrize("target", list(SearchTarget))
     def test_one_dimension_is_swept_at_entry_sum_one(self, monkeypatch, target):
@@ -178,8 +205,8 @@ class TestExhaustive:
         # sized and ranked at entry sum 1, and the record keeps the bound
         small = exhaustive_integer_search(1, target, 24)
         calls = []
-        mobius = search._mobius
-        monkeypatch.setattr(search, "_mobius", lambda d: calls.append(d) or mobius(d))
+        table = search._mobius_table
+        monkeypatch.setattr(search, "_mobius_table", lambda limit: calls.append(limit) or table(limit))
         huge = exhaustive_integer_search(1, target, 10**9)
         assert huge.bound == 10**9 and dataclasses.replace(huge, bound=24) == small
         states = []
