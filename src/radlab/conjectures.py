@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 
-from .core import CoeffVec, DyadicProb, RationalLike, parse_vector
-from .counting import ONE_SIDED, TailCounts, distribution, tail_counts
+from .core import CoeffVec, DyadicProb, RationalLike
+from .counting import ONE_SIDED, TailCounts, _refuse_inexact, distribution, tail_counts
 from .errors import (
     DimensionError,
     InvalidThreshold,
@@ -170,6 +170,7 @@ def check_delta_inequality(a: CoeffVec, delta: RationalLike) -> CheckReport:
     re-checked directly.
     """
     _require_norm(a)
+    _refuse_inexact(delta, "delta")
     delta = Fraction(delta)
     if delta <= 0:
         raise InvalidThreshold(f"delta must be positive, got {delta}")
@@ -198,6 +199,7 @@ def check_delta_alt(a: CoeffVec, delta: RationalLike) -> CheckReport:
     valid in general; its truth value is reported separately.
     """
     _require_norm(a)
+    _refuse_inexact(delta, "delta")
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise InvalidThreshold(f"delta must be in (0, 1], got {delta}")
@@ -491,10 +493,3 @@ CHECKERS = {
     "hk": check_hk_bound,
     "gprime": check_gprime,
 }
-
-
-def rerun(report: CheckReport) -> CheckReport:
-    """Re-execute the named predicate on the stored input; used to confirm
-    that every report is reproducible bit for bit."""
-    vec = parse_vector(str(report.vector))
-    return CHECKERS[report.predicate](vec, **{k: Fraction(v) for k, v in report.params.items()})

@@ -3,7 +3,8 @@ probabilities and single sign sums.
 
 All arithmetic is integer or reduced-rational.  Norms are never
 materialized: ``norm_sq`` carries ||a||^2, and every threshold
-``rho * ||a||`` is decided on squares by ``counting._threshold_boundary``.
+``rho * ||a||`` is decided on squares by ``counting._limits``, the largest
+integers below it and not above it.
 """
 
 from __future__ import annotations

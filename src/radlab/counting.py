@@ -4,7 +4,7 @@ Two engines produce identical counts:
 
 - ``tail_counts_gf`` packs the subset-sum generating function
   prod (1 + x^(a_i)) into one integer (Kronecker substitution), with
-  n+1 bits per coefficient: n shift-adds build it, and ``_packed_counts``
+  n+1 bits per coefficient: n shift-adds build it, and ``_packed_le``
   reads each count as one shift plus one reduction modulo 2^(n+1) - 1,
   the read the exhaustive sweep makes inline, once per vector.
 - ``tail_counts_mitm``, meet-in-the-middle (Horowitz-Sahni), builds the
@@ -14,8 +14,9 @@ Two engines produce identical counts:
   with every right sum and those that pair with none, and one walk over
   the left sums between them with a pointer that only moves down.
 
-Each engine counts #(S <= k0 - 1 if exact else k0) and #(S == k0) over
-the sign sums S, and ``_classify`` makes the classes of either side.
+Each engine answers one question, #(S <= v) over the sign sums S, at
+the two limits of the key trick below, and ``_classify`` makes the
+classes of either side.
 
 ``tail_counts`` picks one by a fixed cost rule, ``tail_count_engine``:
 the packed polynomial when the n*T*(n+1) bits its shift-adds touch
@@ -50,15 +51,17 @@ and 175 B per sum listed by ``distribution``, each +4 B per digit.
 Entries below 2^21 thus admit meet-in-the-middle to n = 46, listed sums
 to n = 22.
 
-The key trick: for integer sums S and rational rho >= 0, let
-``k0 = floor(rho * ||a||)`` (computed from squares with isqrt) and let
-``exact`` record whether the threshold is itself an integer.  Then
+The key trick: for integer sums S and rational rho >= 0, let lt and le
+be the largest integers below rho*||a|| and not above it (``_limits``,
+one isqrt on squares; lt = le - 1 exactly when rho*||a|| is an integer,
+else lt = le).  Then
 
-    S <  rho*||a||   iff  S <= k0 - 1 if exact else S <= k0
-    S == rho*||a||   iff  exact and S == k0
-    S >  rho*||a||   iff  S >= k0 + 1
+    #(S <  rho*||a||) = #(S <= lt)
+    #(S == rho*||a||) = #(S <= le) - #(S <= lt)
+    #(S >  rho*||a||) = 2^n - #(S <= le)
 
-which turns the whole count into machine-integer comparisons.
+which turns the whole count into machine-integer comparisons, and an
+engine reads its count at le only when le != lt.
 """
 
 from __future__ import annotations
@@ -183,34 +186,44 @@ class SumDistribution:
         return dist
 
 
-def _threshold_boundary(norm_sq: int, rho: RationalLike) -> tuple[int, bool]:
-    """floor(rho * sqrt(norm_sq)) and whether the product is an exact integer."""
+def _limits(norm_sq: int, rho: RationalLike) -> tuple[int, int]:
+    """lt, le: the largest integers below rho * sqrt(norm_sq) and not above
+    it.  le = floor(sqrt(num^2 * norm_sq / den^2)) by one isqrt, and
+    lt = le - 1 exactly when le^2 * den^2 == num^2 * norm_sq."""
     num, den = rho.numerator, rho.denominator
     t2num = num * num * norm_sq
     t2den = den * den
-    k0 = isqrt(t2num // t2den)
-    return k0, k0 * k0 * t2den == t2num
+    le = isqrt(t2num // t2den)
+    return (le - 1 if le * le * t2den == t2num else le), le
 
 
-def _classify(n: int, below: int, at: int, k0: int, exact: bool, side: Side) -> TailCounts:
-    """The three classes from below = #(S <= k0 - 1 if exact else k0) and
-    at = #(S == k0) if exact else 0 over the sign sums S.
+def _classify(n: int, below: int, upto: int, side: Side) -> TailCounts:
+    """The three classes from below = #(S <= lt) and upto = #(S <= le)
+    over the sign sums S.
 
-    S and -S are equally frequent, so the two-sided classes follow from
-    the one-sided ones: #(|S| <= v) = 2*#(S <= v) - 2^n for v >= 0, and
-    #(|S| == v) = 2*#(S == v) for v > 0.  At v = -1 (k0 = 0, exact) the
-    same formula gives -#(S == 0) <= 0, and no |S| is negative.
+    S and -S are equally frequent, so the two-sided counts follow from
+    the one-sided ones: #(|S| <= v) = 2*#(S <= v) - 2^n for v >= 0, as le
+    always is.  At v = -1 (lt at rho = 0) the same formula gives
+    -#(S == 0) <= 0, and no |S| is negative, so below is clamped at 0.
     """
     everything = 1 << n
     if side == TWO_SIDED:
         below = max(2 * below - everything, 0)
-        if k0:
-            at *= 2
-    return TailCounts(n, below, at, everything - below - at)
+        upto = 2 * upto - everything
+    return TailCounts(n, below, upto - below, everything - upto)
+
+
+def _refuse_inexact(value: object, what: str) -> None:
+    """Refuse a float or a bool as a threshold: the float 1/3 is not 1/3,
+    and True is not a number."""
+    if isinstance(value, (bool, float)):
+        raise InvalidThreshold(f"{what} {value!r} is not exact; use int or Fraction")
 
 
 def _validated(a: CoeffVec, rho: RationalLike, side: Side) -> RationalLike:
-    rho = rho if isinstance(rho, int) else Fraction(rho)  # an int has numerator and denominator
+    if type(rho) is not int:  # an int has numerator and denominator
+        _refuse_inexact(rho, "threshold multiplier")
+        rho = Fraction(rho)
     if rho < 0:
         raise InvalidThreshold(f"negative threshold multiplier {rho}")
     if a.norm_sq == 0:
@@ -282,22 +295,17 @@ def _gf_width(n: int) -> int:
     return n + 1
 
 
-def _packed_counts(poly: int, width: int, total: int, k0: int, exact: bool) -> tuple[int, int]:
-    """The counts _classify takes, read off the packed product poly of a
-    nonnegative vector with entry sum total and width > n bits per slot.
+def _packed_le(poly: int, width: int, total: int, v: int) -> int:
+    """#(S <= v) over the sign sums S, read off the packed product poly of
+    a nonnegative vector with entry sum total and width > n bits per slot.
 
     Slot m counts the subsets with sum m, whose sign sum is S = T - 2m, so
-    S <= v in the slots m >= (T - v) / 2.  No slot exceeds 2^n < 2^width - 1,
-    so the slots above one right shift are summed exactly by a single
-    reduction modulo 2^width - 1, and one slot is one mask.
+    S <= v in the slots m >= (T - v + 1) // 2.  No slot exceeds
+    2^n < 2^width - 1, so the slots above one right shift are summed
+    exactly by a single reduction modulo 2^width - 1.
     """
-    mask = (1 << width) - 1
-    # the first slot with S <= k0 - 1 if exact else k0
-    m = (total - k0 + 2) // 2 if exact else (total - k0 + 1) // 2
-    below = (poly >> m * width) % mask if m > 0 else poly % mask
-    if exact and 2 * m - 2 == total - k0 >= 0:  # slot m - 1 holds S == k0
-        return below, (poly >> (m - 1) * width) & mask
-    return below, 0
+    m = (total - v + 1) // 2
+    return (poly >> m * width if m > 0 else poly) % ((1 << width) - 1)
 
 
 def tail_count_engine(a: CoeffVec) -> str:
@@ -333,15 +341,16 @@ tail_counts_threshold = tail_counts
 def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
     """Count from the subset-sum generating function prod (1 + x^(a_i)),
     packed into one integer with n+1 bits per slot and read by
-    ``_packed_counts``."""
+    ``_packed_le``."""
     rho = _validated(a, rho, side)
     n, total = a.n, a.total
     width = _gf_width(n)
     if not _packed_fits(width, total):
         raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: the packed product does not fit")
-    k0, exact = _threshold_boundary(a.norm_sq, rho)
-    below, at = _packed_counts(_packed_product(a.entries, width), width, total, k0, exact)
-    return _classify(n, below, at, k0, exact, side)
+    lt, le = _limits(a.norm_sq, rho)
+    poly = _packed_product(a.entries, width)
+    below = _packed_le(poly, width, total, lt)
+    return _classify(n, below, below if le == lt else _packed_le(poly, width, total, le), side)
 
 
 def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
@@ -352,8 +361,8 @@ def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED)
     x + right[0] > v with none.  As x ascends through the left sums in
     between, v - x descends, so the number of right sums <= v - x is read
     by one pointer into the right list that only moves down and never
-    reaches either end.  #(S <= v) costs one bounded walk, and an exact
-    threshold, #(S == k0) = #(S <= k0) - #(S <= k0 - 1), two."""
+    reaches either end.  #(S <= v) costs one bounded walk, read at lt and,
+    for an integer threshold, at le."""
     rho = _validated(a, rho, side)
     split = (a.n + 1) // 2
     if not _listed_fits((1 << split) + (1 << a.n - split), _HALF_SUM_BYTES, a.total):
@@ -376,6 +385,6 @@ def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED)
                 total += j
         return total
 
-    k0, exact = _threshold_boundary(a.norm_sq, rho)
-    below = count_le(k0 - 1 if exact else k0)
-    return _classify(a.n, below, count_le(k0) - below if exact else 0, k0, exact, side)
+    lt, le = _limits(a.norm_sq, rho)
+    below = count_le(lt)
+    return _classify(a.n, below, below if le == lt else count_le(le), side)

@@ -168,18 +168,6 @@ def _reaches_norm(a: CoeffVec, d: int, strict: bool) -> bool:
     return d * d > a.norm_sq if strict else d * d >= a.norm_sq
 
 
-def membership_form(a: CoeffVec, J: SignAssignment) -> int:
-    """The quadratic form whose sign decides whether (J)_n reaches the norm:
-
-        sum over pairs inside J  +  sum over pairs inside its complement
-        -  sum over cross pairs J x complement
-
-    read off one sign sum as ((a.(J)_n)^2 - ||a||^2) / 2.
-    """
-    d = sign_sum(a, J)
-    return (d * d - a.norm_sq) // 2
-
-
 def vsd_membership_quadratic(a: CoeffVec, J: SignAssignment, strict: bool = False) -> bool:
     """Decide (J)_n in V_sd(a) (strict=False) or V_sd+(a) (strict=True)
     by the sign of the quadratic form.
@@ -190,17 +178,6 @@ def vsd_membership_quadratic(a: CoeffVec, J: SignAssignment, strict: bool = Fals
     if d < 0:
         raise LemmaPreconditionViolated(f"a.{J} < 0; the form criterion does not apply")
     return _reaches_norm(a, d, strict)
-
-
-def pair_hypothesis_form(a: CoeffVec, J: SignAssignment, K: SignAssignment) -> int:
-    """The averaged form for a disjoint pair of flip sets:
-
-        pairs inside J + pairs inside K + pairs inside the joint complement
-        -  cross pairs J x K
-
-    Equals half the sum of the two individual membership forms.
-    """
-    return (membership_form(a, J) + membership_form(a, K)) // 2
 
 
 def pair_lemma_select(

@@ -636,11 +636,12 @@ def exhaustive_integer_search(
     n-1, u, runs the last entry v inline.  A vector costs one isqrt and the
     read c = ((p + (p << v*w)) >> m*w) mod (2^w - 1), the sum of its
     product's slots j >= m = (t + v - lim + 1) // 2 (none carries), which is
-    #(S <= lim) over its sign sums S = t + v - 2j.  With k0 = isqrt(||a||^2)
-    >= 1, ``_classify`` counts 2c - 2^n sign sums with |S| < ||a|| for lim
-    the largest integer below ||a|| (G), |S| <= ||a|| for lim = k0 (G', T):
-    G and G' count 2 (2^n - c), T 2c - 2^n.  A CoeffVec is built only for a
-    floor violation and for the witness.  ``on_checkpoint`` gets the state
+    #(S <= lim) over its sign sums S = t + v - 2j.  G reads lim = lt, the
+    largest integer below ||a||; G' and T read lim = le, the largest not
+    above it (``counting._limits`` at rho = 1).  By ``_classify``, two-sided,
+    G counts at + above = 2^n - (2c - 2^n) = 2 (2^n - c), G' counts
+    above = 2 (2^n - c) and T below + at = 2c - 2^n.  A CoeffVec is built
+    only for a floor violation and for the witness.  ``on_checkpoint`` gets the state
     every ``checkpoint_every`` >= 0 vectors (0: never); an interrupt reports
     the state of the last checkpoint or finished run of final entries, so
     that its cursor, best and examined agree.

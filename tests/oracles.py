@@ -2,24 +2,21 @@
 
 ``tail_counts_gray`` sweeps all 2^n sign vectors in Gray-code order, one
 add or subtract per step; ``brute_counts`` enumerates the sign tuples
-literally and compares squares.  ``literal_membership_form`` and
-``literal_pair_form`` accumulate the dominance module's quadratic forms
-pair by pair over the split of the entries by flip set.
+literally.  Both decide each sign sum S against rho * ||a|| by comparing
+den^2 * S^2 with num^2 * ||a||^2, and share no threshold rule with the
+library.  ``literal_membership_form`` and ``literal_pair_form``
+accumulate the dominance module's quadratic forms pair by pair over the
+split of the entries by flip set.  ``rerun`` re-executes a report's
+checker on its stored input.
 """
 
+from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from radlab.conjectures import GRAY_CAP
-from radlab.core import CoeffVec, RationalLike, SignAssignment
-from radlab.counting import (
-    ONE_SIDED,
-    TWO_SIDED,
-    Side,
-    TailCounts,
-    _threshold_boundary,
-    _validated,
-)
+from radlab.conjectures import CHECKERS, GRAY_CAP, CheckReport
+from radlab.core import CoeffVec, RationalLike, SignAssignment, parse_vector
+from radlab.counting import ONE_SIDED, Side, TailCounts
 from radlab.errors import TooLarge
 
 
@@ -43,19 +40,22 @@ def iter_sign_sums(entries: tuple[int, ...]) -> Iterator[int]:
 
 def tail_counts_gray(a: CoeffVec, rho: RationalLike, side: Side) -> TailCounts:
     """Reference oracle: count a.s (one-sided) or |a.s| (two-sided) against
-    rho * ||a|| by sweeping all 2^n sign vectors."""
-    rho = _validated(a, rho, side)
+    rho * ||a|| by sweeping all 2^n sign vectors.  A negative a.s is below
+    one-sided; any other s is below, at or above as den^2 * s^2 is below,
+    at or above num^2 * ||a||^2."""
     if a.n > GRAY_CAP:
         raise TooLarge(f"n={a.n} exceeds the Gray sweep cap {GRAY_CAP}")
-    k0, exact = _threshold_boundary(a.norm_sq, rho)
-    lo = k0 - 1 if exact else k0
+    rho = Fraction(rho)
+    d2, t2 = rho.denominator ** 2, rho.numerator ** 2 * a.norm_sq
     below = at = above = 0
-    two = side == TWO_SIDED
     for s in iter_sign_sums(a.entries):
-        v = -s if (two and s < 0) else s
-        if v <= lo:
+        if s < 0 and side == ONE_SIDED:
             below += 1
-        elif exact and v == k0:
+            continue
+        lhs = d2 * s * s
+        if lhs < t2:
+            below += 1
+        elif lhs == t2:
             at += 1
         else:
             above += 1
@@ -114,3 +114,10 @@ def literal_pair_form(a: CoeffVec, J: SignAssignment, K: SignAssignment) -> int:
     in_k, _ = _split_by_mask(a, K.mask)
     _, rest = _split_by_mask(a, J.mask | K.mask)
     return _pair_sum(in_j) + _pair_sum(in_k) + _pair_sum(rest) - sum(in_j) * sum(in_k)
+
+
+def rerun(report: CheckReport) -> CheckReport:
+    """Re-execute the named predicate on the stored input; a report is
+    reproducible bit for bit when this equals it."""
+    vec = parse_vector(str(report.vector))
+    return CHECKERS[report.predicate](vec, **{k: Fraction(v) for k, v in report.params.items()})

@@ -22,7 +22,6 @@ from radlab.conjectures import (
     combinatorial_fraction,
     combinatorial_fraction_gray,
     delta_sweep,
-    rerun,
     _implied_counterexample,
 )
 from radlab.counting import distribution, tail_counts
@@ -32,6 +31,8 @@ from radlab.errors import (
     NonPositiveEntry,
     ZeroNorm,
 )
+
+from oracles import rerun
 
 
 class TestTomaszewski:
@@ -99,6 +100,11 @@ class TestDeltaInequality:
         with pytest.raises(InvalidThreshold):
             check_delta_inequality(CoeffVec((1, 1)), 0)
 
+    @pytest.mark.parametrize("delta", [1 / 3, 1.0, True])
+    def test_inexact_delta_refused(self, delta):
+        with pytest.raises(InvalidThreshold):
+            check_delta_inequality(CoeffVec((2, 2, 1)), delta)
+
     def test_symmetric_in_delta_inversion(self):
         rng = random.Random(82)
         for _ in range(60):
@@ -130,6 +136,16 @@ class TestDeltaAlt:
     def test_delta_above_one_rejected(self):
         with pytest.raises(InvalidThreshold):
             check_delta_alt(CoeffVec((1, 1)), 2)
+
+    @pytest.mark.parametrize("delta", [1 / 3, 1.0, True])
+    def test_inexact_delta_refused(self, delta):
+        with pytest.raises(InvalidThreshold):
+            check_delta_alt(CoeffVec((2, 2, 1)), delta)
+
+    def test_a_third_counts_the_realized_threshold(self):
+        # ||(2,2,1)|| = 3, so |S| <= 1 holds for 4 of the 8 sign sums
+        r = check_delta_alt(CoeffVec((2, 2, 1)), Fraction(1, 3))
+        assert r.values["p_le_delta"].fraction == Fraction(1, 2)
 
 
 class TestDeltaSweep:

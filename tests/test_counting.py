@@ -27,8 +27,8 @@ from radlab.counting import (
     TailCounts,
     _half_sums,
     _listed_fits,
+    _limits,
     _packed_fits,
-    _threshold_boundary,
     distribution,
     tail_count_engine,
     tail_counts,
@@ -105,6 +105,20 @@ class TestTailCountsThreshold:
     def test_negative_rho(self):
         with pytest.raises(InvalidThreshold):
             tail_counts_threshold(CoeffVec((1,)), Fraction(-1), TWO_SIDED)
+
+    @pytest.mark.parametrize("rho", [1 / 3, 1.0, 0.0, True, False])
+    def test_inexact_rho_refused(self, rho):
+        # the float 1/3 is not 1/3 and True is not a number: each engine
+        # refuses them rather than count at a nearby threshold
+        for engine in (tail_counts, tail_counts_gf, tail_counts_mitm):
+            with pytest.raises(InvalidThreshold):
+                engine(canonicalize([2, 2, 1]), rho)
+
+    def test_a_third_of_an_integer_norm(self):
+        # ||(2,2,1)|| = 3: at rho = 1/3 the threshold 1 is realized by
+        # four sign sums, which the float 1/3, a hair below, counted above
+        c = tail_counts(canonicalize([2, 2, 1]), Fraction(1, 3))
+        assert (c.below, c.at, c.above) == (0, 4, 4)
 
     def test_matches_brute_force(self):
         rng = random.Random(32)
@@ -308,17 +322,17 @@ class TestMitm:
     def test_nothing_walked(self):
         # every left sum pairs with all right sums or with none
         a = CoeffVec((1 << 20, 1 << 20, 1, 1))
-        k0, exact = _threshold_boundary(a.norm_sq, 1)
-        left, _, lo, hi = self.walk_bounds(a, k0)
-        assert not exact and 0 < lo == hi < len(left)
+        lt, le = _limits(a.norm_sq, 1)
+        left, _, lo, hi = self.walk_bounds(a, le)
+        assert lt == le and 0 < lo == hi < len(left)
         self.assert_matches_gray(a, Fraction(1))
 
     def test_every_pair_counted(self):
         # rho*||a|| >= T: the first bisection takes every left sum
         a = CoeffVec((9, 7, 4, 4, 1))
         rho = Fraction(a.total, isqrt(a.norm_sq))
-        k0, _ = _threshold_boundary(a.norm_sq, rho)
-        left, _, lo, hi = self.walk_bounds(a, k0)
+        _, le = _limits(a.norm_sq, rho)
+        left, _, lo, hi = self.walk_bounds(a, le)
         assert lo == hi == len(left)
         assert tail_counts_mitm(a, rho, ONE_SIDED).above == 0
         self.assert_matches_gray(a, rho)
@@ -333,7 +347,7 @@ class TestMitm:
             if v >= root:  # floor(v / root * ||a||) = v needs v < isqrt(||a||^2)
                 continue
             rho = Fraction(v, root)
-            assert _threshold_boundary(a.norm_sq, rho) == (v, False)
+            assert _limits(a.norm_sq, rho) == (v, v)
             left, right, lo, _ = self.walk_bounds(a, v)
             straddled += bisect_left(left, v - right[-1]) < lo - 1
             self.assert_matches_gray(a, rho)

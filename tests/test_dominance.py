@@ -10,8 +10,6 @@ from radlab.dominance import (
     case_lemma_7,
     dominates,
     in_vsd,
-    membership_form,
-    pair_hypothesis_form,
     pair_lemma_select,
     upward_closure,
     verify_order_rules,
@@ -139,6 +137,14 @@ class TestUpwardClosure:
         with pytest.raises(TooLarge):
             upward_closure(SignAssignment(0, 25))
 
+    def test_cap_admits_its_own_dimension(self):
+        # the cap, 24, admits its own dimension; the only sign vectors at
+        # least as good as a flip of the last position are it and the top
+        seed = J(24, n=24)
+        assert upward_closure(seed) == {seed, SignAssignment(0, 24)}
+        with pytest.raises(TooLarge):
+            upward_closure(J(25, n=25))
+
 
 class TestOrderRules:
     def test_small(self):
@@ -155,7 +161,7 @@ class TestOrderRules:
 class TestMembershipForm:
     def test_example_form_value(self):
         a = CoeffVec((1, 1, 1, 1, 1, 1, 0))
-        assert membership_form(a, J(5, 6, 7, n=7)) == -1
+        assert literal_membership_form(a, J(5, 6, 7, n=7)) == -1
         assert not vsd_membership_quadratic(a, J(5, 6, 7, n=7))
         assert sign_sum(a, J(5, 6, 7, n=7)) ** 2 < a.norm_sq
 
@@ -168,7 +174,7 @@ class TestMembershipForm:
 
     def test_two_ones_singleton(self):
         a = CoeffVec((1, 1))
-        assert membership_form(a, J(1, n=2)) == -1
+        assert literal_membership_form(a, J(1, n=2)) == -1
         assert not vsd_membership_quadratic(a, J(1, n=2))
 
     def test_precondition_enforced(self):
@@ -178,9 +184,8 @@ class TestMembershipForm:
     def test_dimension_mismatch(self):
         a = CoeffVec((1, 1, 1))
         for call in (
-            lambda: membership_form(a, J(1, n=2)),
+            lambda: sign_sum(a, J(1, n=2)),
             lambda: vsd_membership_quadratic(a, J(1, n=2)),
-            lambda: pair_hypothesis_form(a, J(1, n=3), J(2, n=2)),
             lambda: pair_lemma_select(a, J(1, n=2), J(2, n=2)),
         ):
             with pytest.raises(DimensionError):
@@ -197,7 +202,8 @@ class TestMembershipForm:
                 for mask in range(1 << n):
                     s = SignAssignment(mask, n)
                     form = literal_membership_form(a, s)
-                    assert membership_form(a, s) == form
+                    # the identity every membership decision rests on
+                    assert 2 * form == sign_sum(a, s) ** 2 - a.norm_sq
                     negative = sign_sum(a, s) < 0
                     for strict in (False, True):
                         if negative:
@@ -213,7 +219,7 @@ class TestMembershipForm:
 class TestPairRule:
     def test_uniform_seven(self):
         a = CoeffVec((1, 1, 1, 1, 1, 1, 1))
-        assert pair_hypothesis_form(a, J(2, n=7), J(5, 6, 7, n=7)) == 3
+        assert literal_pair_form(a, J(2, n=7), J(5, 6, 7, n=7)) == 3
         assert pair_lemma_select(a, J(2, n=7), J(5, 6, 7, n=7)) == "J"
 
     def test_empty_first_set(self):
@@ -226,7 +232,7 @@ class TestPairRule:
         # -1, so the rule does not apply (and indeed neither flip set
         # reaches the norm)
         a = CoeffVec((1, 1, 1, 1, 1, 1, 0))
-        assert pair_hypothesis_form(a, J(3, 4, n=7), J(5, 6, 7, n=7)) == -1
+        assert literal_pair_form(a, J(3, 4, n=7), J(5, 6, 7, n=7)) == -1
         assert not in_vsd(a, J(3, 4, n=7))
         assert not in_vsd(a, J(5, 6, 7, n=7))
         with pytest.raises(LemmaPreconditionViolated):
@@ -254,7 +260,8 @@ class TestPairRule:
                 km = rng.randrange(1 << n) & ~jm
                 sj, sk = SignAssignment(jm, n), SignAssignment(km, n)
                 hypothesis = literal_pair_form(a, sj, sk)
-                assert pair_hypothesis_form(a, sj, sk) == hypothesis
+                # the averaged form pair_lemma_select reads, times four
+                assert 4 * hypothesis == sign_sum(a, sj) ** 2 + sign_sum(a, sk) ** 2 - 2 * a.norm_sq
                 if not (ok(sign_sum(a, sj)) and ok(sign_sum(a, sk)) and ok(hypothesis)):
                     with pytest.raises(LemmaPreconditionViolated):
                         pair_lemma_select(a, sj, sk, strict)

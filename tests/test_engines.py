@@ -34,7 +34,6 @@ from radlab.conjectures import (
     combinatorial_fraction,
     combinatorial_fraction_gray,
     delta_sweep,
-    rerun,
 )
 from radlab.core import canonicalize
 from radlab.counting import (
@@ -49,15 +48,15 @@ from radlab.counting import (
     _gf_width,
     _classify,
     _half_sums,
-    _packed_counts,
+    _limits,
     _packed_fits,
+    _packed_le,
     _packed_product,
-    _threshold_boundary,
 )
 from radlab.errors import DimensionError, NonPositiveEntry, TooLarge
 from radlab.search import KeySchedule
 
-from oracles import brute_counts, iter_sign_sums, tail_counts_gray
+from oracles import brute_counts, iter_sign_sums, rerun, tail_counts_gray
 
 SIDES = st.sampled_from([ONE_SIDED, TWO_SIDED])
 RHOS = st.builds(Fraction, st.integers(0, 40), st.integers(1, 9))
@@ -139,7 +138,7 @@ def test_reference_matches_gray_on_the_quick_crossval_sample(monkeypatch):
     assert verify._crossval_claim(8, 0, 7).passed
     assert len(cases) == 104
     assert {side for _, _, side in cases} == {ONE_SIDED, TWO_SIDED}
-    assert any(_threshold_boundary(a.norm_sq, rho)[1] for a, rho, _ in cases)
+    assert any(lt != le for lt, le in (_limits(a.norm_sq, rho) for a, rho, _ in cases))
     assert [verify._reference_counts(*case) for case in cases] == [tail_counts_gray(*case) for case in cases]
 
 
@@ -170,11 +169,12 @@ def test_packed_counts_match_oracle(a, rho, side, extra_width):
     # width > n; rho >= 4 > sqrt(12) puts the threshold above the entry sum
     width = _gf_width(a.n) + extra_width
     assume(_packed_fits(width, a.total))
-    k0, exact = _threshold_boundary(a.norm_sq, rho)
-    below, at = _packed_counts(_packed_product(a.entries, width), width, a.total, k0, exact)
+    lt, le = _limits(a.norm_sq, rho)
+    poly = _packed_product(a.entries, width)
+    below, upto = _packed_le(poly, width, a.total, lt), _packed_le(poly, width, a.total, le)
     one = tail_counts_gray(a, rho, ONE_SIDED)
-    assert (below, at) == (one.below, one.at)
-    assert _classify(a.n, below, at, k0, exact, side) == tail_counts_gray(a, rho, side)
+    assert (below, upto - below) == (one.below, one.at)
+    assert _classify(a.n, below, upto, side) == tail_counts_gray(a, rho, side)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
