@@ -23,7 +23,6 @@ from .errors import (
     InvalidThreshold,
     NonPositiveEntry,
     TooLarge,
-    ZeroNorm,
 )
 
 HOLDS = "holds"
@@ -101,11 +100,6 @@ def _jsonable(v):
     return str(v)
 
 
-def _require_norm(a: CoeffVec) -> None:
-    if a.norm_sq == 0:
-        raise ZeroNorm("checker requires a nonzero vector")
-
-
 def tomaszewski_holds(c: TailCounts) -> bool:
     """The half-mass inequality on counts at the norm: at least half of the
     2^n sign sums satisfy |a.s| <= ||a||."""
@@ -114,7 +108,6 @@ def tomaszewski_holds(c: TailCounts) -> bool:
 
 def check_tomaszewski(a: CoeffVec) -> CheckReport:
     """At least half of the 2^n sign sums satisfy |a.s| <= ||a||."""
-    _require_norm(a)
     c = tail_counts(a)
     holds = tomaszewski_holds(c)
     values = {
@@ -130,7 +123,6 @@ def check_tomaszewski(a: CoeffVec) -> CheckReport:
 def check_symmetric_tails(a: CoeffVec) -> CheckReport:
     """P(|a.s| < ||a||) >= P(|a.s| > ||a||), with the two half-plus-atom
     reformulations reported alongside (they are arithmetic identities)."""
-    _require_norm(a)
     c = tail_counts(a)
     holds = c.below >= c.above
     half = Fraction(1, 2)
@@ -169,7 +161,6 @@ def check_delta_inequality(a: CoeffVec, delta: RationalLike) -> CheckReport:
     in dimension n+1; the report carries the implied vector so it can be
     re-checked directly.
     """
-    _require_norm(a)
     _refuse_inexact(delta, "delta")
     delta = Fraction(delta)
     if delta <= 0:
@@ -198,7 +189,6 @@ def check_delta_alt(a: CoeffVec, delta: RationalLike) -> CheckReport:
     P(|a.s| >= delta*||a||) + P(|a.s| >= ||a||/delta) <= 1, which is NOT
     valid in general; its truth value is reported separately.
     """
-    _require_norm(a)
     _refuse_inexact(delta, "delta")
     delta = Fraction(delta)
     if not 0 < delta <= 1:
@@ -247,7 +237,6 @@ def delta_sweep(a: CoeffVec) -> CheckReport:
     lies at or below sqrt(N).  The merge stops after the first point p
     with p^2 >= N (v*v >= N at a value, w*w <= N at N/w).
     """
-    _require_norm(a)
     norm_sq = a.norm_sq
     pairs = distribution(a).pairs
     # the table is symmetric and strictly increasing: the upper half is positive
@@ -317,7 +306,6 @@ def check_pairing(a: CoeffVec) -> CheckReport:
     """Sort the 2^n sign sums; the k-th smallest nonnegative one times the
     k-th largest must not exceed norm_sq (the scale-corrected form of the
     unit-product pairing)."""
-    _require_norm(a)
     pairs = distribution(a).pairs
     half = 1 << (a.n - 1)
     # The 2^(n-1) largest sums, ascending, as (value, count) runs: half of
@@ -435,7 +423,6 @@ def check_combinatorial(l: CoeffVec) -> CheckReport:
 
 def classify_A_or_B(a: CoeffVec) -> str:
     """"B" if some sign sum lands exactly on the norm, else "A"."""
-    _require_norm(a)
     return "B" if tail_counts(a).at > 0 else "A"
 
 
@@ -445,7 +432,6 @@ def check_hk_bound(a: CoeffVec) -> CheckReport:
     For n > 7 nothing is proven; the probability is still reported but the
     verdict is out-of-scope rather than holds/violated.
     """
-    _require_norm(a)
     c = tail_counts(a)
     values = {"p_ge_norm": c.p_ge, "bound": HK_BOUND}
     if a.n > HK_MAX_N:

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import ge, mul
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionError, InvalidCoefficient
+from .errors import DimensionError, InvalidCoefficient, ZeroNorm
 
 RationalLike = Union[int, Fraction]
 
@@ -29,10 +29,10 @@ _INT, _EXACT = {int}, {int, Fraction}
 class CoeffVec:
     """Canonical nonnegative integer coefficient vector.
 
-    Invariants: entries sorted non-increasing, gcd of the nonzero entries
-    is 1 (all-zero is allowed), ``norm_sq`` equals the sum of squares and
-    ``total`` the sum.  Probabilistic statements about sign sums are scale
-    invariant, so the integer scaling loses nothing.
+    Invariants: entries sorted non-increasing with gcd 1 (the zero vector,
+    whose gcd is 0, raises ZeroNorm), so ``norm_sq``, the sum of squares,
+    is positive; ``total`` is the sum.  Probabilistic statements about
+    sign sums are scale invariant, so the integer scaling loses nothing.
     """
 
     entries: tuple[int, ...]
@@ -57,7 +57,9 @@ class CoeffVec:
         if not all(map(ge, e, e[1:])):
             raise InvalidCoefficient("entries must be sorted non-increasing")
         g = gcd(*e)
-        if g > 1:
+        if g != 1:  # g is 0 exactly for the zero vector
+            if not g:
+                raise ZeroNorm("the zero vector has no norm")
             raise InvalidCoefficient(f"entries share common factor {g}; canonicalize first")
         object.__setattr__(self, "norm_sq", sum(map(mul, e, e)))
         object.__setattr__(self, "total", sum(e))
@@ -76,9 +78,6 @@ class CoeffVec:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return self.norm_sq == 0
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.entries)
@@ -150,9 +149,9 @@ def canonicalize(raw: Sequence[RationalLike]) -> CoeffVec:
     """Sort, common-denominator-scale and gcd-reduce a nonnegative vector.
 
     Accepts integers and exact rationals; floats are rejected because they
-    are not exact.  The all-zero vector is allowed; callers that need a
-    positive norm must check for it.  Every rule of ``CoeffVec`` is checked
-    or established here, so the result skips ``CoeffVec``'s own checks.
+    are not exact, and the all-zero vector, which has no norm, raises
+    ZeroNorm.  Every rule of ``CoeffVec`` is checked or established here,
+    so the result skips ``CoeffVec``'s own checks.
     """
     if len(raw) == 0:
         raise InvalidCoefficient("empty coefficient vector")
@@ -172,7 +171,9 @@ def canonicalize(raw: Sequence[RationalLike]) -> CoeffVec:
         raw = [x.numerator * (scale // x.denominator) for x in raw]
     ints = sorted(raw, reverse=True)
     g = gcd(*ints)
-    if g > 1:
+    if g != 1:  # g is 0 exactly for the zero vector
+        if not g:
+            raise ZeroNorm("the zero vector has no norm")
         ints = [x // g for x in ints]
     return CoeffVec._canonical(tuple(ints))
 

@@ -34,12 +34,11 @@ narrowest of 8, 16, 32 or 64 bits wider than n, else the 2^n sums
 listed, else TooLarge.  The slots are checked before the table is
 built: they must sum to 2^n (no slot carried) and read the same
 backwards (the table is symmetric), or distribution raises.  A
-one-slot memo keyed by the entries hands the same immutable table to
-consecutive calls on one vector, so ``delta_sweep`` and
-``check_pairing`` after ``distribution`` build it once.  Any other call
-empties the slot before it builds, so the slot never holds two tables
-at once; it retains the last vector's table (up to hundreds of MB)
-until a call on another vector.
+one-slot memo keyed by the entries holds a weak reference to the last
+table, so a call on the same entries returns the same immutable table
+while a caller holds it: ``check_pairing`` and ``delta_sweep`` on a
+vector whose ``distribution`` is kept build nothing, and no table
+outlives its last holder.
 
 One size rule admits every table from n and T, before anything is
 allocated: T+1 packed slots must fit GF_BIT_BUDGET bits (``_packed_fits``),
@@ -67,6 +66,7 @@ engine reads its count at le only when le != lt.
 from __future__ import annotations
 
 import sys
+import weakref
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -77,7 +77,7 @@ from operator import add, lt
 from typing import Literal
 
 from .core import CoeffVec, DyadicProb, RationalLike
-from .errors import InvalidThreshold, TooLarge, ZeroNorm
+from .errors import InvalidThreshold, TooLarge
 
 ONE_SIDED = "one-sided"
 TWO_SIDED = "two-sided"
@@ -220,21 +220,19 @@ def _refuse_inexact(value: object, what: str) -> None:
         raise InvalidThreshold(f"{what} {value!r} is not exact; use int or Fraction")
 
 
-def _validated(a: CoeffVec, rho: RationalLike, side: Side) -> RationalLike:
+def _validated(rho: RationalLike, side: Side) -> RationalLike:
     if type(rho) is not int:  # an int has numerator and denominator
         _refuse_inexact(rho, "threshold multiplier")
         rho = Fraction(rho)
     if rho < 0:
         raise InvalidThreshold(f"negative threshold multiplier {rho}")
-    if a.norm_sq == 0:
-        raise ZeroNorm("zero vector has no norm threshold")
     if side not in (ONE_SIDED, TWO_SIDED):
         raise ValueError(f"unknown side {side!r}")
     return rho
 
 
-# (entries, table) of the last distribution call, or None
-_last_table: tuple[tuple[int, ...], SumDistribution] | None = None
+# (entries, weak reference to their table) of the last distribution call, or None
+_last_table: tuple[tuple[int, ...], weakref.ref] | None = None
 
 
 def distribution(a: CoeffVec) -> SumDistribution:
@@ -244,15 +242,13 @@ def distribution(a: CoeffVec) -> SumDistribution:
     native byte order the slots are the counts of -T, -T+2, ..., T.
 
     A call on the entries of the previous call returns the same table
-    object.  Any other call first empties the one-slot memo, so no earlier
-    table stays alive through it, and then builds and stores its own; a
-    build that raises leaves the slot empty.
+    object while anyone holds it; the one-slot memo holds only a weak
+    reference to it.
     """
     global _last_table
     last = _last_table
-    if last is not None and last[0] == a.entries:
-        return last[1]
-    _last_table = None
+    if last is not None and last[0] == a.entries and (dist := last[1]()) is not None:
+        return dist
     n, total = a.n, a.total
     width, fmt = next(slot for slot in _SLOT_FORMATS if n < slot[0])
     if total < 1 << n and _packed_fits(width, total):
@@ -264,7 +260,7 @@ def distribution(a: CoeffVec) -> SumDistribution:
         dist = SumDistribution(n, tuple(Counter(_half_sums(a.entries)).items()))
     else:
         raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: neither sum table fits")
-    _last_table = (a.entries, dist)
+    _last_table = (a.entries, weakref.ref(dist))
     return dist
 
 
@@ -342,7 +338,7 @@ def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -
     """Count from the subset-sum generating function prod (1 + x^(a_i)),
     packed into one integer with n+1 bits per slot and read by
     ``_packed_le``."""
-    rho = _validated(a, rho, side)
+    rho = _validated(rho, side)
     n, total = a.n, a.total
     width = _gf_width(n)
     if not _packed_fits(width, total):
@@ -363,7 +359,7 @@ def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED)
     by one pointer into the right list that only moves down and never
     reaches either end.  #(S <= v) costs one bounded walk, read at lt and,
     for an integer threshold, at le."""
-    rho = _validated(a, rho, side)
+    rho = _validated(rho, side)
     split = (a.n + 1) // 2
     if not _listed_fits((1 << split) + (1 << a.n - split), _HALF_SUM_BYTES, a.total):
         raise TooLarge(f"n={a.n} with a {a.total.bit_length()}-bit entry sum: the half sums do not fit")

@@ -22,9 +22,11 @@ square with ||a||^2 (strictly, for V_sd+).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .core import CoeffVec, SignAssignment, sign_sum
+from .counting import LISTED_BUDGET
 from .errors import (
     DimensionError,
     LemmaPreconditionViolated,
@@ -34,6 +36,8 @@ from .errors import (
 
 CLOSURE_CAP = 24
 ORDER_RULES_CAP = 10
+# tracemalloc peak per closure member (CPython 3.11, 64-bit, n = 18 and 20)
+_MEMBER_BYTES = 156
 
 
 def dominates(s: SignAssignment, t: SignAssignment) -> bool:
@@ -56,12 +60,23 @@ def upward_closure(s: SignAssignment) -> set[SignAssignment]:
     Generated directly from the flipped-position characterization: choose
     any prefix-length q of s's flip positions i_1 < ... < i_p and any
     increasing j_1 < ... < j_q with j_r >= i_r.  Output-sensitive, so
-    cheap for seeds with few flips even in larger dimensions.
+    cheap for seeds with few flips even in larger dimensions.  Where the
+    2^n masks would not all fit LISTED_BUDGET, the same recursion memoized
+    on (depth, next free position) counts the members first, and raises
+    TooLarge before any is built when they would not fit.
     """
     if s.n > CLOSURE_CAP:
         raise TooLarge(f"n={s.n} exceeds closure cap {CLOSURE_CAP}")
     base = s.indices
     n = s.n
+    if (1 << n) * _MEMBER_BYTES > LISTED_BUDGET:
+        @cache
+        def count(depth: int, next_free: int) -> int:
+            return 1 if depth == len(base) else 1 + sum(
+                count(depth + 1, j + 1) for j in range(max(base[depth], next_free), n + 1))
+
+        if (members := count(0, 1)) * _MEMBER_BYTES > LISTED_BUDGET:
+            raise TooLarge(f"the closure of {s} has {members} members, past the {LISTED_BUDGET}-byte budget")
     masks: list[int] = []
 
     def extend(depth: int, next_free: int, mask: int) -> None:

@@ -18,7 +18,7 @@ class InvalidThreshold(RadlabError):
 
 
 class ZeroNorm(RadlabError):
-    """Operation requires a vector with positive norm."""
+    """The zero vector, which has no norm, given where a vector is made."""
 
 
 class NonPositiveEntry(RadlabError):

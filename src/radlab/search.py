@@ -73,7 +73,6 @@ from .errors import (
     RadlabError,
     SearchInputError,
     TooLarge,
-    ZeroNorm,
 )
 
 DEFAULT_ENTRY_BOUND = 20
@@ -212,7 +211,7 @@ def _state_vector(value: str | Sequence[int], n: int, what: str) -> tuple[int, .
         vec = CoeffVec(entries)
     except (TypeError, ValueError, RadlabError) as exc:
         raise SearchInputError(f"checkpoint {what} {value!r}: {exc}") from exc
-    if vec.n != n or vec.is_zero():
+    if vec.n != n:
         raise SearchInputError(f"checkpoint {what} {value!r} is not a canonical {n}-vector")
     return entries
 
@@ -799,23 +798,22 @@ def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRe
     """
     if steps < 0:
         raise SearchInputError(f"steps must be >= 0, got {steps}")
-    if start.norm_sq == 0:
-        raise ZeroNorm("descent needs a nonzero start")
     if any(x < target.min_entry for x in start.entries):
         raise NonPositiveEntry("this target requires strictly positive entries")
     current = _score(target, start)
     examined = 1
     for _ in range(steps):
-        neighbors: set[tuple[int, ...]] = set()
+        neighbors: dict[tuple[int, ...], CoeffVec] = {}
         for idx in range(start.n):
             for d in (1, -1):
                 e = list(current[1])
                 e[idx] += d
                 if e[idx] < target.min_entry or not any(e):
                     continue
-                neighbors.add(canonicalize(e).entries)
-        neighbors.discard(current[1])
-        best_move = min((_score(target, CoeffVec(e)) for e in sorted(neighbors)), default=None)
+                vec = canonicalize(e)
+                neighbors[vec.entries] = vec
+        neighbors.pop(current[1], None)
+        best_move = min((_score(target, neighbors[e]) for e in sorted(neighbors)), default=None)
         examined += len(neighbors)
         if best_move is None or best_move[0] >= current[0]:
             break

@@ -11,11 +11,12 @@ from radlab.errors import TooLarge
 
 @pytest.fixture
 def too_large_before_allocating():
-    """Assert that call raises TooLarge on each vector, within 1 MiB of
-    traced allocation each.  By default the vectors are wide ones with
-    n = 23, the first n past the listed-sums rule for entries below 2^21,
-    and n = 25: their entry sums T are far above the 2^n packed slots, and
-    their 2^n sign sums do not fit the listed-sums budget."""
+    """Assert that call raises TooLarge on each of the vectors (or other
+    inputs), within 1 MiB of traced allocation each.  By default the
+    vectors are wide ones with n = 23, the first n past the listed-sums
+    rule for entries below 2^21, and n = 25: their entry sums T are far
+    above the 2^n packed slots, and their 2^n sign sums do not fit the
+    listed-sums budget."""
 
     def check(call, vectors=None):
         if vectors is None:

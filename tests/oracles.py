@@ -7,17 +7,27 @@ den^2 * S^2 with num^2 * ||a||^2, and share no threshold rule with the
 library.  ``literal_membership_form`` and ``literal_pair_form``
 accumulate the dominance module's quadratic forms pair by pair over the
 split of the entries by flip set.  ``rerun`` re-executes a report's
-checker on its stored input.
+checker on its stored input, and ``random_vector`` draws the random
+vectors of the tests.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
 from radlab.conjectures import CHECKERS, GRAY_CAP, CheckReport
-from radlab.core import CoeffVec, RationalLike, SignAssignment, parse_vector
+from radlab.core import CoeffVec, RationalLike, SignAssignment, canonicalize, parse_vector
 from radlab.counting import ONE_SIDED, Side, TailCounts
 from radlab.errors import TooLarge
+
+
+def random_vector(rng: random.Random, n: int, hi: int) -> CoeffVec | None:
+    """The canonical vector of n entries rng.randint(0, hi), or None when
+    every entry is 0, which no vector has; rng advances the same either
+    way, as ``KeySchedule.draws`` skips an all-zero draw."""
+    entries = [rng.randint(0, hi) for _ in range(n)]
+    return canonicalize(entries) if any(entries) else None
 
 
 def iter_sign_sums(entries: tuple[int, ...]) -> Iterator[int]:

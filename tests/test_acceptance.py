@@ -9,8 +9,8 @@ report's bytes, the file ``radlab verify-paper --full --out`` writes, so
 any change to an exact report value must update FULL_SHA256 on purpose.
 The module draws no random numbers and calls no engine itself.  Run
 with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion; the whole module takes about 20-30 s in one process on a
-2-core machine with CPython 3.11.
+criterion; the whole module takes 7-11 s with ``RADLAB_THREADS=1`` and
+5-8 s on two workers on a 2-core machine with CPython 3.11.
 """
 
 import hashlib

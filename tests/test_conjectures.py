@@ -32,7 +32,7 @@ from radlab.errors import (
     ZeroNorm,
 )
 
-from oracles import rerun
+from oracles import random_vector, rerun
 
 
 class TestTomaszewski:
@@ -75,8 +75,8 @@ class TestSymmetricTails:
         rng = random.Random(81)
         for _ in range(100):
             n = rng.randint(1, 9)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
+            a = random_vector(rng, n, 9)
+            if a is None:
                 continue
             r = check_symmetric_tails(a)
             assert r.values["gt_le_half_minus_half_atom"] == r.holds
@@ -109,8 +109,8 @@ class TestDeltaInequality:
         rng = random.Random(82)
         for _ in range(60):
             n = rng.randint(1, 8)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
+            a = random_vector(rng, n, 9)
+            if a is None:
                 continue
             d = Fraction(rng.randint(1, 12), rng.randint(1, 6))
             r1 = check_delta_inequality(a, d)
@@ -161,8 +161,8 @@ class TestDeltaSweep:
         rng = random.Random(83)
         for _ in range(40):
             n = rng.randint(1, 8)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
+            a = random_vector(rng, n, 9)
+            if a is None:
                 continue
             r = delta_sweep(a)
             best = r.values["max_lhs"]
@@ -176,8 +176,8 @@ class TestDeltaSweep:
         rng = random.Random(88)
         for _ in range(60):
             n = rng.randint(1, 8)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
+            a = random_vector(rng, n, 9)
+            if a is None:
                 continue
             if delta_sweep(a).holds:
                 assert check_symmetric_tails(a).holds
@@ -188,8 +188,8 @@ class TestDeltaSweep:
         rng = random.Random(84)
         for _ in range(40):
             n = rng.randint(1, 8)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
+            a = random_vector(rng, n, 9)
+            if a is None:
                 continue
             r = delta_sweep(a)
             q = r.values["argmax_q"]
@@ -221,8 +221,8 @@ class TestPairing:
         rng = random.Random(85)
         for _ in range(80):
             n = rng.randint(1, 9)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
+            a = random_vector(rng, n, 9)
+            if a is None:
                 continue
             sums = sorted(
                 sum(x * y for x, y in zip(a.entries, signs))
@@ -319,8 +319,8 @@ class TestClassify:
         rng = random.Random(87)
         for _ in range(100):
             n = rng.randint(1, 9)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
+            a = random_vector(rng, n, 9)
+            if a is None:
                 continue
             cls = classify_A_or_B(a)
             assert cls == ("B" if tail_counts(a).at > 0 else "A")

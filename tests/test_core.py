@@ -1,6 +1,7 @@
 """Core types and single sign sums."""
 
 import enum
+import json
 import pickle
 import random
 import subprocess
@@ -21,13 +22,16 @@ from radlab.core import (
     parse_vector,
     sign_sum,
 )
-from radlab.errors import DimensionError, InvalidCoefficient
+from radlab.cli import main
+from radlab.errors import DimensionError, InvalidCoefficient, SearchInputError, ZeroNorm
+from radlab.search import SearchState
 
-entry_lists = st.lists(st.integers(0, 60), min_size=1, max_size=12)
+from oracles import random_vector
+
+entry_lists = st.lists(st.integers(0, 60), min_size=1, max_size=12).filter(any)
 exact_lists = st.lists(st.one_of(st.integers(0, 10**12), st.fractions(min_value=0, max_denominator=50)),
-                       min_size=1, max_size=12)
-zero_lists = st.integers(1, 63).map(lambda n: [0] * n)
-
+                       min_size=1, max_size=12).filter(any)
+zero_lists = st.integers(1, 63).flatmap(lambda n: st.lists(st.sampled_from([0, Fraction(0)]), min_size=n, max_size=n))
 
 class TestCanonicalize:
     def test_common_denominator_scaling(self):
@@ -42,19 +46,15 @@ class TestCanonicalize:
     def test_gcd_reduction_with_zeros(self):
         assert canonicalize([4, 0, 2]).entries == (2, 1, 0)
 
-    def test_all_zero_allowed(self):
-        v = canonicalize([0, 0, 0])
-        assert v.entries == (0, 0, 0)
-        assert v.norm_sq == 0
-
     def test_mixed_rationals(self):
         assert canonicalize([Fraction(1, 2), Fraction(1, 3), 1]).entries == (6, 3, 2)
 
     def test_idempotent(self):
         rng = random.Random(11)
         for _ in range(200):
-            raw = [rng.randint(0, 30) for _ in range(rng.randint(1, 9))]
-            once = canonicalize(raw)
+            once = random_vector(rng, rng.randint(1, 9), 30)
+            if once is None:
+                continue
             assert canonicalize(list(once.entries)).entries == once.entries
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -80,7 +80,7 @@ class TestCanonicalize:
         assert a.norm_sq == sum(x * x for x in a.entries) and a.total == sum(a.entries)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.one_of(entry_lists, exact_lists, zero_lists))
+    @given(st.one_of(entry_lists, exact_lists))
     def test_output_is_the_checked_vector(self, raw):
         # canonicalize builds its vector without CoeffVec's checks; they
         # pass on it, and it is the vector they would have built
@@ -90,6 +90,14 @@ class TestCanonicalize:
             assert (v.entries, v.norm_sq, v.total, hash(v)) == (a.entries, a.norm_sq, a.total, hash(a))
             assert v == a and repr(v) == repr(a)
         assert {type(x) for x in a.entries} == {int}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(zero_lists)
+    def test_zero_lists_refused(self, raw):
+        with pytest.raises(ZeroNorm):
+            canonicalize(raw)
+        with pytest.raises(ZeroNorm):
+            CoeffVec(tuple(map(int, raw)))
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidCoefficient):
@@ -144,6 +152,42 @@ def test_bad_inputs_raise_typed_errors(name):
             assert str(exc.value).startswith(expect[1])
         else:
             assert build().entries == expect
+
+
+# a sweep checkpoint a real G sweep (n=5, bound 10) could write
+CHECKPOINT = {"target": "G", "n": 5, "bound": 10, "cursor": [9, 1, 0, 0, 0],
+              "best_value": "1/4", "witness": "1,1,1,0,0", "examined": 86}
+# every way in for a zero vector: a call that raises ZeroNorm, a command
+# line that exits 2, or a checkpoint change that resume refuses
+ZERO_VECTORS = {
+    "CoeffVec": lambda: CoeffVec((0, 0)),
+    "canonicalize": lambda: canonicalize([0, 0]),
+    "canonicalize-fraction": lambda: canonicalize([Fraction(0)]),
+    "parse_vector": lambda: parse_vector("0,0"),
+    "eval": ["eval", "--vector", "0,0"],
+    "check": ["check", "tomaszewski", "--vector", "0,0"],
+    "descent": ["search", "descent", "--target", "G", "--start", "0,0"],
+    "resume-cursor": {"cursor": [0, 0, 0, 0, 0]},
+    "resume-witness": {"witness": "0,0,0,0,0"},
+}
+
+
+@pytest.mark.parametrize("way", ZERO_VECTORS)
+def test_zero_vector_refused(way, tmp_path, capsys):
+    made = ZERO_VECTORS[way]
+    if callable(made):
+        with pytest.raises(ZeroNorm, match="the zero vector has no norm"):
+            made()
+        return
+    if isinstance(made, dict):
+        checkpoint = dict(CHECKPOINT, **made)
+        with pytest.raises(SearchInputError, match="the zero vector has no norm"):
+            SearchState.from_json_dict(checkpoint)
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps(checkpoint))
+        made = ["search", "resume", str(path)]
+    assert main(made) == 2
+    assert capsys.readouterr().err.endswith("the zero vector has no norm\n")
 
 
 class TestCoeffVec:
@@ -220,8 +264,10 @@ class TestSignSum:
         rng = random.Random(21)
         for _ in range(300):
             n = rng.randint(1, 10)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
+            a = random_vector(rng, n, 9)
             s = SignAssignment(rng.randrange(1 << n), n)
+            if a is None:
+                continue
             expected = sum(x * y for x, y in zip(a.entries, s.signs()))
             assert sign_sum(a, s) == expected
 
@@ -242,8 +288,10 @@ class TestCmpAbsVsNorm:
         rng = random.Random(22)
         for _ in range(300):
             n = rng.randint(1, 10)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
+            a = random_vector(rng, n, 9)
             s = SignAssignment(rng.randrange(1 << n), n)
+            if a is None:
+                continue
             assert sign_sum(a, s) ** 2 == sign_sum(a, s.complement()) ** 2
 
     def test_quadratic_equivalence(self):
@@ -252,7 +300,9 @@ class TestCmpAbsVsNorm:
         rng = random.Random(23)
         for _ in range(40):
             n = rng.randint(2, 8)
-            a = canonicalize([rng.randint(0, 6) for _ in range(n)])
+            a = random_vector(rng, n, 6)
+            if a is None:
+                continue
             for mask in range(1 << n):
                 s = SignAssignment(mask, n)
                 sv = s.signs()

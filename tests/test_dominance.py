@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from radlab.core import CoeffVec, SignAssignment, canonicalize, sign_sum
+from radlab import dominance
+from radlab.core import CoeffVec, SignAssignment, sign_sum
 from radlab.dominance import (
     _closure_rows,
     case_lemma_7,
@@ -18,7 +19,7 @@ from radlab.dominance import (
 )
 from radlab.errors import DimensionError, LemmaPreconditionViolated, TooLarge
 
-from oracles import literal_membership_form, literal_pair_form
+from oracles import literal_membership_form, literal_pair_form, random_vector
 
 
 def J(*indices, n):
@@ -76,7 +77,9 @@ class TestDominates:
             t = SignAssignment(rng.randrange(1 << n), n)
             if not dominates(s, t):
                 continue
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
+            a = random_vector(rng, n, 9)
+            if a is None:
+                continue
             assert sign_sum(a, t) >= sign_sum(a, s)
 
     def test_completeness_via_prefix_indicators(self):
@@ -145,6 +148,21 @@ class TestUpwardClosure:
         with pytest.raises(TooLarge):
             upward_closure(J(25, n=25))
 
+    def test_refused_before_allocating(self, too_large_before_allocating):
+        # 16,777,216, 9,740,686 and 8,388,608 members, each past the budget
+        seeds = [SignAssignment((1 << 24) - 1, 24), J(*range(1, 13), n=24), SignAssignment((1 << 23) - 1, 23)]
+        too_large_before_allocating(upward_closure, seeds)
+
+    def test_budget_counts_every_member(self, monkeypatch):
+        # the budget of exactly 14 members admits the 14-member closure, one
+        # byte less refuses it
+        seed = J(4, 5, 7, n=7)
+        monkeypatch.setattr(dominance, "LISTED_BUDGET", 14 * dominance._MEMBER_BYTES)
+        assert len(upward_closure(seed)) == 14
+        monkeypatch.setattr(dominance, "LISTED_BUDGET", 14 * dominance._MEMBER_BYTES - 1)
+        with pytest.raises(TooLarge):
+            upward_closure(seed)
+
 
 class TestOrderRules:
     def test_small(self):
@@ -169,7 +187,9 @@ class TestMembershipForm:
         rng = random.Random(71)
         for _ in range(100):
             n = rng.randint(1, 9)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
+            a = random_vector(rng, n, 9)
+            if a is None:
+                continue
             assert vsd_membership_quadratic(a, SignAssignment(0, n))
 
     def test_two_ones_singleton(self):
@@ -196,8 +216,8 @@ class TestMembershipForm:
         rng = random.Random(72)
         for n in range(1, 9):
             for _ in range(8):
-                a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-                if a.norm_sq == 0:
+                a = random_vector(rng, n, 9)
+                if a is None:
                     continue
                 for mask in range(1 << n):
                     s = SignAssignment(mask, n)
@@ -253,8 +273,8 @@ class TestPairRule:
             checked = 0
             for _ in range(4000):
                 n = rng.randint(2, 9)
-                a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-                if a.norm_sq == 0:
+                a = random_vector(rng, n, 9)
+                if a is None:
                     continue
                 jm = rng.randrange(1 << n)
                 km = rng.randrange(1 << n) & ~jm
@@ -286,8 +306,8 @@ class TestCaseRule7:
         rng = random.Random(74)
         candidates = {(2,), (3, 4), (5, 6, 7)}
         for _ in range(3000):
-            a = canonicalize([rng.randint(0, 50) for _ in range(7)])
-            if a.norm_sq == 0:
+            a = random_vector(rng, 7, 50)
+            if a is None:
                 continue
             w = case_lemma_7(a)
             assert w.indices in candidates
@@ -322,6 +342,14 @@ class TestVsdCountLowerBound:
         a = CoeffVec((1, 1, 1, 1, 1, 1, 0))
         assert vsd_count_lower_bound(a, [J(5, 6, 7, n=7)]) == 0
 
+    def test_refused_before_allocating(self, too_large_before_allocating):
+        # (2,...,15)_24 reaches the norm of (1, 0, ..., 0), and its closure
+        # has 7,507,638 members, past the budget
+        a = CoeffVec((1,) + (0,) * 23)
+        seed = J(*range(2, 16), n=24)
+        assert in_vsd(a, seed)
+        too_large_before_allocating(lambda s: vsd_count_lower_bound(a, [s]), [seed])
+
     def test_certificate_of_14(self):
         # (4,5,7)_7 reaches the norm here, so its closure certifies 14
         a = CoeffVec((1, 1, 1, 0, 0, 0, 0))
@@ -331,8 +359,8 @@ class TestVsdCountLowerBound:
     def test_lower_bound_is_sound(self):
         rng = random.Random(75)
         for _ in range(300):
-            a = canonicalize([rng.randint(0, 20) for _ in range(7)])
-            if a.norm_sq == 0:
+            a = random_vector(rng, 7, 20)
+            if a is None:
                 continue
             seeds = [SignAssignment(rng.randrange(1 << 7), 7) for _ in range(3)]
             bound = vsd_count_lower_bound(a, seeds)
@@ -343,8 +371,8 @@ class TestVsdCountLowerBound:
         rng = random.Random(76)
         for _ in range(40):
             n = rng.randint(1, 6)
-            a = canonicalize([rng.randint(0, 9) for _ in range(n)])
-            if a.norm_sq == 0:
+            a = random_vector(rng, n, 9)
+            if a is None:
                 continue
             for sm in range(1 << n):
                 s = SignAssignment(sm, n)

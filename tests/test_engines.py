@@ -220,7 +220,7 @@ def test_packed_and_listed_tables_agree(a):
 
 
 # distribution's one-slot memo: consecutive calls on one vector share a
-# table, and a call on another vector lets the previous table go.
+# table while a caller holds it, and the memo itself holds no table.
 
 def test_distribution_repeat_returns_the_same_table():
     a, b = canonicalize([3, 2, 2, 1]), canonicalize([5, 1, 1])
@@ -265,8 +265,14 @@ def test_too_large_build_leaves_the_slot_correct():
         tracemalloc.stop()
     assert peak < 1 << 16  # refused before any table is allocated
     gc.collect()
-    assert r() is None  # the slot was emptied before the refused build
+    assert r() is None  # the slot holds no table
     assert distribution(a).pairs == sign_sum_table(a)
+
+
+def test_slot_holds_no_table():
+    # with no other holder, the table dies with the call's result, before any collection
+    r = weakref.ref(distribution(canonicalize([3, 2, 2, 1])))
+    assert r() is None
 
 
 def test_slot_lets_go_of_the_previous_table():
