@@ -169,13 +169,20 @@ def canonicalize(raw: Sequence[RationalLike]) -> CoeffVec:
     if kinds != _INT:  # ints and Fractions both carry numerator and denominator
         scale = lcm(*(x.denominator for x in raw))
         raw = [x.numerator * (scale // x.denominator) for x in raw]
-    ints = sorted(raw, reverse=True)
+    return CoeffVec._canonical(_canonical_entries(raw))
+
+
+def _canonical_entries(ints: Sequence[int]) -> tuple[int, ...]:
+    """Nonnegative integers, unchecked, sorted non-increasing and divided by
+    their gcd: the entries of a ``CoeffVec``.  The zero vector raises
+    ZeroNorm."""
+    ints = sorted(ints, reverse=True)
     g = gcd(*ints)
     if g != 1:  # g is 0 exactly for the zero vector
         if not g:
             raise ZeroNorm("the zero vector has no norm")
         ints = [x // g for x in ints]
-    return CoeffVec._canonical(tuple(ints))
+    return tuple(ints)
 
 
 def parse_vector(text: str) -> CoeffVec:

@@ -18,9 +18,20 @@ Each engine answers one question, #(S <= v) over the sign sums S, at
 the two limits of the key trick below, and ``_classify`` makes the
 classes of either side.
 
-``tail_counts`` picks one by a fixed cost rule, ``tail_count_engine``:
-the packed polynomial when the n*T*(n+1) bits its shift-adds touch
-(T = sum of entries) stay within GF_WORK_PER_HALF_SUM per half sum of
+Every count goes through a front door and one count kernel.  The front
+doors, ``tail_counts``, ``tail_counts_gf`` and ``tail_counts_mitm``,
+check the inputs: an exact, nonnegative rho (``_validated``), a known
+side and, for a named engine, that its table fits (TooLarge).  The
+kernel, ``_tail_le``, checks nothing: it takes canonical entries with
+their n, T (the entry sum) and ||a||^2, builds one table, the packed
+product or the two half-sum lists, and reads #(S <= v) at the two limits
+of any number of thresholds.  So a caller that needs several thresholds,
+the delta checks, builds one table, and the sampled hunts and the random
+search count a drawn entry tuple without building a ``CoeffVec``.
+
+``tail_counts`` picks the engine by a fixed cost rule,
+``tail_count_engine``: the packed polynomial when the n*T*(n+1) bits its
+shift-adds touch stay within GF_WORK_PER_HALF_SUM per half sum of
 meet-in-the-middle and it fits; otherwise meet-in-the-middle if its half
 sums fit; otherwise TooLarge.  Both decide every comparison against
 ``rho * ||a||`` in integers.  The claim suite checks them against a
@@ -71,10 +82,11 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress, islice, repeat
 from math import isqrt
 from operator import add, lt
-from typing import Literal
+from typing import Callable, Iterable, Literal
 
 from .core import CoeffVec, DyadicProb, RationalLike
 from .errors import InvalidThreshold, TooLarge
@@ -205,12 +217,27 @@ def _classify(n: int, below: int, upto: int, side: Side) -> TailCounts:
     the one-sided ones: #(|S| <= v) = 2*#(S <= v) - 2^n for v >= 0, as le
     always is.  At v = -1 (lt at rho = 0) the same formula gives
     -#(S == 0) <= 0, and no |S| is negative, so below is clamped at 0.
+
+    The classes below, upto - below and 2^n - upto sum to 2^n, and they
+    are nonnegative exactly when 0 <= below <= upto <= 2^n, which is
+    checked here, so the result skips ``TailCounts``' own checks.  The
+    fields are set one by one, in declaration order, so the instance
+    shares its class's attribute keys as a constructed one does.
     """
     everything = 1 << n
     if side == TWO_SIDED:
-        below = max(2 * below - everything, 0)
+        below = 2 * below - everything
+        if below < 0:
+            below = 0
         upto = 2 * upto - everything
-    return TailCounts(n, below, upto - below, everything - upto)
+    if not 0 <= below <= upto <= everything:
+        raise ValueError(f"negative count: below {below}, upto {upto} of 2^{n}")
+    counts = object.__new__(TailCounts)
+    object.__setattr__(counts, "n", n)
+    object.__setattr__(counts, "below", below)
+    object.__setattr__(counts, "at", upto - below)
+    object.__setattr__(counts, "above", everything - upto)
+    return counts
 
 
 def _refuse_inexact(value: object, what: str) -> None:
@@ -312,7 +339,11 @@ def tail_count_engine(a: CoeffVec) -> str:
     its half sums and at most as many pointer steps to count them.
     Raises TooLarge, before anything is allocated, when neither fits.
     """
-    n, total = a.n, a.total
+    return _engine(a.n, a.total)
+
+
+def _engine(n: int, total: int) -> str:
+    """tail_count_engine's rule on n and the entry sum T."""
     if _packed_fits(_gf_width(n), total) and n * total * (n + 1) <= GF_WORK_PER_HALF_SUM << (n + 1) // 2:
         return "gf"
     if _listed_fits((1 << (n + 1) // 2) + (1 << n // 2), _HALF_SUM_BYTES, total):
@@ -320,51 +351,12 @@ def tail_count_engine(a: CoeffVec) -> str:
     raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: neither engine's table fits")
 
 
-def tail_counts(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
-    """Count a.s (one-sided) or |a.s| (two-sided) against rho * ||a||.
-
-    Dispatches on tail_count_engine; the engine checks the inputs, and
-    both produce identical counts, field for field.
-    """
-    engine = tail_counts_gf if tail_count_engine(a) == "gf" else tail_counts_mitm
-    return engine(a, rho, side)
-
-
-# Former name of the dispatcher, kept for callers.
-tail_counts_threshold = tail_counts
-
-
-def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
-    """Count from the subset-sum generating function prod (1 + x^(a_i)),
-    packed into one integer with n+1 bits per slot and read by
-    ``_packed_le``."""
-    rho = _validated(rho, side)
-    n, total = a.n, a.total
-    width = _gf_width(n)
-    if not _packed_fits(width, total):
-        raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: the packed product does not fit")
-    lt, le = _limits(a.norm_sq, rho)
-    poly = _packed_product(a.entries, width)
-    below = _packed_le(poly, width, total, lt)
-    return _classify(n, below, below if le == lt else _packed_le(poly, width, total, le), side)
-
-
-def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
-    """Meet-in-the-middle (Horowitz-Sahni): split the coordinates into two
-    halves and build the 2^(n/2) sums of each in ascending order, one add
-    per sum.  #(S <= v) bisects the left list twice: left sums x with
-    x + right[-1] <= v pair with every right sum, those with
-    x + right[0] > v with none.  As x ascends through the left sums in
-    between, v - x descends, so the number of right sums <= v - x is read
-    by one pointer into the right list that only moves down and never
-    reaches either end.  #(S <= v) costs one bounded walk, read at lt and,
-    for an integer threshold, at le."""
-    rho = _validated(rho, side)
-    split = (a.n + 1) // 2
-    if not _listed_fits((1 << split) + (1 << a.n - split), _HALF_SUM_BYTES, a.total):
-        raise TooLarge(f"n={a.n} with a {a.total.bit_length()}-bit entry sum: the half sums do not fit")
-    left = _half_sums(a.entries[:split])
-    right = _half_sums(a.entries[split:])
+def _mitm_reader(entries: tuple[int, ...], n: int) -> Callable[[int], int]:
+    """#(S <= v) as a function of v, counted over the half sums of the
+    entries, built once (see ``tail_counts_mitm``)."""
+    split = (n + 1) // 2
+    left = _half_sums(entries[:split])
+    right = _half_sums(entries[split:])
 
     def count_le(v: int) -> int:
         # right[0] <= v - x < right[-1] for the left sums x walked, so the
@@ -381,6 +373,70 @@ def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED)
                 total += j
         return total
 
-    lt, le = _limits(a.norm_sq, rho)
-    below = count_le(lt)
-    return _classify(a.n, below, below if le == lt else count_le(le), side)
+    return count_le
+
+
+def _tail_le(entries: tuple[int, ...], n: int, total: int, norm_sq: int,
+             rhos: Iterable[RationalLike], engine: str | None = None) -> list[tuple[int, int]]:
+    """The count kernel: (#(S <= lt), #(S <= le)) over the 2^n sign sums S
+    of canonical entries (n of them, entry sum T, squared norm norm_sq) at
+    the two limits of each rho, already checked.  One table of the engine
+    named, by default the one ``tail_count_engine``'s rule picks, is built
+    and read at every limit, at le only when it differs from lt.  Checks
+    nothing else; the rule raises TooLarge before anything is allocated."""
+    if (engine or _engine(n, total)) == "gf":
+        width = _gf_width(n)
+        count_le = partial(_packed_le, _packed_product(entries, width), width, total)
+    else:
+        count_le = _mitm_reader(entries, n)
+    out = []
+    for rho in rhos:
+        lt, le = _limits(norm_sq, rho)
+        below = count_le(lt)
+        out.append((below, below if le == lt else count_le(le)))
+    return out
+
+
+def tail_counts(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
+    """Count a.s (one-sided) or |a.s| (two-sided) against rho * ||a||:
+    the inputs checked, then one kernel call, ``_tail_le``, on the engine
+    tail_count_engine picks; both engines produce identical counts, field
+    for field."""
+    rho = _validated(rho, side)
+    n = a.n
+    ((below, upto),) = _tail_le(a.entries, n, a.total, a.norm_sq, (rho,))
+    return _classify(n, below, upto, side)
+
+
+# Former name of the dispatcher, kept for callers.
+tail_counts_threshold = tail_counts
+
+
+def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
+    """Count from the subset-sum generating function prod (1 + x^(a_i)),
+    packed into one integer with n+1 bits per slot and read by
+    ``_packed_le``."""
+    rho = _validated(rho, side)
+    n, total = a.n, a.total
+    if not _packed_fits(_gf_width(n), total):
+        raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: the packed product does not fit")
+    ((below, upto),) = _tail_le(a.entries, n, total, a.norm_sq, (rho,), "gf")
+    return _classify(n, below, upto, side)
+
+
+def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
+    """Meet-in-the-middle (Horowitz-Sahni): split the coordinates into two
+    halves and build the 2^(n/2) sums of each in ascending order, one add
+    per sum.  #(S <= v) bisects the left list twice: left sums x with
+    x + right[-1] <= v pair with every right sum, those with
+    x + right[0] > v with none.  As x ascends through the left sums in
+    between, v - x descends, so the number of right sums <= v - x is read
+    by one pointer into the right list that only moves down and never
+    reaches either end.  #(S <= v) costs one bounded walk, read at lt and,
+    for an integer threshold, at le."""
+    rho = _validated(rho, side)
+    split = (a.n + 1) // 2
+    if not _listed_fits((1 << split) + (1 << a.n - split), _HALF_SUM_BYTES, a.total):
+        raise TooLarge(f"n={a.n} with a {a.total.bit_length()}-bit entry sum: the half sums do not fit")
+    ((below, upto),) = _tail_le(a.entries, a.n, a.total, a.norm_sq, (rho,), "mitm")
+    return _classify(a.n, below, upto, side)

@@ -29,12 +29,16 @@ Each of these samples but the meet-in-the-middle vector is a
 ``KeySchedule``, and ``run_sharded`` is the one path that evaluates one:
 as one call in this process, or as one strided shard per worker on up to
 ``RADLAB_THREADS`` worker processes, after a timing probe whose result it
-discards.  Every result is the same at any worker count.
+discards.  Every result is the same at any worker count.  The draws are
+canonical entry tuples, never all zero; the tomaszewski hunt and random
+search count them with ``counting._tail_le``, and a ``CoeffVec`` is built
+only for a predicate that needs one, a record or a report.
 
 Every search minimizes integer ``(count, entries)`` keys: n is fixed
 within a search, so the tail count orders like the probability, and the
-entries break ties lexicographically.  Random search, descent and
-checkpoint validation score each vector with ``_score``.  The exhaustive
+entries break ties lexicographically.  Random search and descent score
+each vector with ``_score``; checkpoint validation counts the witness it
+reads from a file through ``tail_counts``.  The exhaustive
 sweep carries ``tail_counts_gf``'s packed product down its walk and reads
 each vector's count off it inline, one shift-add, one shift and one
 reduction, and, because the walk ascends lexicographically, keeps a new
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import ceil, gcd, isqrt
-from operator import itemgetter
+from operator import itemgetter, mul
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
@@ -64,8 +68,8 @@ from .conjectures import (
     CheckReport,
     tomaszewski_holds,
 )
-from .core import MAX_DIMENSION, CoeffVec, DyadicProb, canonicalize
-from .counting import TailCounts, _gf_width, tail_counts
+from .core import MAX_DIMENSION, CoeffVec, DyadicProb, _canonical_entries
+from .counting import TWO_SIDED, TailCounts, _classify, _gf_width, _tail_le, tail_counts
 from .errors import (
     ConjectureFalsified,
     DimensionError,
@@ -227,25 +231,34 @@ def _floor(target: SearchTarget, n: int) -> Fraction:
     return HK_BOUND if target is SearchTarget.G else GPRIME_TABLE[n]
 
 
-def _check_floor(target: SearchTarget, a: CoeffVec, value: Fraction) -> None:
-    """Any value below a proven floor means the build (or mathematics) is
-    broken, so the run aborts with a falsification report."""
-    floor = _floor(target, a.n)
-    if value < floor:
-        raise ConjectureFalsified(
-            {"target": target.value, "vector": str(a), "value": str(value), "floor": str(floor)}
-        )
+def _check_floor(target: SearchTarget, entries: tuple[int, ...], count: int) -> None:
+    """Any value count / 2^n of canonical entries below a proven floor
+    means the build (or mathematics) is broken, so the run aborts with a
+    falsification report."""
+    n = len(entries)
+    floor = _floor(target, n)
+    if count * floor.denominator < floor.numerator << n:
+        raise ConjectureFalsified({"target": target.value, "vector": str(CoeffVec._canonical(entries)),
+                                   "value": str(Fraction(count, 1 << n)), "floor": str(floor)})
 
 
 _Key = tuple[int, tuple[int, ...]]
 
 
-def _score(target: SearchTarget, a: CoeffVec) -> _Key:
-    """The fold key of one evaluated vector, (tail count, entries), after
-    the floor check."""
-    prob = target.probability(tail_counts(a))
-    _check_floor(target, a, prob.fraction)
-    return prob.count, a.entries
+def _norm_counts(entries: tuple[int, ...]) -> TailCounts:
+    """The two-sided counts of canonical entries at their norm, by the
+    count kernel alone: the entries need no check."""
+    n = len(entries)
+    ((below, upto),) = _tail_le(entries, n, sum(entries), sum(map(mul, entries, entries)), (1,))
+    return _classify(n, below, upto, TWO_SIDED)
+
+
+def _score(target: SearchTarget, entries: tuple[int, ...]) -> _Key:
+    """The fold key of one evaluated vector of canonical entries, (tail
+    count, entries), after the floor check."""
+    count = target.probability(_norm_counts(entries)).count
+    _check_floor(target, entries, count)
+    return count, entries
 
 
 def _record(target: SearchTarget, key: _Key, examined: int, mode: str, bound: int,
@@ -354,16 +367,18 @@ class KeySchedule:
                 yield k, f"{prefix}{k - offset}", n
             start += count
 
-    def draws(self, shard: int = 0, shards: int = 1) -> Iterator[tuple[int, CoeffVec, Substream]]:
-        """(k, vector, substream) for the shard's keys whose n draws in
-        [lo, hi] are not all zero, ascending in k; the substream continues
-        after them."""
+    def draws(self, shard: int = 0, shards: int = 1) -> Iterator[tuple[int, tuple[int, ...], Substream]]:
+        """(k, entries, substream) for the shard's keys whose n draws in
+        [lo, hi] are not all zero, ascending in k: the entries are the
+        draws made canonical, sorted non-increasing and gcd-reduced, as a
+        tuple, not a ``CoeffVec``, which a caller wraps only when it needs
+        one.  The substream continues after the draws."""
         lo, hi = self.lo, self.hi
         for k, key, n in self.keys(shard, shards):
             stream = Substream(key)
             entries = stream.draws(n, lo, hi)
             if any(entries):
-                yield k, canonicalize(entries), stream
+                yield k, _canonical_entries(entries), stream
 
 
 def split_runs(budget: int, n_values: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -434,8 +449,8 @@ def run_sharded(work: Callable[..., _Shard], schedule: KeySchedule, *args: objec
 
 
 def failures_shard(schedule: KeySchedule, shard: int, shards: int, holds: Callable) -> _Shard:
-    """The shard's evaluated count and a record (k, a) for each sample on
-    which ``holds(a, substream)`` is false."""
+    """The shard's evaluated count and a record (k, entries) for each
+    sample on which ``holds(entries, substream)`` is false."""
     evaluated = 0
     failures = []
     for k, a, rng in schedule.draws(shard, shards):
@@ -604,7 +619,9 @@ def _resume_key(state: SearchState, target: SearchTarget, n: int, bound: int, re
             raise SearchInputError(f"checkpoint {what} {vec} lies outside the search region")
     if state.witness > state.cursor:
         raise SearchInputError(f"checkpoint witness {state.witness} comes after cursor {state.cursor}")
-    key = _score(target, CoeffVec(state.witness))
+    # read from a file, so counted through the checked front door
+    key = target.probability(tail_counts(CoeffVec(state.witness))).count, state.witness
+    _check_floor(target, state.witness, key[0])
     if key != (state.best_count, state.witness):
         raise SearchInputError(f"checkpoint count {state.best_count} is not the "
                                f"count {key[0]} of witness {state.witness}")
@@ -723,7 +740,7 @@ def exhaustive_integer_search(
                 count = base + slope * (((pu + (pu << v * width)) >> m * width) % mask)
                 if count < top:
                     if count < floor_count:
-                        _check_floor(target, CoeffVec(hu + (v,)), Fraction(count, everything))
+                        _check_floor(target, hu + (v,), count)
                     top, best = count, (count, hu + (v,))
                 if seen == next_checkpoint:
                     done = (hu + (v,), best, seen)
@@ -748,8 +765,8 @@ def _random_shard(schedule: KeySchedule, shard: int, shards: int, target: Search
     """The shard's evaluated count and its best (count, entries) key."""
     best: tuple[int, _Key] | None = None
     examined = 0
-    for k, vec, _ in schedule.draws(shard, shards):
-        cand = _score(target, vec)
+    for k, entries, _ in schedule.draws(shard, shards):
+        cand = _score(target, entries)
         examined += 1
         if best is None or cand < best[1]:
             best = k, cand
@@ -800,20 +817,19 @@ def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRe
         raise SearchInputError(f"steps must be >= 0, got {steps}")
     if any(x < target.min_entry for x in start.entries):
         raise NonPositiveEntry("this target requires strictly positive entries")
-    current = _score(target, start)
+    current = _score(target, start.entries)
     examined = 1
     for _ in range(steps):
-        neighbors: dict[tuple[int, ...], CoeffVec] = {}
+        neighbors: set[tuple[int, ...]] = set()
         for idx in range(start.n):
             for d in (1, -1):
                 e = list(current[1])
                 e[idx] += d
                 if e[idx] < target.min_entry or not any(e):
                     continue
-                vec = canonicalize(e)
-                neighbors[vec.entries] = vec
-        neighbors.pop(current[1], None)
-        best_move = min((_score(target, neighbors[e]) for e in sorted(neighbors)), default=None)
+                neighbors.add(_canonical_entries(e))
+        neighbors.discard(current[1])
+        best_move = min((_score(target, e) for e in sorted(neighbors)), default=None)
         examined += len(neighbors)
         if best_move is None or best_move[0] >= current[0]:
             break
@@ -821,16 +837,16 @@ def local_descent(start: CoeffVec, target: SearchTarget, steps: int) -> SearchRe
     return _record(target, current, examined, "descent", steps)
 
 
-def _tomaszewski_holds(a: CoeffVec, stream: Substream) -> bool:
-    return tomaszewski_holds(tail_counts(a))
+def _tomaszewski_holds(entries: tuple[int, ...], stream: Substream) -> bool:
+    return tomaszewski_holds(_norm_counts(entries))
 
 
-def _pairing_holds(a: CoeffVec, stream: Substream) -> bool:
-    return not CHECKERS["pairing"](a).violated
+def _pairing_holds(entries: tuple[int, ...], stream: Substream) -> bool:
+    return not CHECKERS["pairing"](CoeffVec._canonical(entries)).violated
 
 
-def _delta_holds(a: CoeffVec, stream: Substream) -> bool:
-    return not CHECKERS["delta-sweep"](a).violated
+def _delta_holds(entries: tuple[int, ...], stream: Substream) -> bool:
+    return not CHECKERS["delta-sweep"](CoeffVec._canonical(entries)).violated
 
 
 # hunt's predicate names, each with the checker that reports a violation and
@@ -871,4 +887,4 @@ def hunt(
     (evaluated,), failures = run_sharded(failures_shard, schedule, holds)
     _require_sample(evaluated)
     # a checker's report is a function of the vector: rerun, it is the same
-    return [CHECKERS[checker](a) for _, a in failures]
+    return [CHECKERS[checker](CoeffVec._canonical(entries)) for _, entries in failures]

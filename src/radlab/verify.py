@@ -30,7 +30,7 @@ from .conjectures import (
     check_delta_alt,
     combinatorial_fraction_gray,
 )
-from .core import CoeffVec, SignAssignment, canonicalize, sign_sum
+from .core import CoeffVec, SignAssignment, _canonical_entries, canonicalize, sign_sum
 from .counting import (
     ONE_SIDED,
     TWO_SIDED,
@@ -121,7 +121,8 @@ def _dim7_shard(schedule: KeySchedule, shard: int, shards: int):
     evaluated = strict_checked = 0
     min_vsd = None
     records = []
-    for k, a, _ in schedule.draws(shard, shards):
+    for k, entries, _ in schedule.draws(shard, shards):
+        a = CoeffVec._canonical(entries)
         evaluated += 1
         one = tail_counts(a, 1, ONE_SIDED)
         vsd_size = one.at + one.above
@@ -188,12 +189,13 @@ def _sampled_claim(holds: Callable, schedule: KeySchedule) -> tuple[bool, int]:
     return evaluated > 0 and not failures, evaluated
 
 
-def _comb_agrees(a: CoeffVec, stream: Substream | None = None) -> bool:
+def _comb_agrees(entries: tuple[int, ...], stream: Substream | None = None) -> bool:
+    a = CoeffVec._canonical(entries)
     return combinatorial_fraction_gray(a).fraction == tail_counts(a).p_le.fraction
 
 
 def _comb_exhaustive_claim() -> ClaimResult:
-    vecs = {canonicalize(c) for n in range(1, 9) for c in combinations_with_replacement(range(1, 5), n)}
+    vecs = {_canonical_entries(c) for n in range(1, 9) for c in combinations_with_replacement(range(1, 5), n)}
     return ClaimResult(
         "comb-equivalence-exhaustive",
         "subset-count fraction equals P(|l.s| <= ||l||) for all vectors with n <= 8, entries in [1,4]",
@@ -233,7 +235,8 @@ def _prefix_indicators(n: int) -> tuple[CoeffVec, ...]:
     return tuple(CoeffVec((1,) * k + (0,) * (n - k)) for k in range(1, n + 1))
 
 
-def _dominance_holds(a: CoeffVec, stream: Substream) -> bool:
+def _dominance_holds(entries: tuple[int, ...], stream: Substream) -> bool:
+    a = CoeffVec._canonical(entries)
     # the pair (s, t), drawn after the entries of a
     s, t = (SignAssignment(mask, a.n) for mask in stream.draws(2, 0, (1 << a.n) - 1))
     if dominates(s, t):
@@ -317,7 +320,8 @@ def _reference_counts(a: CoeffVec, rho: Fraction, side: str) -> TailCounts:
     return TailCounts(a.n, below, at, above)
 
 
-def _engines_agree(a: CoeffVec, stream: Substream) -> bool:
+def _engines_agree(entries: tuple[int, ...], stream: Substream) -> bool:
+    a = CoeffVec._canonical(entries)
     # rho's numerator, its denominator and the side, drawn after the entries
     rho = min(Fraction(stream.draw(0, 3 * 8), stream.draw(1, 8)), Fraction(3))
     side = (ONE_SIDED, TWO_SIDED)[stream.draw(0, 1)]

@@ -15,6 +15,7 @@ import pytest
 from radlab import cli, counting, search, verify
 from radlab.cli import EXIT_INTERNAL, EXIT_INTERRUPT, EXIT_USAGE, EXIT_VIOLATION, main, verify_ledger
 from radlab.conjectures import CHECKERS, VIOLATED, CheckReport
+from radlab.core import CoeffVec
 from radlab.counting import TailCounts
 from radlab.errors import NoWitness
 
@@ -39,11 +40,11 @@ class TestEval:
         assert obj["engine"] == "gf"
 
     def test_counts_once(self, capsys, monkeypatch):
-        # the class comes from the same count as the probabilities
+        # the class comes from the same count as the probabilities: one
+        # call of the count kernel, which every engine's count goes through
         calls = []
-        for name in ("tail_counts_gf", "tail_counts_mitm"):
-            engine = getattr(counting, name)
-            monkeypatch.setattr(counting, name, lambda *a, _e=engine: calls.append(_e) or _e(*a))
+        kernel = counting._tail_le
+        monkeypatch.setattr(counting, "_tail_le", lambda *a: calls.append(a) or kernel(*a))
         code, out = run(capsys, "eval", "--vector", "2,2,1,1,1")
         assert code == 0
         assert len(calls) == 1
@@ -229,7 +230,7 @@ class TestSearch:
 
         # the sweep's one isqrt per vector, and the scorer of random and descent
         monkeypatch.setattr(search, "isqrt", interrupt)
-        monkeypatch.setattr(search, "tail_counts", interrupt)
+        monkeypatch.setattr(search, "_tail_le", interrupt)
         monkeypatch.chdir(tmp_path)  # where a sweep writes its default checkpoint
         assert main(["search", mode, *argv]) == EXIT_INTERRUPT
         written = mode == "exhaustive"
@@ -543,7 +544,7 @@ class TestVerifyPaperCommand:
         rule = verify._dim7_sample_claims(3, 7)[2]
         _, first, _ = next(search.KeySchedule(7, "{seed}:dim7:{k}", ((7, 1),), 0, 50).draws())
         assert not rule.passed
-        assert rule.to_json_dict()["details"]["first_failure"] == str(first)
+        assert rule.to_json_dict()["details"]["first_failure"] == str(CoeffVec(first))
 
     def test_dim7_rule_is_one_call_per_sample(self, monkeypatch):
         # on one worker the sample is one pass in key order; on more, a
@@ -553,7 +554,7 @@ class TestVerifyPaperCommand:
         monkeypatch.setattr(verify, "case_lemma_7", lambda a, strict=False: calls.append(a))
         verify._dim7_sample_claims(300, 7)
         schedule = search.KeySchedule(7, "{seed}:dim7:{k}", ((7, 300),), 0, 50)
-        assert calls == [a for _, a, _ in schedule.draws()]
+        assert calls == [CoeffVec(a) for _, a, _ in schedule.draws()]
 
     def test_dim7_strict_failure_names_first_positive_sample(self, monkeypatch):
         def strict_fails(a, strict=False):
@@ -563,7 +564,7 @@ class TestVerifyPaperCommand:
         monkeypatch.setattr(verify, "case_lemma_7", strict_fails)
         rule = verify._dim7_sample_claims(50, 7)[2]
         schedule = search.KeySchedule(7, "{seed}:dim7:{k}", ((7, 50),), 0, 50)
-        first = next(a for _, a, _ in schedule.draws() if a.entries[6] > 0)
+        first = next(CoeffVec(a) for _, a, _ in schedule.draws() if a[6] > 0)
         assert not rule.passed
         assert rule.to_json_dict()["details"]["first_failure"] == str(first)
 

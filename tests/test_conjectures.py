@@ -24,12 +24,12 @@ from radlab.conjectures import (
     delta_sweep,
     _implied_counterexample,
 )
-from radlab.counting import distribution, tail_counts
+from radlab import counting
+from radlab.counting import ONE_SIDED, distribution, tail_counts
 from radlab.errors import (
     DimensionError,
     InvalidThreshold,
     NonPositiveEntry,
-    ZeroNorm,
 )
 
 from oracles import random_vector, rerun
@@ -47,10 +47,6 @@ class TestTomaszewski:
     def test_degenerate(self):
         r = check_tomaszewski(CoeffVec((1, 0)))
         assert r.holds and r.values["p_le_norm"].fraction == 1
-
-    def test_zero_norm(self):
-        with pytest.raises(ZeroNorm):
-            check_tomaszewski(CoeffVec((0,)))
 
 
 class TestSymmetricTails:
@@ -146,6 +142,32 @@ class TestDeltaAlt:
         # ||(2,2,1)|| = 3, so |S| <= 1 holds for 4 of the 8 sign sums
         r = check_delta_alt(CoeffVec((2, 2, 1)), Fraction(1, 3))
         assert r.values["p_le_delta"].fraction == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("check", [check_delta_inequality, check_delta_alt])
+def test_a_delta_check_builds_one_table(monkeypatch, check):
+    # both thresholds are read off one packed product, or off one pair of
+    # half-sum lists for wide entries, and count as tail_counts does
+    builds = []
+    for name in ("_packed_product", "_half_sums"):
+        real = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda *args, _real=real, _name=name: builds.append(_name) or _real(*args))
+    rng = random.Random(84)
+    for hi, table in ((20, ["_packed_product"]), (1 << 20, ["_half_sums"] * 2)):
+        for _ in range(10):
+            a = canonicalize([rng.randint(1, hi) for _ in range(rng.randint(2, 12))])
+            delta = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+            if check is check_delta_alt:
+                delta = min(delta, 1 / delta)
+            builds.clear()
+            r = check(a, delta)
+            assert builds == table, a
+            if check is check_delta_inequality:
+                expected = (tail_counts(a, delta, ONE_SIDED).p_gt, tail_counts(a, 1 / delta, ONE_SIDED).p_gt)
+                assert (r.values["p_gt_delta"], r.values["p_gt_inv_delta"]) == expected
+            else:
+                expected = (tail_counts(a, delta).p_le, tail_counts(a, 1 / delta).p_ge)
+                assert (r.values["p_le_delta"], r.values["p_ge_inv_delta"]) == expected
 
 
 class TestDeltaSweep:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radlab.core import CoeffVec, canonicalize, parse_vector
+from radlab.core import CoeffVec, _canonical_entries, canonicalize, parse_vector
 from radlab.counting import (
     _DIGIT_BYTES,
     _HALF_SUM_BYTES,
@@ -25,10 +25,13 @@ from radlab.counting import (
     _SLOT_FORMATS,
     SumDistribution,
     TailCounts,
+    _classify,
+    _gf_width,
     _half_sums,
     _listed_fits,
     _limits,
     _packed_fits,
+    _tail_le,
     distribution,
     tail_count_engine,
     tail_counts,
@@ -36,7 +39,7 @@ from radlab.counting import (
     tail_counts_mitm,
     tail_counts_threshold,
 )
-from radlab.errors import InvalidThreshold, TooLarge, ZeroNorm
+from radlab.errors import InvalidThreshold, TooLarge
 
 from oracles import brute_counts, iter_sign_sums, random_vector, tail_counts_gray
 
@@ -69,10 +72,6 @@ class TestTailCountsNorm:
         one = tail_counts_threshold(CoeffVec((2, 2, 2, 1, 1, 1, 1)), 1, ONE_SIDED)
         assert one.above == 14
         assert one.p_gt.fraction == Fraction(7, 64)
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroNorm):
-            tail_counts(CoeffVec((0, 0)))
 
     def test_cap_raises_use_mitm(self):
         with pytest.raises(TooLarge):
@@ -380,6 +379,41 @@ def test_auto_dispatch():
     big = canonicalize([1] * 32)
     c = tail_counts(big)
     assert c.below + c.at + c.above == 1 << 32
+
+
+class TestKernel:
+    """The count kernel on canonical entry tuples, as the sampled paths
+    call it, against the front door on the canonical vector."""
+
+    RHOS = (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(7, 4), Fraction(5))
+
+    @pytest.mark.parametrize("hi", [20, 1 << 20])
+    def test_kernel_equals_tail_counts_on_permutations_and_multiples(self, hi):
+        rng = random.Random(66)
+        engines = set()
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            raw = [rng.randint(0, hi) for _ in range(n)]
+            if not any(raw):
+                continue
+            a = canonicalize(raw)
+            engines.add(tail_count_engine(a))
+            expected = [tail_counts(a, rho, side) for rho in self.RHOS for side in (ONE_SIDED, TWO_SIDED)]
+            # a permutation and a common multiple of the draws make the same entries
+            c = rng.randint(2, 9)
+            for variant in (raw, rng.sample(raw, n), [c * x for x in raw]):
+                entries = _canonical_entries(variant)
+                assert entries == a.entries
+                total, norm_sq = sum(entries), sum(x * x for x in entries)
+                # the engine tail_counts picks, and each engine where its table fits
+                named = [None, "mitm"] + (["gf"] if _packed_fits(_gf_width(n), total) else [])
+                for engine in named:
+                    pairs = _tail_le(entries, n, total, norm_sq, self.RHOS, engine)
+                    got = [_classify(n, *pair, side) for pair in pairs for side in (ONE_SIDED, TWO_SIDED)]
+                    assert got == expected, (entries, engine)
+        # small entries count through the packed product, wide ones through
+        # meet-in-the-middle
+        assert engines == ({"gf"} if hi == 20 else {"gf", "mitm"})
 
 
 class TestDispatch:

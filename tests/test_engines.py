@@ -35,7 +35,7 @@ from radlab.conjectures import (
     combinatorial_fraction_gray,
     delta_sweep,
 )
-from radlab.core import canonicalize
+from radlab.core import CoeffVec, canonicalize
 from radlab.counting import (
     ONE_SIDED,
     TWO_SIDED,
@@ -154,7 +154,7 @@ def test_two_sided_norm_tail_is_twice_the_one_sided(a):
 
 def test_dim7_pass_matches_a_direct_recount():
     floor, vsd, _ = verify._dim7_sample_claims(300, 7)
-    sample = [a for _, a, _ in KeySchedule(7, "{seed}:dim7:{k}", ((7, 300),), 0, 50).draws()]
+    sample = [CoeffVec(a) for _, a, _ in KeySchedule(7, "{seed}:dim7:{k}", ((7, 300),), 0, 50).draws()]
     assert floor.details["min_p_ge"] == min(
         tail_counts_gray(a, 1, TWO_SIDED).p_ge.fraction for a in sample)
     assert vsd.details["min_size"] == min(

@@ -217,7 +217,7 @@ class TestExhaustive:
 
     def test_best_is_true_minimum(self):
         r = exhaustive_integer_search(3, SearchTarget.T, 8)
-        values = [_score(SearchTarget.T, v)[0] for v in canonical_vectors(3, 8)]
+        values = [_score(SearchTarget.T, v.entries)[0] for v in canonical_vectors(3, 8)]
         assert r.best_value.count == min(values)
         assert r.vectors_examined == len(values)
 
@@ -231,7 +231,7 @@ def _oracle_regions():
     of a smaller bound is the pairs with entry sum within it."""
     for n in range(1, 8):
         for target in SearchTarget:
-            scored = [(_score(target, v), sum(v.entries))
+            scored = [(_score(target, v.entries), sum(v.entries))
                       for v in canonical_vectors(n, ORACLE_BOUND, target.min_entry)]
             yield n, target, scored
 
@@ -258,7 +258,7 @@ class TestWalkMatchesOracle:
         monkeypatch.setattr(search, "HK_BOUND", Fraction(1, 4))
         with pytest.raises(ConjectureFalsified) as oracle:
             for vec in canonical_vectors(7, 12):
-                _score(SearchTarget.G, vec)
+                _score(SearchTarget.G, vec.entries)
         with pytest.raises(ConjectureFalsified) as walk:
             exhaustive_integer_search(7, SearchTarget.G, 12)
         assert walk.value.args == oracle.value.args
@@ -307,7 +307,7 @@ class TestResume:
     def test_every_checkpoint_matches_the_oracle(self, target, n):
         # checkpoint i holds vector i of the plain walk, the least of the
         # first i keys, and i examined
-        keys = [_score(target, v) for v in canonical_vectors(n, 10, target.min_entry)]
+        keys = [_score(target, v.entries) for v in canonical_vectors(n, 10, target.min_entry)]
         states: list[SearchState] = []
         exhaustive_integer_search(n, target, 10, checkpoint_every=1, on_checkpoint=states.append)
         assert states == [SearchState(target, n, 10, keys[i][1], *min(keys[:i + 1]), i + 1)
@@ -323,7 +323,7 @@ class TestResume:
         # final entries, which the oracle's (n-1)-prefixes delimit
         full = exhaustive_integer_search(n, target, bound)
         vecs = [v.entries for v in canonical_vectors(n, bound, target.min_entry)]
-        keys = [_score(target, CoeffVec(v)) for v in vecs]
+        keys = [_score(target, v) for v in vecs]
         ends = [i for i in range(1, len(vecs) + 1) if i == len(vecs) or vecs[i][:-1] != vecs[i - 1][:-1]]
         exact = search.isqrt
         for k in range(1, len(vecs) + 1):
@@ -394,28 +394,33 @@ class TestRandomSearch:
 
 
 class TestFloors:
+    """_check_floor takes a value as its count over 2^n."""
+
     def test_fabricated_violation_aborts(self):
+        with pytest.raises(ConjectureFalsified) as info:
+            _check_floor(SearchTarget.G, (1, 1, 1, 1, 1, 1, 0), 27)
+        assert info.value.args[0] == {"target": "G", "vector": "1,1,1,1,1,1,0", "value": "27/128",
+                                      "floor": "7/32"}
         with pytest.raises(ConjectureFalsified):
-            _check_floor(SearchTarget.G, CoeffVec((1, 1, 1, 1, 1, 1, 0)), Fraction(1, 5))
-        with pytest.raises(ConjectureFalsified):
-            _check_floor(SearchTarget.T, CoeffVec((1, 1)), Fraction(1, 3))
+            _check_floor(SearchTarget.T, (1, 1), 1)
+        _check_floor(SearchTarget.G, (1, 1, 1, 1, 1, 1, 0), 28)
 
     def test_strict_tail_table_checked(self):
         # the G' floor is the proven strict-tail table, 1/4 at n = 5
         with pytest.raises(ConjectureFalsified):
-            _check_floor(SearchTarget.GPRIME, CoeffVec((2, 2, 1, 1, 1)), Fraction(1, 5))
-        _check_floor(SearchTarget.GPRIME, CoeffVec((2, 2, 1, 1, 1)), Fraction(1, 4))
-        _check_floor(SearchTarget.GPRIME, CoeffVec(tuple([1] * 9)), Fraction(23, 128))
+            _check_floor(SearchTarget.GPRIME, (2, 2, 1, 1, 1), 7)
+        _check_floor(SearchTarget.GPRIME, (2, 2, 1, 1, 1), 8)
+        _check_floor(SearchTarget.GPRIME, tuple([1] * 9), 92)
 
     def test_out_of_range_dimension_not_checked(self):
-        _check_floor(SearchTarget.G, CoeffVec(tuple([1] * 8)), Fraction(1, 5))
+        _check_floor(SearchTarget.G, tuple([1] * 8), 51)
 
     def test_half_mass_floor_checked_in_every_dimension(self):
         # proven for every n, so the gate has no dimension cap
         for n in (10, 40):
             with pytest.raises(ConjectureFalsified):
-                _check_floor(SearchTarget.T, CoeffVec(tuple([1] * n)), Fraction(1, 3))
-        _check_floor(SearchTarget.T, CoeffVec(tuple([1] * 40)), Fraction(1, 2))
+                _check_floor(SearchTarget.T, tuple([1] * n), (1 << n - 1) - 1)
+        _check_floor(SearchTarget.T, tuple([1] * 40), 1 << 39)
 
 
 class TestDescent:
@@ -450,7 +455,7 @@ class TestDescent:
             n = rng.randint(2, 6)
             start = canonicalize([rng.randint(1, 9) for _ in range(n)])
             r = local_descent(start, SearchTarget.T, 30)
-            assert r.best_value.count <= _score(SearchTarget.T, start)[0]
+            assert r.best_value.count <= _score(SearchTarget.T, start.entries)[0]
 
 
 class TestWorkers:
@@ -506,13 +511,29 @@ class TestHunt:
         trials = 2000 if predicate == "tomaszewski" else 200
         schedule = KeySchedule(7, "{seed}:{n}:{i}", search.split_runs(trials, range(2, 10)), 0, 20)
         ties = 0
-        for _, a, stream in schedule.draws():
-            assert holds(a, stream) == (not CHECKERS[checker](a).violated), a
+        for _, entries, stream in schedule.draws():
+            a = CoeffVec(entries)
+            assert holds(entries, stream) == (not CHECKERS[checker](a).violated), a
             counts = tail_counts(a)
             ties += counts.below + counts.at == 1 << (a.n - 1)
         # the sample holds vectors that meet the half-mass floor exactly,
         # where a strict inequality would tell them apart
         assert ties
+
+    def test_zero_draws_are_skipped_not_evaluated(self, monkeypatch):
+        # at n = 1 with entries 0..1 about half the draws are (0,), which
+        # has no norm: the hunt evaluates exactly the nonzero draws, and
+        # its predicate never sees a zero
+        monkeypatch.setenv("RADLAB_THREADS", "1")
+        seen, merged = [], []
+        holds, sharded = search._tomaszewski_holds, search.run_sharded
+        monkeypatch.setitem(search.HUNT_PREDICATES, "tomaszewski",
+                            ("tomaszewski", lambda entries, stream: seen.append(entries) or holds(entries, stream)))
+        monkeypatch.setattr(search, "run_sharded", lambda *args: merged.append(sharded(*args)) or merged[-1])
+        assert hunt("tomaszewski", [1], 40, seed=7, entry_bound=1) == []
+        nonzero = sum(search.Substream(f"7:1:{i}").draws(1, 0, 1) == [1] for i in range(40))
+        assert 0 < nonzero < 40
+        assert merged == [((nonzero,), [])] and seen == [(1,)] * nonzero
 
     def test_budget_split(self):
         # budget smaller than the dimension count still runs something
@@ -566,9 +587,9 @@ def test_sampler_matches_literal_draws_for_every_key_shape():
             (entries, tail), blocks = _literal_draws(key, (n, lo, hi), after(n))
             blocks_read[lo, hi, n] = max(blocks, blocks_read.get((lo, hi, n), 0))
             if any(entries):
-                expected.append((k, canonicalize(entries), tail))
+                expected.append((k, canonicalize(entries).entries, tail))
         # the yielded substream continues where the entry draws stopped
-        got = [(k, a, stream.draws(*after(a.n))) for k, a, stream in schedule.draws()]
+        got = [(k, a, stream.draws(*after(len(a)))) for k, a, stream in schedule.draws()]
         assert got == expected, (template, lo, hi)
         if (lo, hi) == (0, 2):
             assert len(got) < schedule.size  # all-zero draws occurred and were skipped
@@ -860,9 +881,9 @@ def _odd_total_violates(a):
     return CheckReport("tomaszewski", a, VIOLATED if a.total % 2 else HOLDS)
 
 
-def _even_total(a, stream):
+def _even_total(entries, stream):
     """The stand-in checker's predicate."""
-    return not a.total % 2
+    return not sum(entries) % 2
 
 
 class TestSharded:
@@ -1062,6 +1083,16 @@ class TestSharded:
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1] and raised[0][0] is TooLarge
 
+    def test_a_refused_tomaszewski_hunt_names_its_table_on_any_worker_count(self, two_cpus):
+        # the sampled path refuses as tail_counts does, by the engine rule
+        raised = []
+        for workers in ("1", "2"):
+            two_cpus.setenv("RADLAB_THREADS", workers)
+            with pytest.raises(TooLarge, match=r"^n=60 with a \d+-bit entry sum: neither engine's table fits$") as info:
+                hunt("tomaszewski", [60], 4, 7, 2**30)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+
     def test_a_shard_of_zero_draws_is_no_error(self, two_cpus):
         def zero(seed, i):
             return search.Substream(f"{seed}:{i}").draw(0, 1) == 0
@@ -1100,7 +1131,7 @@ class TestSharded:
         two_cpus.setitem(search.HUNT_PREDICATES, "tomaszewski", ("tomaszewski", _even_total))
         # entries in {0, 1} at n = 1, 2: many draws are all zero and skipped
         schedule = KeySchedule(3, "{seed}:{n}:{i}", ((1, 6), (2, 5)), 0, 1)
-        expected = [_odd_total_violates(a) for _, a, _ in schedule.draws()]
+        expected = [_odd_total_violates(CoeffVec(a)) for _, a, _ in schedule.draws()]
         expected = [r for r in expected if r.violated]
         assert expected
         for workers in ("1", "2"):
