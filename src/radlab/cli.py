@@ -340,8 +340,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
-    if extra:  # leftovers after the command name belong to the command's own parser
-        owner = args.parser if argv.index(extra[0]) > argv.index(args.command) else parser
+    if extra:  # leftovers before the command name belong to the top-level parser
+        owner = parser if extra[0] in argv[:argv.index(args.command)] else args.parser
         owner.error(f"unrecognized arguments: {' '.join(extra)}")
     args.argv = argv  # what the ledger records
     try:

@@ -17,7 +17,7 @@ from math import gcd
 from operator import itemgetter
 
 from .core import CoeffVec, DyadicProb, RationalLike
-from .counting import ONE_SIDED, TWO_SIDED, TailCounts, _classify, _refuse_inexact, _tail_le, distribution, tail_counts
+from .counting import ONE_SIDED, TWO_SIDED, TailCounts, _refuse_inexact, _tail_le, distribution, tail_counts
 from .errors import (
     DimensionError,
     InvalidThreshold,
@@ -154,12 +154,6 @@ def _implied_counterexample(a: CoeffVec, delta: Fraction) -> dict:
     return out
 
 
-def _delta_counts(a: CoeffVec, delta: Fraction, side: str) -> list[TailCounts]:
-    """The counts at delta*||a|| and ||a||/delta, delta > 0, off one table."""
-    return [_classify(a.n, below, upto, side)
-            for below, upto in _tail_le(a.entries, a.n, a.total, a.norm_sq, (delta, 1 / delta))]
-
-
 def check_delta_inequality(a: CoeffVec, delta: RationalLike) -> CheckReport:
     """P(a.s > delta*||a||) + P(a.s > ||a||/delta) <= 1/2 for delta > 0.
 
@@ -171,7 +165,7 @@ def check_delta_inequality(a: CoeffVec, delta: RationalLike) -> CheckReport:
     delta = Fraction(delta)
     if delta <= 0:
         raise InvalidThreshold(f"delta must be positive, got {delta}")
-    c1, c2 = _delta_counts(a, delta, ONE_SIDED)
+    c1, c2 = _tail_le(a.entries, a.n, a.total, a.norm_sq, (delta, 1 / delta), ONE_SIDED)
     lhs = c1.p_gt.fraction + c2.p_gt.fraction
     holds = lhs <= Fraction(1, 2)
     values = {"p_gt_delta": c1.p_gt, "p_gt_inv_delta": c2.p_gt, "lhs": lhs}
@@ -198,7 +192,7 @@ def check_delta_alt(a: CoeffVec, delta: RationalLike) -> CheckReport:
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise InvalidThreshold(f"delta must be in (0, 1], got {delta}")
-    ca, cb = _delta_counts(a, delta, TWO_SIDED)
+    ca, cb = _tail_le(a.entries, a.n, a.total, a.norm_sq, (delta, 1 / delta), TWO_SIDED)
     holds = ca.p_le.fraction >= cb.p_ge.fraction
     wrong_lhs = ca.p_ge.fraction + cb.p_ge.fraction
     values = {

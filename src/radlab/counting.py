@@ -15,19 +15,23 @@ Two engines produce identical counts:
   the left sums between them with a pointer that only moves down.
 
 Each engine answers one question, #(S <= v) over the sign sums S, at
-the two limits of the key trick below, and ``_classify`` makes the
-classes of either side.
+the two limits of the key trick below.
 
-Every count goes through a front door and one count kernel.  The front
-doors, ``tail_counts``, ``tail_counts_gf`` and ``tail_counts_mitm``,
-check the inputs: an exact, nonnegative rho (``_validated``), a known
-side and, for a named engine, that its table fits (TooLarge).  The
-kernel, ``_tail_le``, checks nothing: it takes canonical entries with
-their n, T (the entry sum) and ||a||^2, builds one table, the packed
-product or the two half-sum lists, and reads #(S <= v) at the two limits
-of any number of thresholds.  So a caller that needs several thresholds,
-the delta checks, builds one table, and the sampled hunts and the random
-search count a drawn entry tuple without building a ``CoeffVec``.
+Every tail count is made by one count kernel, ``_tail_le``, behind
+three front doors.  The front doors, ``tail_counts``, ``tail_counts_gf``
+and ``tail_counts_mitm``, check the inputs, an exact, nonnegative rho
+and a known side (``_validated``), and make one kernel call.  The kernel
+checks nothing of its inputs: it takes canonical entries with their n,
+T (the entry sum) and ||a||^2, a side and any number of thresholds.
+``_engine`` admits its one table, the packed product or the two
+half-sum lists: the engine named, if its table fits, else the one
+``tail_count_engine``'s rule picks, and TooLarge before anything is
+allocated when that table does not fit.  The kernel reads #(S <= v) at
+the two limits of each threshold and returns one ``TailCounts`` per
+threshold, classified by ``_classify``.  So the delta checks read both
+of their thresholds off one table, and the sampled hunts and the
+random search count a drawn entry tuple without building a
+``CoeffVec``.
 
 ``tail_counts`` picks the engine by a fixed cost rule,
 ``tail_count_engine``: the packed polynomial when the n*T*(n+1) bits its
@@ -342,13 +346,19 @@ def tail_count_engine(a: CoeffVec) -> str:
     return _engine(a.n, a.total)
 
 
-def _engine(n: int, total: int) -> str:
-    """tail_count_engine's rule on n and the entry sum T."""
-    if _packed_fits(_gf_width(n), total) and n * total * (n + 1) <= GF_WORK_PER_HALF_SUM << (n + 1) // 2:
+def _engine(n: int, total: int, engine: str | None = None) -> str:
+    """The engine whose table the count kernel builds: the one named, "gf"
+    or "mitm", if its table fits, else by tail_count_engine's rule on n and
+    the entry sum T.  Raises TooLarge, before anything is allocated, when
+    that table, or for the rule neither, fits."""
+    if engine != "mitm" and _packed_fits(_gf_width(n), total) and (
+            engine or n * total * (n + 1) <= GF_WORK_PER_HALF_SUM << (n + 1) // 2):
         return "gf"
-    if _listed_fits((1 << (n + 1) // 2) + (1 << n // 2), _HALF_SUM_BYTES, total):
+    if engine != "gf" and _listed_fits((1 << (n + 1) // 2) + (1 << n // 2), _HALF_SUM_BYTES, total):
         return "mitm"
-    raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: neither engine's table fits")
+    refusal = ("neither engine's table fits" if engine is None else
+               "the packed product does not fit" if engine == "gf" else "the half sums do not fit")
+    raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: {refusal}")
 
 
 def _mitm_reader(entries: tuple[int, ...], n: int) -> Callable[[int], int]:
@@ -377,14 +387,15 @@ def _mitm_reader(entries: tuple[int, ...], n: int) -> Callable[[int], int]:
 
 
 def _tail_le(entries: tuple[int, ...], n: int, total: int, norm_sq: int,
-             rhos: Iterable[RationalLike], engine: str | None = None) -> list[tuple[int, int]]:
-    """The count kernel: (#(S <= lt), #(S <= le)) over the 2^n sign sums S
-    of canonical entries (n of them, entry sum T, squared norm norm_sq) at
-    the two limits of each rho, already checked.  One table of the engine
-    named, by default the one ``tail_count_engine``'s rule picks, is built
-    and read at every limit, at le only when it differs from lt.  Checks
-    nothing else; the rule raises TooLarge before anything is allocated."""
-    if (engine or _engine(n, total)) == "gf":
+             rhos: Iterable[RationalLike], side: Side, engine: str | None = None) -> list[TailCounts]:
+    """The count kernel: the counts on the side given, one per rho, of the
+    2^n sign sums of canonical entries (n of them, entry sum T, squared
+    norm norm_sq) at rho * ||a||, each rho already checked.  ``_engine``
+    admits one table, of the engine named or by tail_count_engine's rule,
+    and raises TooLarge before anything is allocated when it does not fit;
+    the table is built once and read at the two limits of every rho, at le
+    only when it differs from lt."""
+    if _engine(n, total, engine) == "gf":
         width = _gf_width(n)
         count_le = partial(_packed_le, _packed_product(entries, width), width, total)
     else:
@@ -393,7 +404,7 @@ def _tail_le(entries: tuple[int, ...], n: int, total: int, norm_sq: int,
     for rho in rhos:
         lt, le = _limits(norm_sq, rho)
         below = count_le(lt)
-        out.append((below, below if le == lt else count_le(le)))
+        out.append(_classify(n, below, below if le == lt else count_le(le), side))
     return out
 
 
@@ -402,10 +413,7 @@ def tail_counts(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> T
     the inputs checked, then one kernel call, ``_tail_le``, on the engine
     tail_count_engine picks; both engines produce identical counts, field
     for field."""
-    rho = _validated(rho, side)
-    n = a.n
-    ((below, upto),) = _tail_le(a.entries, n, a.total, a.norm_sq, (rho,))
-    return _classify(n, below, upto, side)
+    return _tail_le(a.entries, a.n, a.total, a.norm_sq, (_validated(rho, side),), side)[0]
 
 
 # Former name of the dispatcher, kept for callers.
@@ -416,12 +424,7 @@ def tail_counts_gf(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -
     """Count from the subset-sum generating function prod (1 + x^(a_i)),
     packed into one integer with n+1 bits per slot and read by
     ``_packed_le``."""
-    rho = _validated(rho, side)
-    n, total = a.n, a.total
-    if not _packed_fits(_gf_width(n), total):
-        raise TooLarge(f"n={n} with a {total.bit_length()}-bit entry sum: the packed product does not fit")
-    ((below, upto),) = _tail_le(a.entries, n, total, a.norm_sq, (rho,), "gf")
-    return _classify(n, below, upto, side)
+    return _tail_le(a.entries, a.n, a.total, a.norm_sq, (_validated(rho, side),), side, "gf")[0]
 
 
 def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED) -> TailCounts:
@@ -434,9 +437,4 @@ def tail_counts_mitm(a: CoeffVec, rho: RationalLike = 1, side: Side = TWO_SIDED)
     by one pointer into the right list that only moves down and never
     reaches either end.  #(S <= v) costs one bounded walk, read at lt and,
     for an integer threshold, at le."""
-    rho = _validated(rho, side)
-    split = (a.n + 1) // 2
-    if not _listed_fits((1 << split) + (1 << a.n - split), _HALF_SUM_BYTES, a.total):
-        raise TooLarge(f"n={a.n} with a {a.total.bit_length()}-bit entry sum: the half sums do not fit")
-    ((below, upto),) = _tail_le(a.entries, a.n, a.total, a.norm_sq, (rho,), "mitm")
-    return _classify(a.n, below, upto, side)
+    return _tail_le(a.entries, a.n, a.total, a.norm_sq, (_validated(rho, side),), side, "mitm")[0]

@@ -34,7 +34,6 @@ from .errors import (
     TooLarge,
 )
 
-CLOSURE_CAP = 24
 ORDER_RULES_CAP = 10
 # tracemalloc peak per closure member (CPython 3.11, 64-bit, n = 18 and 20)
 _MEMBER_BYTES = 156
@@ -65,8 +64,6 @@ def upward_closure(s: SignAssignment) -> set[SignAssignment]:
     on (depth, next free position) counts the members first, and raises
     TooLarge before any is built when they would not fit.
     """
-    if s.n > CLOSURE_CAP:
-        raise TooLarge(f"n={s.n} exceeds closure cap {CLOSURE_CAP}")
     base = s.indices
     n = s.n
     if (1 << n) * _MEMBER_BYTES > LISTED_BUDGET:

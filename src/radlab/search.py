@@ -69,7 +69,7 @@ from .conjectures import (
     tomaszewski_holds,
 )
 from .core import MAX_DIMENSION, CoeffVec, DyadicProb, _canonical_entries
-from .counting import TWO_SIDED, TailCounts, _classify, _gf_width, _tail_le, tail_counts
+from .counting import TWO_SIDED, TailCounts, _gf_width, _tail_le, tail_counts
 from .errors import (
     ConjectureFalsified,
     DimensionError,
@@ -82,10 +82,10 @@ from .errors import (
 DEFAULT_ENTRY_BOUND = 20
 MAX_SWEEP_VECTORS = 5_000_000
 # an exhaustive sweep sizes its region at entry sums doubling from
-# FIRST_SIZING (or once, at its own bound, if that is smaller) up to
-# SIZING_BOUND, the largest
+# FIRST_SIZING (or once, at its own bound, if that is smaller) up to its
+# bound, and stops at the first size over MAX_SWEEP_VECTORS, which every
+# region with n >= 2 reaches by entry sum 2^13
 FIRST_SIZING = 1 << 6
-SIZING_BOUND = 1 << 13
 # the least work a pooled sample gives each worker, in seconds of the
 # probe's estimate: two forked workers start in ~12 ms, and samples of
 # 2 * 50 ms ran on them in 0.67-1.08 of their time in one process, at
@@ -248,9 +248,7 @@ _Key = tuple[int, tuple[int, ...]]
 def _norm_counts(entries: tuple[int, ...]) -> TailCounts:
     """The two-sided counts of canonical entries at their norm, by the
     count kernel alone: the entries need no check."""
-    n = len(entries)
-    ((below, upto),) = _tail_le(entries, n, sum(entries), sum(map(mul, entries, entries)), (1,))
-    return _classify(n, below, upto, TWO_SIDED)
+    return _tail_le(entries, len(entries), sum(entries), sum(map(mul, entries, entries)), (1,), TWO_SIDED)[0]
 
 
 def _score(target: SearchTarget, entries: tuple[int, ...]) -> _Key:
@@ -654,9 +652,10 @@ def exhaustive_integer_search(
     product's slots j >= m = (t + v - lim + 1) // 2 (none carries), which is
     #(S <= lim) over its sign sums S = t + v - 2j.  G reads lim = lt, the
     largest integer below ||a||; G' and T read lim = le, the largest not
-    above it (``counting._limits`` at rho = 1).  By ``_classify``, two-sided,
-    G counts at + above = 2^n - (2c - 2^n) = 2 (2^n - c), G' counts
-    above = 2 (2^n - c) and T below + at = 2c - 2^n.  A CoeffVec is built
+    above it (``counting._limits`` at rho = 1).  As the count kernel
+    classifies two-sided counts, G counts at + above = 2^n - (2c - 2^n)
+    = 2 (2^n - c), G' counts above = 2 (2^n - c) and T below + at
+    = 2c - 2^n.  A CoeffVec is built
     only for a floor violation and for the witness.  ``on_checkpoint`` gets the state
     every ``checkpoint_every`` >= 0 vectors (0: never); an interrupt reports
     the state of the last checkpoint or finished run of final entries, so
@@ -665,7 +664,7 @@ def exhaustive_integer_search(
     After the dimension rule, ``canonical_count`` sizes the region before
     the walk at entry sums doubling from ``FIRST_SIZING`` up to the bound
     (a bound up to ``FIRST_SIZING`` once, at itself), and the first one
-    over the cap refuses it; at ``SIZING_BOUND`` every region with n >= 2
+    over the cap refuses it; by entry sum 2^13 every region with n >= 2
     is.  The last, exact, size sets the budget, rejects an empty region,
     and must equal the vectors examined at the end, or the walk is broken
     (RuntimeError).
@@ -680,16 +679,15 @@ def exhaustive_integer_search(
     # a region only grows with its bound, so one over the cap at a smaller
     # entry sum is refused there: no Moebius sum runs past the first
     # over-cap doubling, which a large n reaches at FIRST_SIZING already
-    top = min(region, SIZING_BOUND)
-    at = min(top, FIRST_SIZING)
+    at = min(region, FIRST_SIZING)
     while True:
         size = canonical_count(n, at, min_entry)
         if size > MAX_SWEEP_VECTORS:
             at_least = "at least " if at < region else ""
             raise TooLarge(f"region holds {at_least}{size} canonical vectors (cap {MAX_SWEEP_VECTORS})")
-        if at == top:
+        if at == region:
             break
-        at = min(2 * at, top)
+        at = min(2 * at, region)
     if not size:
         raise SearchInputError("empty search region")
     best: _Key | None = None

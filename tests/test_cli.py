@@ -111,17 +111,19 @@ class TestEval:
 
         walk(json.loads(out))
 
-    @pytest.mark.parametrize("argv, prog", [
-        (["eval", "--vector", "1,1", "--bogus"], "radlab eval"),
-        (["--bogus", "eval", "--vector", "1,1"], "radlab"),
-    ], ids=["after-command", "before-command"])
-    def test_unknown_flag_names_the_parser_it_reached(self, capsys, argv, prog):
+    @pytest.mark.parametrize("argv, prog, leftover", [
+        (["eval", "--vector", "1,1", "--bogus"], "radlab eval", "--bogus"),
+        (["--bogus", "eval", "--vector", "1,1"], "radlab", "--bogus"),
+        # a stray token equal to the command name is still after the command
+        (["eval", "--vector", "1,1", "eval"], "radlab eval", "eval"),
+    ], ids=["after-command", "before-command", "command-name-repeated"])
+    def test_unknown_flag_names_the_parser_it_reached(self, capsys, argv, prog, leftover):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith(f"usage: {prog} [-h]")
-        assert err[-1] == f"{prog}: error: unrecognized arguments: --bogus"
+        assert err[-1] == f"{prog}: error: unrecognized arguments: {leftover}"
 
 
 class TestCheck:

@@ -25,7 +25,6 @@ from radlab.counting import (
     _SLOT_FORMATS,
     SumDistribution,
     TailCounts,
-    _classify,
     _gf_width,
     _half_sums,
     _listed_fits,
@@ -398,7 +397,7 @@ class TestKernel:
                 continue
             a = canonicalize(raw)
             engines.add(tail_count_engine(a))
-            expected = [tail_counts(a, rho, side) for rho in self.RHOS for side in (ONE_SIDED, TWO_SIDED)]
+            expected = {side: [tail_counts(a, rho, side) for rho in self.RHOS] for side in (ONE_SIDED, TWO_SIDED)}
             # a permutation and a common multiple of the draws make the same entries
             c = rng.randint(2, 9)
             for variant in (raw, rng.sample(raw, n), [c * x for x in raw]):
@@ -408,12 +407,32 @@ class TestKernel:
                 # the engine tail_counts picks, and each engine where its table fits
                 named = [None, "mitm"] + (["gf"] if _packed_fits(_gf_width(n), total) else [])
                 for engine in named:
-                    pairs = _tail_le(entries, n, total, norm_sq, self.RHOS, engine)
-                    got = [_classify(n, *pair, side) for pair in pairs for side in (ONE_SIDED, TWO_SIDED)]
-                    assert got == expected, (entries, engine)
+                    for side in (ONE_SIDED, TWO_SIDED):
+                        assert _tail_le(entries, n, total, norm_sq, self.RHOS, side, engine) == expected[side], (
+                            entries, engine, side)
         # small entries count through the packed product, wide ones through
         # meet-in-the-middle
         assert engines == ({"gf"} if hi == 20 else {"gf", "mitm"})
+
+    @pytest.mark.parametrize("engine, n, refusal", [
+        ("gf", 60, "the packed product does not fit"),
+        ("mitm", 47, "the half sums do not fit"),
+        (None, 47, "neither engine's table fits"),
+    ])
+    def test_the_kernel_admits_its_table_before_allocating(self, engine, n, refusal):
+        # 20-bit entries: at n = 60 the packed product would take ~480 MB,
+        # at n = 47 the half sums ~1.3 GB; the kernel refuses either table
+        # itself, with the front doors' error, and allocates nothing
+        entries = tuple(range((1 << 20) + n, 1 << 20, -1))
+        total, norm_sq = sum(entries), sum(x * x for x in entries)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=f"^n={n} with a 26-bit entry sum: {refusal}$"):
+                _tail_le(entries, n, total, norm_sq, (1,), TWO_SIDED, engine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestDispatch:

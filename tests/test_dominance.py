@@ -136,17 +136,16 @@ class TestUpwardClosure:
             }
             assert generated == scanned
 
-    def test_cap(self):
-        with pytest.raises(TooLarge):
-            upward_closure(SignAssignment(0, 25))
-
-    def test_cap_admits_its_own_dimension(self):
-        # the cap, 24, admits its own dimension; the only sign vectors at
-        # least as good as a flip of the last position are it and the top
-        seed = J(24, n=24)
-        assert upward_closure(seed) == {seed, SignAssignment(0, 24)}
-        with pytest.raises(TooLarge):
-            upward_closure(J(25, n=25))
+    def test_the_member_budget_alone_sizes_a_closure(self, too_large_before_allocating):
+        # a closure is refused for its members only, at any dimension: the
+        # only sign vectors at least as good as a flip of the last position
+        # are it and the top, and the top is its own closure, while the
+        # all-flip seed at n = 23, 8,388,608 members, is still refused
+        for n in (24, 25, 63):
+            top = SignAssignment(0, n)
+            assert upward_closure(J(n, n=n)) == {J(n, n=n), top}
+            assert upward_closure(top) == {top}
+        too_large_before_allocating(upward_closure, [SignAssignment((1 << 23) - 1, 23)])
 
     def test_refused_before_allocating(self, too_large_before_allocating):
         # 16,777,216, 9,740,686 and 8,388,608 members, each past the budget

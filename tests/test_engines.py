@@ -46,7 +46,6 @@ from radlab.counting import (
     tail_counts_gf,
     tail_counts_mitm,
     _gf_width,
-    _classify,
     _half_sums,
     _limits,
     _packed_fits,
@@ -163,8 +162,8 @@ def test_dim7_pass_matches_a_direct_recount():
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(vectors(), st.one_of(st.just(Fraction(0)), RHOS, st.integers(4, 60).map(Fraction)),
-       SIDES, st.integers(0, 50))
-def test_packed_counts_match_oracle(a, rho, side, extra_width):
+       st.integers(0, 50))
+def test_packed_counts_match_oracle(a, rho, extra_width):
     # the reader of tail_counts_gf and the exhaustive sweep, at any slot
     # width > n; rho >= 4 > sqrt(12) puts the threshold above the entry sum
     width = _gf_width(a.n) + extra_width
@@ -173,8 +172,7 @@ def test_packed_counts_match_oracle(a, rho, side, extra_width):
     poly = _packed_product(a.entries, width)
     below, upto = _packed_le(poly, width, a.total, lt), _packed_le(poly, width, a.total, le)
     one = tail_counts_gray(a, rho, ONE_SIDED)
-    assert (below, upto - below) == (one.below, one.at)
-    assert _classify(a.n, below, upto, side) == tail_counts_gray(a, rho, side)
+    assert (below, upto - below, (1 << a.n) - upto) == (one.below, one.at, one.above)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -178,8 +178,8 @@ class TestExhaustive:
     @pytest.mark.parametrize("target", [SearchTarget.G, SearchTarget.GPRIME], ids=["min-entry-0", "min-entry-1"])
     def test_a_region_past_the_sizing_bound_is_refused_there(self, monkeypatch, target):
         # a region is sized at entry sums doubling from FIRST_SIZING and
-        # refused at the first one over the cap, SIZING_BOUND at the latest:
-        # no Moebius sum runs past it (the sum at 10^6 took ~10 s)
+        # refused at the first one over the cap, 2^13 at the latest: no
+        # Moebius sum runs past it (the sum at 10^6 took ~10 s)
         exact, table = search.canonical_count, search._mobius_table
         sized, sieved, first_over = [], [], {}
         monkeypatch.setattr(search, "canonical_count", lambda *args: sized.append((args[1], exact(*args))) or sized[-1][1])
@@ -191,12 +191,12 @@ class TestExhaustive:
                 exhaustive_integer_search(n, target, 10**6)
             sums, sizes = zip(*sized)
             assert sums == tuple(search.FIRST_SIZING << k for k in range(len(sums))), n
-            assert sums[-1] <= search.SIZING_BOUND
+            assert sums[-1] <= 1 << 13
             assert max(sizes[:-1], default=0) <= search.MAX_SWEEP_VECTORS < sizes[-1]
             assert str(refused.value) == f"region holds at least {sizes[-1]} canonical vectors (cap 5000000)"
             assert max(sieved) == sums[-1]
             first_over[n] = sums[-1]
-        assert first_over[2] == search.SIZING_BOUND
+        assert first_over[2] == 1 << 13
         assert max(first_over[n] for n in range(20, MAX_DIMENSION + 1)) <= 2 * search.FIRST_SIZING
 
     @pytest.mark.parametrize("target", list(SearchTarget))
