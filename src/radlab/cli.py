@@ -32,6 +32,7 @@ from .search import (
     SearchRecord,
     SearchState,
     SearchTarget,
+    _check_dimensions,
     exhaustive_integer_search,
     hunt,
     local_descent,
@@ -181,13 +182,12 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _parse_n_range(text: str) -> list[int]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            ns = list(range(int(lo), int(hi) + 1))
-        else:
-            ns = [int(p) for p in text.split(",")]
+        ns = [int(p) for p in (text.split("..", 1) if ".." in text else text.split(","))]
     except ValueError as exc:
         raise RadlabError(f"cannot parse dimension range {text!r}") from exc
+    if ".." in text:
+        _check_dimensions(ns)  # the ends, before the range is built
+        ns = list(range(ns[0], ns[1] + 1))
     if not ns:
         raise RadlabError(f"empty dimension range {text!r}")
     return ns

@@ -36,9 +36,8 @@ only for a predicate that needs one, a record or a report.
 
 Every search minimizes integer ``(count, entries)`` keys: n is fixed
 within a search, so the tail count orders like the probability, and the
-entries break ties lexicographically.  Random search and descent score
-each vector with ``_score``; checkpoint validation counts the witness it
-reads from a file through ``tail_counts``.  The exhaustive
+entries break ties lexicographically.  Random search, descent and a resumed
+sweep's witness are each scored with ``_score``.  The exhaustive
 sweep carries ``tail_counts_gf``'s packed product down its walk and reads
 each vector's count off it inline, one shift-add, one shift and one
 reduction, and, because the walk ascends lexicographically, keeps a new
@@ -69,7 +68,7 @@ from .conjectures import (
     tomaszewski_holds,
 )
 from .core import MAX_DIMENSION, CoeffVec, DyadicProb, _canonical_entries
-from .counting import TWO_SIDED, TailCounts, _gf_width, _tail_le, tail_counts
+from .counting import TWO_SIDED, TailCounts, _gf_width, _tail_le
 from .errors import (
     ConjectureFalsified,
     DimensionError,
@@ -150,7 +149,10 @@ class SearchRecord:
 
 @dataclass
 class SearchState:
-    """Resumable cursor state of an exhaustive sweep."""
+    """Resumable cursor state of an exhaustive sweep.  Its shape is checked
+    as it is made, from a file or in code, n first by the dimension rule;
+    any other break raises SearchInputError.  Whether it belongs to a
+    search is ``_resume_key``'s to check."""
 
     target: SearchTarget
     n: int
@@ -159,6 +161,30 @@ class SearchState:
     best_count: int | None
     witness: tuple[int, ...] | None
     examined: int
+
+    def __post_init__(self) -> None:
+        n, examined, count = self.n, self.examined, self.best_count
+        if (not isinstance(self.target, SearchTarget) or tuple(map(type, (n, self.bound, examined))) != (int,) * 3
+                or examined < 0):
+            raise SearchInputError(
+                f"bad checkpoint target={self.target!r}, n={n!r}, bound={self.bound!r} or examined={examined!r}")
+        _check_dimensions([n])
+        held = (self.cursor, count, self.witness)
+        if None in held:
+            if held != (None, None, None):
+                raise SearchInputError("checkpoint holds only some of cursor, best value and witness")
+            if examined:
+                raise SearchInputError(f"checkpoint without a cursor claims {examined} vectors examined")
+            return
+        if type(count) is not int or not 0 <= count <= 1 << n:
+            raise SearchInputError(f"checkpoint count {count!r} is not a count over 2^{n}")
+        for what, vec in (("cursor", self.cursor), ("witness", self.witness)):
+            try:
+                size = CoeffVec(vec).n
+            except RadlabError as exc:
+                raise SearchInputError(f"checkpoint {what} {vec!r}: {exc}") from exc
+            if size != n:
+                raise SearchInputError(f"checkpoint {what} {vec!r} is not a canonical {n}-vector")
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,51 +199,30 @@ class SearchState:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SearchState":
-        """Parse a checkpoint; raises SearchInputError unless it is a dict with
-        a string target, integer n >= 1, bound and examined >= 0, a best value
-        that is a count over 2^n exactly when a witness is present, and
-        canonical n-vectors as cursor and witness."""
+        """The state of a checkpoint as ``to_json_dict`` writes it: target a
+        string, cursor a list, witness "a,b,c" and best value "p/q", scaled
+        by 2^n only after n has passed the dimension rule.  Another format,
+        or a field that does not parse, raises SearchInputError."""
         try:
             target, n, bound, examined = (d[k] for k in ("target", "n", "bound", "examined"))
         except (KeyError, TypeError) as exc:
             raise SearchInputError(f"checkpoint lacks target, n, bound or examined: {exc!r}") from exc
-        best_value, witness, cursor = d.get("best_value"), d.get("witness"), d.get("cursor")
-        if tuple(map(type, (target, n, bound, examined))) != (str, int, int, int) or n < 1 or examined < 0:
-            raise SearchInputError(
-                f"bad checkpoint target={target!r}, n={n!r}, bound={bound!r} or examined={examined!r}")
-        if (best_value is None) != (witness is None):
-            raise SearchInputError("checkpoint holds only one of best_value and witness")
-        best_count = None
-        if best_value is not None:
-            try:
-                scaled = Fraction(best_value) * (1 << n)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise SearchInputError(f"checkpoint best_value {best_value!r}: {exc}") from exc
-            if scaled.denominator != 1 or not 0 <= scaled <= 1 << n:
-                raise SearchInputError(f"checkpoint best_value {best_value} is not a count over 2^{n}")
-            best_count = scaled.numerator
-        return cls(
-            target=SearchTarget.parse(target),
-            n=n,
-            bound=bound,
-            cursor=None if cursor is None else _state_vector(cursor, n, "cursor"),
-            best_count=best_count,
-            witness=None if witness is None else _state_vector(witness, n, "witness"),
-            examined=examined,
-        )
-
-
-def _state_vector(value: str | Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    """A checkpoint's cursor (a list) or witness (a string) as a canonical,
-    nonzero n-vector."""
-    try:
-        entries = tuple(int(x) for x in value.split(",")) if isinstance(value, str) else tuple(value)
-        vec = CoeffVec(entries)
-    except (TypeError, ValueError, RadlabError) as exc:
-        raise SearchInputError(f"checkpoint {what} {value!r}: {exc}") from exc
-    if vec.n != n:
-        raise SearchInputError(f"checkpoint {what} {value!r} is not a canonical {n}-vector")
-    return entries
+        cursor, best_value, witness = d.get("cursor"), d.get("best_value"), d.get("witness")
+        if type(n) is int:
+            _check_dimensions([n])
+        try:
+            for value, kind in ((target, str), (cursor, list), (best_value, str), (witness, str)):
+                if value is not None and type(value) is not kind:
+                    raise TypeError(f"{value!r} is not a {kind.__name__}")
+            count = None if best_value is None else Fraction(best_value) * (1 << n)
+            if count is not None and count.denominator != 1:
+                raise ValueError(f"best_value {best_value} is not a count over 2^{n}")
+            fields = (None if target is None else SearchTarget.parse(target), n, bound,
+                      None if cursor is None else tuple(cursor), None if count is None else count.numerator,
+                      None if witness is None else tuple(map(int, witness.split(","))), examined)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise SearchInputError(f"bad checkpoint field: {exc}") from exc
+        return cls(*fields)
 
 
 def _floor(target: SearchTarget, n: int) -> Fraction:
@@ -598,29 +603,21 @@ def canonical_count(n: int, bound: int, min_entry: int = 0, upto: tuple[int, ...
 
 def _resume_key(state: SearchState, target: SearchTarget, n: int, bound: int, region: int) -> _Key | None:
     """The fold key a sweep of bound ``bound``, walked at entry sum
-    <= ``region``, resumes with.  Raises SearchInputError unless the
-    checkpoint belongs to this search, its cursor and witness are
-    canonical n-vectors of the region, the witness does not come after
-    the cursor, the stored count is the witness's own, and examined is
-    the cursor's rank in the walk."""
+    <= ``region``, resumes with.  Raises SearchInputError unless the state
+    belongs to this search, its cursor and witness lie in the region, the
+    witness does not come after the cursor, its count is the witness's
+    ``_score``, and examined is the cursor's rank in the walk."""
     if (state.target, state.n, state.bound) != (target, n, bound):
         raise SearchInputError("resume state does not match this search")
-    if state.cursor is None or state.witness is None:
-        if state.cursor != state.witness:
-            raise SearchInputError("checkpoint holds only one of cursor and witness")
-        if state.examined:
-            raise SearchInputError(f"checkpoint without a cursor claims {state.examined} vectors examined")
+    if state.cursor is None:
         return None
     for what, vec in (("cursor", state.cursor), ("witness", state.witness)):
-        _state_vector(vec, n, what)
         if sum(vec) > region or vec[-1] < target.min_entry:
             raise SearchInputError(f"checkpoint {what} {vec} lies outside the search region")
     if state.witness > state.cursor:
         raise SearchInputError(f"checkpoint witness {state.witness} comes after cursor {state.cursor}")
-    # read from a file, so counted through the checked front door
-    key = target.probability(tail_counts(CoeffVec(state.witness))).count, state.witness
-    _check_floor(target, state.witness, key[0])
-    if key != (state.best_count, state.witness):
+    key = _score(target, state.witness)
+    if key[0] != state.best_count:
         raise SearchInputError(f"checkpoint count {state.best_count} is not the "
                                f"count {key[0]} of witness {state.witness}")
     rank = canonical_count(n, region, target.min_entry, state.cursor)

@@ -6,6 +6,7 @@ import os
 import re
 import select
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from radlab.cli import EXIT_INTERNAL, EXIT_INTERRUPT, EXIT_USAGE, EXIT_VIOLATION
 from radlab.conjectures import CHECKERS, VIOLATED, CheckReport
 from radlab.core import CoeffVec
 from radlab.counting import TailCounts
-from radlab.errors import NoWitness
+from radlab.errors import DimensionError, NoWitness
 
 # sha256 of `radlab verify-paper --out` at the default seed
 QUICK_SHA256 = "8b4eb017a3700c217d7c4b1e3950330ccb0149586fae7619715e41df89dffc39"
@@ -27,6 +28,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def traced(call):
+    """call's result, and the peak of what it allocated, traced."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEval:
@@ -294,6 +304,23 @@ class TestSearch:
             bad.write_text(json.dumps(checkpoint))
             assert main(["search", "resume", str(bad), "--checkpoint", ck]) == 2
 
+    @pytest.mark.parametrize("n", [1 << 62, 10**8])
+    def test_a_checkpoint_past_the_dimension_cap_is_refused_before_allocating(self, capsys, tmp_path, n):
+        # the best value is scaled by 2^n only after n has passed the
+        # dimension rule: 1 << n would not fit in memory, or take 12 MB
+        checkpoint = {"target": "G", "n": n, "bound": 10, "cursor": [9, 1, 0, 0, 0],
+                      "best_value": "1/4", "witness": "1,1,1,0,0", "examined": 86}
+        def parse():
+            with pytest.raises(DimensionError, match=f"^dimension {n} exceeds cap 63$"):
+                search.SearchState.from_json_dict(checkpoint)
+
+        assert traced(parse)[1] < 1 << 20
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps(checkpoint))
+        code, peak = traced(lambda: main(["search", "resume", str(path), "--checkpoint", str(tmp_path / "ck2.json")]))
+        assert code == EXIT_USAGE and peak < 1 << 20
+        assert capsys.readouterr().err == f"error: dimension {n} exceeds cap 63\n"
+
     @pytest.mark.parametrize("n", [64, 900, 1200])
     def test_oversized_sweep_exits_2_before_counting(self, capsys, tmp_path, monkeypatch, n):
         def spy(*args):
@@ -405,6 +432,15 @@ class TestHunt:
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: dimension 30000000 exceeds cap 63\n")
+
+    @pytest.mark.parametrize("dims, error", [("2..30000000000", "dimension 30000000000 exceeds cap 63"),
+                                             ("0..3", "dimension must be >= 1, got 0")])
+    def test_a_dimension_range_is_checked_before_it_is_built(self, capsys, dims, error):
+        # the ends pass the dimension rule before a list of 3 * 10^10
+        # dimensions is built
+        code, peak = traced(lambda: main(["hunt", "--predicate", "tomaszewski", "--n", dims, "--trials", "1"]))
+        assert code == EXIT_USAGE and peak < 1 << 20
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_nothing_to_evaluate_exit_2(self, capsys):
         # each of these evaluates no vector, which is not a clean pass

@@ -349,6 +349,32 @@ class TestResume:
         again = SearchState.from_json_dict(state.to_json_dict())
         assert again == state
 
+    @pytest.mark.parametrize("fields, refusal", [
+        (((9, 1, 0, 0, 0), None, (1, 1, 1, 0, 0), 86), "holds only some of cursor, best value and witness"),
+        (((9, 1, 0, 0), 8, (1, 1, 1, 0, 0), 86), "cursor (9, 1, 0, 0) is not a canonical 5-vector"),
+        ((None, None, None, 3), "without a cursor claims 3 vectors examined"),
+        (((9, 1, 0, 0, 0), 33, (1, 1, 1, 0, 0), 86), "count 33 is not a count over 2^5"),
+        (([9, 1, 0, 0, 0], 8, (1, 1, 1, 0, 0), 86), "entries must be a tuple of integers"),
+    ], ids=["witness-without-count", "short-cursor", "examined-without-cursor", "count-past-2^n", "list-cursor"])
+    def test_a_state_built_in_code_is_checked_as_it_is_made(self, fields, refusal):
+        # cursor, count, witness and examined of the G sweep at n = 5, bound
+        # 10, each breaking one shape rule: the state is refused when built,
+        # not when a sweep resumes from it
+        with pytest.raises(SearchInputError) as refused:
+            SearchState(SearchTarget.G, 5, 10, *fields)
+        assert refusal in str(refused.value)
+
+    @pytest.mark.parametrize("field", [{"cursor": "9,1,0,0,0"}, {"witness": [1, 1, 1, 0, 0]}, {"best_value": 0.25}],
+                             ids=["string-cursor", "list-witness", "number-best-value"])
+    def test_a_checkpoint_field_in_another_format_is_refused(self, field):
+        # to_json_dict writes the cursor as a list, the witness as "a,b,c"
+        # and the best value as "p/q", and nothing else is read
+        checkpoint = {"target": "G", "n": 5, "bound": 10, "cursor": [9, 1, 0, 0, 0],
+                      "best_value": "1/4", "witness": "1,1,1,0,0", "examined": 86}
+        assert SearchState.from_json_dict(checkpoint).to_json_dict() == checkpoint
+        with pytest.raises(SearchInputError, match="is not a (list|str)$"):
+            SearchState.from_json_dict(dict(checkpoint, **field))
+
     def test_mismatched_state_rejected(self):
         state = SearchState(SearchTarget.G, 5, 10, None, None, None, 0)
         with pytest.raises(ValueError):
