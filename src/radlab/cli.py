@@ -32,7 +32,7 @@ from .search import (
     SearchRecord,
     SearchState,
     SearchTarget,
-    _check_dimensions,
+    check_dimensions,
     exhaustive_integer_search,
     hunt,
     local_descent,
@@ -182,12 +182,15 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _parse_n_range(text: str) -> list[int]:
     try:
-        ns = [int(p) for p in (text.split("..", 1) if ".." in text else text.split(","))]
+        if ".." in text:
+            lo, hi = map(int, text.split("..", 1))
+        else:
+            ns = [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise RadlabError(f"cannot parse dimension range {text!r}") from exc
     if ".." in text:
-        _check_dimensions(ns)  # the ends, before the range is built
-        ns = list(range(ns[0], ns[1] + 1))
+        check_dimensions([lo, hi])  # the ends, before the range is built
+        ns = list(range(lo, hi + 1))
     if not ns:
         raise RadlabError(f"empty dimension range {text!r}")
     return ns

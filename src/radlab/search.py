@@ -36,8 +36,9 @@ only for a predicate that needs one, a record or a report.
 
 Every search minimizes integer ``(count, entries)`` keys: n is fixed
 within a search, so the tail count orders like the probability, and the
-entries break ties lexicographically.  Random search, descent and a resumed
-sweep's witness are each scored with ``_score``.  The exhaustive
+entries break ties lexicographically.  Random search and descent score
+each vector with ``_score``; a resumed sweep counts its witness through
+``tail_counts``.  The exhaustive
 sweep carries ``tail_counts_gf``'s packed product down its walk and reads
 each vector's count off it inline, one shift-add, one shift and one
 reduction, and, because the walk ascends lexicographically, keeps a new
@@ -68,7 +69,7 @@ from .conjectures import (
     tomaszewski_holds,
 )
 from .core import MAX_DIMENSION, CoeffVec, DyadicProb, _canonical_entries
-from .counting import TWO_SIDED, TailCounts, _gf_width, _tail_le
+from .counting import TWO_SIDED, TailCounts, _gf_width, _tail_le, tail_counts
 from .errors import (
     ConjectureFalsified,
     DimensionError,
@@ -164,11 +165,12 @@ class SearchState:
 
     def __post_init__(self) -> None:
         n, examined, count = self.n, self.examined, self.best_count
-        if (not isinstance(self.target, SearchTarget) or tuple(map(type, (n, self.bound, examined))) != (int,) * 3
+        if (not isinstance(self.target, SearchTarget)
+                or tuple(map(type, (n, self.bound, examined))) != (int, int, int)
                 or examined < 0):
             raise SearchInputError(
                 f"bad checkpoint target={self.target!r}, n={n!r}, bound={self.bound!r} or examined={examined!r}")
-        _check_dimensions([n])
+        check_dimensions([n])
         held = (self.cursor, count, self.witness)
         if None in held:
             if held != (None, None, None):
@@ -200,29 +202,37 @@ class SearchState:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SearchState":
         """The state of a checkpoint as ``to_json_dict`` writes it: target a
-        string, cursor a list, witness "a,b,c" and best value "p/q", scaled
-        by 2^n only after n has passed the dimension rule.  Another format,
-        or a field that does not parse, raises SearchInputError."""
+        string, cursor a list, witness "a,b,c" and best value "p/q" (str of
+        a Fraction), read only after n has passed the dimension rule.
+        Another format, or a field that does not parse, raises
+        SearchInputError."""
         try:
             target, n, bound, examined = (d[k] for k in ("target", "n", "bound", "examined"))
         except (KeyError, TypeError) as exc:
             raise SearchInputError(f"checkpoint lacks target, n, bound or examined: {exc!r}") from exc
         cursor, best_value, witness = d.get("cursor"), d.get("best_value"), d.get("witness")
         if type(n) is int:
-            _check_dimensions([n])
+            check_dimensions([n])
+        count = None
         try:
             for value, kind in ((target, str), (cursor, list), (best_value, str), (witness, str)):
                 if value is not None and type(value) is not kind:
                     raise TypeError(f"{value!r} is not a {kind.__name__}")
-            count = None if best_value is None else Fraction(best_value) * (1 << n)
-            if count is not None and count.denominator != 1:
-                raise ValueError(f"best_value {best_value} is not a count over 2^{n}")
-            fields = (None if target is None else SearchTarget.parse(target), n, bound,
-                      None if cursor is None else tuple(cursor), None if count is None else count.numerator,
-                      None if witness is None else tuple(map(int, witness.split(","))), examined)
+            if target is not None:
+                target = SearchTarget.parse(target)
+            if cursor is not None:
+                cursor = tuple(cursor)
+            if best_value is not None:
+                p, _, q = best_value.partition("/")
+                count = (int(p) << n) // int(q or 1)
+                # written back, only the count's own "p/q" reads the same
+                if str(Fraction(count, 1 << n)) != best_value:
+                    raise ValueError(f"best_value {best_value!r} is not a count over 2^{n}")
+            if witness is not None:
+                witness = tuple(map(int, witness.split(",")))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise SearchInputError(f"bad checkpoint field: {exc}") from exc
-        return cls(*fields)
+        return cls(target, n, bound, cursor, count, witness, examined)
 
 
 def _floor(target: SearchTarget, n: int) -> Fraction:
@@ -469,7 +479,7 @@ def _require_sample(evaluated: int) -> None:
         raise SearchInputError("no nonzero vector sampled; increase trials")
 
 
-def _check_dimensions(n_values: Sequence[int]) -> None:
+def check_dimensions(n_values: Sequence[int]) -> None:
     """The dimension rule of every search, before any key is drawn or any
     region counted: each n >= 1, and none above core's cap."""
     if min(n_values) < 1:
@@ -483,7 +493,7 @@ def _check_inputs(n_values: Sequence[int], trials: int, entry_bound: int, min_en
     listed twice would draw the same keys twice."""
     if not n_values:
         raise SearchInputError("no dimension to search")
-    _check_dimensions(n_values)
+    check_dimensions(n_values)
     if len(set(n_values)) < len(n_values):
         repeated = next(n for i, n in enumerate(n_values) if n in n_values[:i])
         raise SearchInputError(f"dimension {repeated} is listed twice")
@@ -606,7 +616,7 @@ def _resume_key(state: SearchState, target: SearchTarget, n: int, bound: int, re
     <= ``region``, resumes with.  Raises SearchInputError unless the state
     belongs to this search, its cursor and witness lie in the region, the
     witness does not come after the cursor, its count is the witness's
-    ``_score``, and examined is the cursor's rank in the walk."""
+    own, and examined is the cursor's rank in the walk."""
     if (state.target, state.n, state.bound) != (target, n, bound):
         raise SearchInputError("resume state does not match this search")
     if state.cursor is None:
@@ -616,7 +626,11 @@ def _resume_key(state: SearchState, target: SearchTarget, n: int, bound: int, re
             raise SearchInputError(f"checkpoint {what} {vec} lies outside the search region")
     if state.witness > state.cursor:
         raise SearchInputError(f"checkpoint witness {state.witness} comes after cursor {state.cursor}")
-    key = _score(target, state.witness)
+    # counted through the public dispatcher, not ``_score``: it is the one
+    # count of a sweep outside the packed walk that perfbench's self-test
+    # corrupts (``tail_counts_threshold`` is ``tail_counts``)
+    key = target.probability(tail_counts(CoeffVec(state.witness))).count, state.witness
+    _check_floor(target, state.witness, key[0])
     if key[0] != state.best_count:
         raise SearchInputError(f"checkpoint count {state.best_count} is not the "
                                f"count {key[0]} of witness {state.witness}")
@@ -666,7 +680,7 @@ def exhaustive_integer_search(
     and must equal the vectors examined at the end, or the walk is broken
     (RuntimeError).
     """
-    _check_dimensions([n])
+    check_dimensions([n])
     if checkpoint_every < 0:
         raise SearchInputError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     min_entry = target.min_entry

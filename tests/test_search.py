@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -364,16 +365,26 @@ class TestResume:
             SearchState(SearchTarget.G, 5, 10, *fields)
         assert refusal in str(refused.value)
 
-    @pytest.mark.parametrize("field", [{"cursor": "9,1,0,0,0"}, {"witness": [1, 1, 1, 0, 0]}, {"best_value": 0.25}],
-                             ids=["string-cursor", "list-witness", "number-best-value"])
+    @pytest.mark.parametrize("field", [
+        {"cursor": "9,1,0,0,0"}, {"witness": [1, 1, 1, 0, 0]}, {"best_value": 0.25},
+        *({"best_value": v} for v in ["0.25", "2.5e-1", "1e1000000000", "2/8", "-1/-4", " 1/4", "1/3", "1/0"]),
+    ], ids=lambda field: f"{next(iter(field))}={next(iter(field.values()))!r}")
     def test_a_checkpoint_field_in_another_format_is_refused(self, field):
         # to_json_dict writes the cursor as a list, the witness as "a,b,c"
-        # and the best value as "p/q", and nothing else is read
+        # and the best value as the str of a count over 2^n, and nothing
+        # else is read: a decimal or an exponent never reaches Fraction,
+        # which would build 1e1000000000 as a 10^9-digit integer
         checkpoint = {"target": "G", "n": 5, "bound": 10, "cursor": [9, 1, 0, 0, 0],
                       "best_value": "1/4", "witness": "1,1,1,0,0", "examined": 86}
         assert SearchState.from_json_dict(checkpoint).to_json_dict() == checkpoint
-        with pytest.raises(SearchInputError, match="is not a (list|str)$"):
-            SearchState.from_json_dict(dict(checkpoint, **field))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchInputError, match="^bad checkpoint field: "):
+                SearchState.from_json_dict(dict(checkpoint, **field))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_mismatched_state_rejected(self):
         state = SearchState(SearchTarget.G, 5, 10, None, None, None, 0)
