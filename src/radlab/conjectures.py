@@ -29,10 +29,20 @@ HOLDS = "holds"
 VIOLATED = "violated"
 OUT_OF_SCOPE = "out-of-scope"
 
-# Proven floors: P(|a.s| >= ||a||) >= 7/32 for n <= 7, and the strict
-# analogue table over vectors with no zero entries.
+# Proven floors: P(|a.s| >= ||a||) >= 7/32 for n <= 7, its exact minimum
+# G(n) for each n <= 7, and the strict analogue table over vectors with no
+# zero entries.
 HK_BOUND = Fraction(7, 32)
 HK_MAX_N = 7
+G_TABLE = {
+    1: Fraction(1),
+    2: Fraction(1, 2),
+    3: Fraction(1, 4),
+    4: Fraction(1, 4),
+    5: Fraction(1, 4),
+    6: Fraction(7, 32),
+    7: Fraction(7, 32),
+}
 GPRIME_TABLE = {
     1: Fraction(0),
     2: Fraction(1, 2),

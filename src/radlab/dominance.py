@@ -35,8 +35,11 @@ from .errors import (
 )
 
 ORDER_RULES_CAP = 10
-# tracemalloc peak per closure member (CPython 3.11, 64-bit, n = 18 and 20)
-_MEMBER_BYTES = 156
+# tracemalloc peak per closure member, its int mask plus its share of the
+# set's table (CPython 3.11, 64-bit): 59 B where the table is nearly full
+# and 112 B just after it doubles (n = 18 and 20), 116 B at n = 63, where
+# masks take up to three 30-bit digits
+_MEMBER_BYTES = 120
 
 
 def dominates(s: SignAssignment, t: SignAssignment) -> bool:
@@ -53,8 +56,9 @@ def dominates(s: SignAssignment, t: SignAssignment) -> bool:
     return True
 
 
-def upward_closure(s: SignAssignment) -> set[SignAssignment]:
-    """All sign vectors at least as good as s, including s itself.
+def upward_closure(s: SignAssignment) -> set[int]:
+    """The masks of all sign vectors at least as good as s, s's own
+    included; ``SignAssignment(m, s.n)`` wraps one.
 
     Generated directly from the flipped-position characterization: choose
     any prefix-length q of s's flip positions i_1 < ... < i_p and any
@@ -74,28 +78,22 @@ def upward_closure(s: SignAssignment) -> set[SignAssignment]:
 
         if (members := count(0, 1)) * _MEMBER_BYTES > LISTED_BUDGET:
             raise TooLarge(f"the closure of {s} has {members} members, past the {LISTED_BUDGET}-byte budget")
-    masks: list[int] = []
+    masks: set[int] = set()
 
     def extend(depth: int, next_free: int, mask: int) -> None:
-        masks.append(mask)
+        masks.add(mask)
         if depth == len(base):
             return
         for j in range(max(base[depth], next_free), n + 1):
             extend(depth + 1, j + 1, mask | (1 << (j - 1)))
 
     extend(0, 1, 0)
-    return {SignAssignment(m, n) for m in masks}
+    return masks
 
 
 def _closure_rows(n: int) -> list[int]:
     """rows[m] = bitmask over all masks t with (m)_n <= (t)_n."""
-    rows = [0] * (1 << n)
-    for m in range(1 << n):
-        row = 0
-        for t in upward_closure(SignAssignment(m, n)):
-            row |= 1 << t.mask
-        rows[m] = row
-    return rows
+    return [sum(1 << t for t in upward_closure(SignAssignment(m, n))) for m in range(1 << n)]
 
 
 def verify_order_rules(n: int) -> bool:
@@ -111,6 +109,8 @@ def verify_order_rules(n: int) -> bool:
           both implies (J u J')_n < (J u J'')_n
     (v)   componentwise shift of equally many flips
     """
+    if n < 1:
+        raise DimensionError(f"dimension {n} out of range")
     if n > ORDER_RULES_CAP:
         raise TooLarge(f"n={n} exceeds order-rule cap {ORDER_RULES_CAP}")
     full = (1 << n) - 1
@@ -254,7 +254,7 @@ def vsd_count_lower_bound(a: CoeffVec, seeds: list[SignAssignment]) -> int:
     in V_sd(a); a certified lower bound for |V_sd(a)| because membership
     propagates upward.  Seeds outside V_sd(a) are skipped; a seed of
     another dimension raises DimensionError."""
-    union: set[SignAssignment] = set()
+    union: set[int] = set()
     for s in seeds:
         if in_vsd(a, s):
             union |= upward_closure(s)

@@ -61,9 +61,8 @@ from typing import Callable, Iterator, Sequence
 
 from .conjectures import (
     CHECKERS,
+    G_TABLE,
     GPRIME_TABLE,
-    HK_BOUND,
-    HK_MAX_N,
     T_FLOOR,
     CheckReport,
     tomaszewski_holds,
@@ -237,13 +236,11 @@ class SearchState:
 
 def _floor(target: SearchTarget, n: int) -> Fraction:
     """The proven floor of the target's value in dimension n, 0 where none
-    is proven: the half-mass floor holds in every dimension, the 7/32
-    floor and the strict-tail table for n <= 7."""
+    is proven: the half-mass floor holds in every dimension, the G and
+    strict-tail tables for n <= 7."""
     if target is SearchTarget.T:
         return T_FLOOR
-    if n > HK_MAX_N:
-        return Fraction(0)
-    return HK_BOUND if target is SearchTarget.G else GPRIME_TABLE[n]
+    return (G_TABLE if target is SearchTarget.G else GPRIME_TABLE).get(n, Fraction(0))
 
 
 def _check_floor(target: SearchTarget, entries: tuple[int, ...], count: int) -> None:

@@ -25,6 +25,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Iterator
 
 from .conjectures import (
+    G_TABLE,
     GPRIME_TABLE,
     HK_BOUND,
     check_delta_alt,
@@ -52,16 +53,6 @@ from .search import (
     run_sharded,
     split_runs,
 )
-
-G_TABLE = {
-    1: Fraction(1),
-    2: Fraction(1, 2),
-    3: Fraction(1, 4),
-    4: Fraction(1, 4),
-    5: Fraction(1, 4),
-    6: Fraction(7, 32),
-    7: Fraction(7, 32),
-}
 
 # norm-reaching (G) and strict-tail (G') witnesses of the table values
 G_WITNESSES = ((1,), (1, 1), (1, 1, 1), (1, 1, 1, 0), (1, 1, 1, 0, 0),
@@ -249,7 +240,7 @@ def _dominance_holds(entries: tuple[int, ...], stream: Substream) -> bool:
 def _dominance_claims(max_exhaustive_n: int, pairs: int, max_n: int, seed: int) -> list[ClaimResult]:
     rules_ok = all(verify_order_rules(n) for n in range(1, max_exhaustive_n + 1))
     closure = upward_closure(SignAssignment.from_indices((4, 5, 7), 7))
-    closure_ids = {s.indices for s in closure}
+    closure_ids = {SignAssignment(m, 7).indices for m in closure}
     closure_ok = closure_ids == CLOSURE_457
     schedule = KeySchedule(seed, "{seed}:dom:{n}:{i}", split_runs(pairs, range(2, max_n + 1)), 0, 9)
     sampled_ok, evaluated = _sampled_claim(_dominance_holds, schedule)

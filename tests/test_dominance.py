@@ -1,6 +1,7 @@
 """Dominance order, closures, and the quadratic membership rules."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -102,7 +103,7 @@ class TestDominates:
 
 class TestUpwardClosure:
     def test_top_element(self):
-        assert upward_closure(SignAssignment(0, 5)) == {SignAssignment(0, 5)}
+        assert upward_closure(SignAssignment(0, 5)) == {0}
 
     def test_bottom_element(self):
         n = 4
@@ -116,7 +117,7 @@ class TestUpwardClosure:
             (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
             (4, 5, 7), (4, 6, 7), (5, 6, 7),
         }
-        assert {s.indices for s in closure} == expected
+        assert {SignAssignment(m, 7).indices for m in closure} == expected
         assert len(closure) == 14
 
     def test_matches_exhaustive_scan(self):
@@ -130,7 +131,7 @@ class TestUpwardClosure:
         for _ in range(60):
             n = rng.randint(1, 10)
             seed = SignAssignment(rng.randrange(1 << n), n)
-            generated = {t.mask for t in upward_closure(seed)}
+            generated = upward_closure(seed)
             scanned = {
                 m for m in range(1 << n) if dominates(seed, SignAssignment(m, n))
             }
@@ -140,17 +141,33 @@ class TestUpwardClosure:
         # a closure is refused for its members only, at any dimension: the
         # only sign vectors at least as good as a flip of the last position
         # are it and the top, and the top is its own closure, while the
-        # all-flip seed at n = 23, 8,388,608 members, is still refused
+        # all-flip seed at n = 24, 16,777,216 members, is still refused
         for n in (24, 25, 63):
-            top = SignAssignment(0, n)
-            assert upward_closure(J(n, n=n)) == {J(n, n=n), top}
-            assert upward_closure(top) == {top}
-        too_large_before_allocating(upward_closure, [SignAssignment((1 << 23) - 1, 23)])
+            assert upward_closure(J(n, n=n)) == {1 << n - 1, 0}
+            assert upward_closure(SignAssignment(0, n)) == {0}
+        too_large_before_allocating(upward_closure, [SignAssignment((1 << 24) - 1, 24)])
 
     def test_refused_before_allocating(self, too_large_before_allocating):
-        # 16,777,216, 9,740,686 and 8,388,608 members, each past the budget
-        seeds = [SignAssignment((1 << 24) - 1, 24), J(*range(1, 13), n=24), SignAssignment((1 << 23) - 1, 23)]
+        # 33,554,432, 38,754,732 and 16,777,216 members, each past the
+        # budget's 8,947,848
+        seeds = [SignAssignment((1 << 25) - 1, 25), J(*range(1, 14), n=26), SignAssignment((1 << 24) - 1, 24)]
         too_large_before_allocating(upward_closure, seeds)
+
+    @pytest.mark.parametrize("indices, n", [
+        (range(1, 10), 18), ((1, 2, 3, 6, 8, 10, 11, 12, 14, 16), 18),
+        ((1, 4, 5, 7, 8, 9, 10, 11, 17, 20), 20), ((46, 48, 49, 50, 56, 57, 59, 60, 61), 63),
+    ])
+    def test_member_model_bounds_the_measured_peak(self, indices, n):
+        # 155,382 members, where the set's table is nearly full, and
+        # 157,289, 314,584 and 78,646 (masks up to three 30-bit digits
+        # wide) just after it doubles
+        tracemalloc.start()
+        try:
+            members = len(upward_closure(J(*indices, n=n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= members * dominance._MEMBER_BYTES
 
     def test_budget_counts_every_member(self, monkeypatch):
         # the budget of exactly 14 members admits the 14-member closure, one
@@ -173,6 +190,9 @@ class TestOrderRules:
     def test_cap(self):
         with pytest.raises(TooLarge):
             verify_order_rules(11)
+        for n in (-1, 0):
+            with pytest.raises(DimensionError):
+                verify_order_rules(n)
 
 
 class TestMembershipForm:
@@ -342,10 +362,10 @@ class TestVsdCountLowerBound:
         assert vsd_count_lower_bound(a, [J(5, 6, 7, n=7)]) == 0
 
     def test_refused_before_allocating(self, too_large_before_allocating):
-        # (2,...,15)_24 reaches the norm of (1, 0, ..., 0), and its closure
-        # has 7,507,638 members, past the budget
-        a = CoeffVec((1,) + (0,) * 23)
-        seed = J(*range(2, 16), n=24)
+        # (2,...,16)_25 reaches the norm of (1, 0, ..., 0), and its closure
+        # has 15,505,590 members, past the budget
+        a = CoeffVec((1,) + (0,) * 24)
+        seed = J(*range(2, 17), n=25)
         assert in_vsd(a, seed)
         too_large_before_allocating(lambda s: vsd_count_lower_bound(a, [s]), [seed])
 
@@ -378,4 +398,4 @@ class TestVsdCountLowerBound:
                 if not in_vsd(a, s):
                     continue
                 for t in upward_closure(s):
-                    assert in_vsd(a, t)
+                    assert in_vsd(a, SignAssignment(t, n))

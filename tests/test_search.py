@@ -256,7 +256,7 @@ class TestWalkMatchesOracle:
                     assert exhaustive_integer_search(n, target, bound, resume=state) == rec
 
     def test_floor_violation_matches_oracle(self, monkeypatch):
-        monkeypatch.setattr(search, "HK_BOUND", Fraction(1, 4))
+        monkeypatch.setitem(search.G_TABLE, 7, Fraction(1, 4))
         with pytest.raises(ConjectureFalsified) as oracle:
             for vec in canonical_vectors(7, 12):
                 _score(SearchTarget.G, vec.entries)
@@ -448,6 +448,14 @@ class TestFloors:
             _check_floor(SearchTarget.GPRIME, (2, 2, 1, 1, 1), 7)
         _check_floor(SearchTarget.GPRIME, (2, 2, 1, 1, 1), 8)
         _check_floor(SearchTarget.GPRIME, tuple([1] * 9), 92)
+
+    def test_g_floor_is_the_g_table(self):
+        # 1/2 < G(1) = 1, 1/4 < G(2) = 1/2 and 7/32 < G(5) = 1/4: each
+        # value is refused, and each table value itself passes
+        for entries, count in (((1,), 1), ((1, 1), 1), ((1, 1, 1, 1, 1), 7)):
+            with pytest.raises(ConjectureFalsified):
+                _check_floor(SearchTarget.G, entries, count)
+            _check_floor(SearchTarget.G, entries, count + 1)
 
     def test_out_of_range_dimension_not_checked(self):
         _check_floor(SearchTarget.G, tuple([1] * 8), 51)
